@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
+from .backend import kernel
 from .quadrature import QuadratureConfig, integrate_1d, normal_pdf
 from .statistic import TuningParam
 
@@ -32,17 +33,9 @@ __all__ = [
     "operator_trace",
 ]
 
-
-def kernel(s, t):
-    """Covariance kernel of the limiting empirical characteristic
-    function process with estimated mean and variance.  Symmetric in
-    (s, t) exactly, including in floating point."""
-    s = np.asarray(s, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    st = s * t
-    return np.exp(-0.5 * np.square(s - t)) - (1.0 + st + 0.5 * st * st) * np.exp(
-        -0.5 * (np.square(s) + np.square(t))
-    )
+# Monte-Carlo draws per batch in null_pvalue: bounds the memory of the
+# draws to _MC_CHUNK x top_m doubles.
+_MC_CHUNK = 200_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,7 +137,6 @@ def null_pvalue(
     spectrum: SpectrumResult,
     mc_samples: int = 100_000,
     seed: int = 42,
-    _chunk: int = 200_000,
 ) -> float:
     """Monte-Carlo tail probability of the truncated limit law.
 
@@ -164,17 +156,9 @@ def null_pvalue(
     exceed = 0
     left = int(mc_samples)
     while left > 0:
-        k = min(_chunk, left)
+        k = min(_MC_CHUNK, left)
         z = rng.standard_normal((k, lam.size))
         draws = np.square(z) @ lam + shift
         exceed += int(np.count_nonzero(draws >= statistic))
         left -= k
     return exceed / mc_samples
-
-
-def _kernel_diag_trace(tp: TuningParam, n_points: int, seed: int) -> float:
-    """Plain Monte-Carlo trace estimate (kernel diagonal only), cheap at
-    large n_points because no matrix is formed."""
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 2]))
-    y = tp.beta * rng.standard_normal(int(n_points))
-    return float(np.mean(kernel(y, y)))

@@ -4,8 +4,8 @@ T is n times the squared L2 distance, weighted by a centred Gaussian
 density with standard deviation beta, between the empirical
 characteristic function of the scaled residuals and the characteristic
 function of the standard normal law.  It is evaluated through a closed
-form whose only expensive part is an O(n^2) pairwise sum, delegated to
-the compiled backend when available.
+form whose only expensive part is an O(n^2) pairwise sum, computed in
+fixed-size tiles by the backend module.
 
 Standardization uses the maximum-likelihood variance (divisor n, not
 n-1).  Statistics libraries usually default to n-1; results computed
@@ -107,7 +107,7 @@ def epps_pulley_statistic(sample: Sample, tp: TuningParam) -> float:
     value = pair / n - 2.0 / math.sqrt(1.0 + beta2) * single + n / math.sqrt(1.0 + 2.0 * beta2)
     if value < 0.0:
         # the statistic is a squared distance; anything beyond tiny
-        # cancellation noise means a broken backend
+        # cancellation noise means a broken pair sum
         if value < -1e-9 * n:
             raise ArithmeticError(f"statistic evaluated to {value}, expected >= 0")
         value = 0.0

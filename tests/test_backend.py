@@ -1,23 +1,19 @@
-"""Backend agreement: compiled extension vs numpy fallback, and
-reproducibility of the fallback across block sizes."""
+"""The numpy kernels against slow oracles: the pair sum against an
+exactly rounded full-matrix sum, the Gram matrix against the scalar
+kernel, and the pair sum's working memory at large n."""
+
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from eppspulley import _core_py, backend
-
-try:
-    from eppspulley import _core
-except ImportError:
-    _core = None
-
-needs_compiled = pytest.mark.skipif(_core is None, reason="compiled extension not built")
+from eppspulley import backend
 
 
-@pytest.fixture(scope="module")
-def data():
-    rng = np.random.default_rng(5150)
-    return rng.standard_normal(3000)
+def _exact_pair_sum(y, gamma):
+    terms = np.exp(-gamma * np.square(y[:, None] - y[None, :]))
+    return math.fsum(terms.ravel())
 
 
 class TestPairwiseSum:
@@ -25,28 +21,30 @@ class TestPairwiseSum:
         y = np.array([0.0, 1.0, -1.0])
         # 3 diagonal ones + 2*(e^-g + e^-g + e^-4g) for gamma = 0.5
         expected = 3.0 + 2.0 * (2.0 * np.exp(-0.5) + np.exp(-2.0))
-        assert _core_py.pairwise_gauss_sum(y, 0.5) == pytest.approx(expected, rel=1e-15)
-        if _core is not None:
-            assert _core.pairwise_gauss_sum(y, 0.5) == pytest.approx(expected, rel=1e-15)
+        assert backend.pairwise_gauss_sum(y, 0.5) == pytest.approx(expected, rel=1e-15)
 
-    def test_block_size_invariance(self, data):
-        ref = _core_py.pairwise_gauss_sum(data, 0.5, block=data.size)
-        for block in (64, 333, 1024, 2048):
-            got = _core_py.pairwise_gauss_sum(data, 0.5, block=block)
-            assert abs(got - ref) <= 1e-12 * abs(ref)
+    @pytest.mark.parametrize("gamma", [0.03125, 0.5, 50.0])
+    @pytest.mark.parametrize("n", [2, 3, backend.TILE - 1, backend.TILE, backend.TILE + 1, 3000])
+    def test_matches_exact_sum(self, n, gamma):
+        y = np.random.default_rng(n).standard_normal(n)
+        exact = _exact_pair_sum(y, gamma)
+        assert abs(backend.pairwise_gauss_sum(y, gamma) - exact) <= 1e-12 * exact
 
-    @needs_compiled
-    def test_backends_agree(self, data):
-        for gamma in (0.03125, 0.5, 2.0, 50.0):
-            a = _core.pairwise_gauss_sum(data, gamma)
-            b = _core_py.pairwise_gauss_sum(data, gamma)
-            assert abs(a - b) <= 1e-12 * abs(a)
+    def test_memory_bounded_at_large_n(self):
+        y = np.random.default_rng(20_000).standard_normal(20_000)
+        tracemalloc.start()
+        try:
+            backend.pairwise_gauss_sum(y, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestKernelGram:
-    def test_fallback_matches_scalar_formula(self):
+    def test_matches_scalar_formula(self):
         y = np.array([0.0, -1.2, 2.0])
-        gram = _core_py.kernel_gram(y)
+        gram = backend.kernel_gram(y)
         s, t = y[1], y[2]
         st = s * t
         expected = np.exp(-0.5 * (s - t) ** 2) - (1 + st + 0.5 * st * st) * np.exp(
@@ -56,24 +54,15 @@ class TestKernelGram:
         # K(0, 0) = 1 - 1 = 0 exactly
         assert gram[0, 0] == 0.0
 
-    def test_block_size_invariance(self):
-        rng = np.random.default_rng(17)
-        y = rng.standard_normal(700)
-        ref = _core_py.kernel_gram(y, block=y.size)
-        got = _core_py.kernel_gram(y, block=128)
-        assert np.array_equal(ref, got)
-
-    @needs_compiled
-    def test_backends_agree(self, data):
-        y = data[:800]
-        a = _core.kernel_gram(y)
-        b = _core_py.kernel_gram(y)
-        assert np.allclose(a, b, rtol=0.0, atol=1e-15)
-        assert np.array_equal(a, a.T)
-        assert np.array_equal(b, b.T)
+    @pytest.mark.parametrize("n", [3, backend.GRAM_BLOCK + 1, 700])
+    def test_equals_kernel_and_is_symmetric(self, n):
+        y = 2.0 * np.random.default_rng(n).standard_normal(n)
+        gram = backend.kernel_gram(y)
+        assert np.array_equal(gram, backend.kernel(y[:, None], y[None, :]))
+        assert np.array_equal(gram, gram.T)
 
 
 def test_selected_backend_exposes_kernels():
     assert callable(backend.pairwise_gauss_sum)
     assert callable(backend.kernel_gram)
-    assert backend.backend_name() in ("compiled", "numpy")
+    assert backend.backend_name() == "numpy"

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from eppspulley.spectral import (
-    _kernel_diag_trace,
     kernel,
     lambda1,
     null_pvalue,
@@ -14,6 +13,14 @@ from eppspulley.spectral import (
     operator_trace,
 )
 from eppspulley.statistic import TuningParam
+
+
+def _kernel_diag_trace(tp: TuningParam, n_points: int, seed: int) -> float:
+    """Plain Monte-Carlo trace estimate (kernel diagonal only), cheap at
+    large n_points because no matrix is formed."""
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 2]))
+    y = tp.beta * rng.standard_normal(int(n_points))
+    return float(np.mean(kernel(y, y)))
 
 
 class TestKernel:
