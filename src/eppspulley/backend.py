@@ -1,18 +1,47 @@
-"""The two O(n^2) kernels in numpy: the pairwise Gaussian sum of the
-test statistic and the Gram matrix of the limit-null covariance kernel.
+"""The covariance kernel K(s, t) of the limit-null process and the two
+O(n^2) kernels in numpy: the pairwise Gaussian sum of the test statistic
+and the dense Gram matrix of K.
 
 The pair sum walks the upper triangle in fixed TILE x TILE tiles through
 one preallocated buffer, so its working memory is one tile (8 MiB)
 whatever n is.  The Gram matrix is n x n by definition; it is filled in
-fixed row blocks to keep the temporaries small.  Partial sums are
+fixed row blocks to keep the temporaries small.  The library's spectrum
+never forms it (see spectral); it is kept as the dense reference that
+tests compare the factorised spectrum against.  Partial sums are
 combined with Neumaier compensation, and the tile and block sizes are
 constants, so results are reproducible bit for bit.
 """
+
+import math
 
 import numpy as np
 
 TILE = 1024
 GRAM_BLOCK = 256
+
+# Below this |x| = |s*t| the bracket e^x - 1 - x - x^2/2 of the kernel
+# is summed as its Taylor series; above it the direct form loses at most
+# about 12 ulp to cancellation.  The terms x^n/n! for n = 3..18 reach the
+# last bit of the sum for |x| < 1.  Row k of the matrix holds the
+# coefficients of x^(4k+3) .. x^(4k+6), for Estrin's scheme in x^4.
+_SERIES_CUTOFF = 1.0
+_SERIES_COEFFS = np.array([1.0 / math.factorial(n) for n in range(3, 19)]).reshape(4, 4)
+
+
+def _bracket_series(x):
+    """e^x - 1 - x - x^2/2 for |x| < _SERIES_CUTOFF, to full relative
+    accuracy."""
+    powers = np.empty((4, x.size))
+    powers[0] = 1.0
+    powers[1] = x
+    np.multiply(x, x, out=powers[2])
+    np.multiply(powers[2], x, out=powers[3])
+    rows = _SERIES_COEFFS @ powers
+    x4 = np.square(powers[2])
+    acc = rows[3]
+    for k in (2, 1, 0):
+        acc = acc * x4 + rows[k]
+    return powers[3] * acc
 
 
 def backend_name():
@@ -22,14 +51,24 @@ def backend_name():
 
 def kernel(s, t):
     """Covariance kernel of the limiting empirical characteristic
-    function process with estimated mean and variance.  Symmetric in
+    function process with estimated mean and variance,
+
+        K(s, t) = exp(-(s^2+t^2)/2) * (e^x - 1 - x - x^2/2),  x = s*t.
+
+    Near x = 0 the bracket is summed as its Taylor series, so K keeps
+    full relative accuracy where the direct form cancels to zero; away
+    from it the direct form exp(-(s-t)^2/2) - (1+x+x^2/2) exp(-(s^2+t^2)/2)
+    is used, since e^x alone overflows for large s*t.  Symmetric in
     (s, t) exactly, including in floating point."""
     s = np.asarray(s, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
     st = s * t
-    return np.exp(-0.5 * np.square(s - t)) - (1.0 + st + 0.5 * st * st) * np.exp(
-        -0.5 * (np.square(s) + np.square(t))
-    )
+    damp = np.exp(-0.5 * (np.square(s) + np.square(t)))
+    out = np.asarray(np.exp(-0.5 * np.square(s - t)) - (1.0 + st + 0.5 * st * st) * damp)
+    small = np.abs(st) < _SERIES_CUTOFF
+    if np.any(small):
+        out[small] = damp[small] * _bracket_series(st[small])
+    return out
 
 
 def _neumaier(total, comp, term):

@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
 
 __all__ = [
     "QuadratureConfig",
@@ -229,12 +228,22 @@ def normal_pdf(x):
     return np.exp(-0.5 * np.square(x)) / _SQRT_2PI
 
 
-#: Standard normal distribution function (vectorized, full double range).
-normal_cdf = ndtr
+def normal_cdf(x):
+    """Standard normal distribution function (vectorized, full double
+    range): scipy's ndtr, imported on first call so that importing the
+    package does not load scipy."""
+    from scipy.special import ndtr
 
-#: log of the standard normal distribution function, safe for arguments
-#: far below -37 where the plain log would underflow to log(0).
-log_normal_cdf = log_ndtr
+    return ndtr(x)
+
+
+def log_normal_cdf(x):
+    """log of the standard normal distribution function, safe for
+    arguments far below -37 where the plain log would underflow to
+    log(0): scipy's log_ndtr, imported on first call."""
+    from scipy.special import log_ndtr
+
+    return log_ndtr(x)
 
 
 def gaussian_pair_moment(k: int, gamma: float) -> float:

@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import eppspulley
 from eppspulley.cli import main, read_sample_file
 from eppspulley.statistic import Sample, TuningParam, epps_pulley_statistic
 
@@ -251,3 +255,14 @@ def test_slope_json_round_trip(capsys):
     )
     assert math.isfinite(report["delta_beta"])
     assert json.loads(json.dumps(report)) == report
+
+
+def test_import_does_not_load_scipy():
+    # scipy is about half of the CLI start-up time; only the slope
+    # machinery needs it, and it loads it on first use
+    src = os.path.dirname(os.path.dirname(os.path.abspath(eppspulley.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, eppspulley.cli; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout.strip() == "False"

@@ -1,11 +1,15 @@
 """Kernel, Nystrom spectrum, operator trace and p-value sampling tests."""
 
 import math
+import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
+from eppspulley import backend
 from eppspulley.spectral import (
+    RTOL,
     kernel,
     lambda1,
     null_pvalue,
@@ -13,6 +17,23 @@ from eppspulley.spectral import (
     operator_trace,
 )
 from eppspulley.statistic import TuningParam
+
+
+def _kernel_decimal(s: float, t: float) -> float:
+    """K(s, t) at 50 significant digits from the exact values of s and t."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        s, t = Decimal(s), Decimal(t)
+        x = s * t
+        damp = (-(s * s + t * t) / 2).exp()
+        return float((-(s - t) ** 2 / 2).exp() - (1 + x + x * x / 2) * damp)
+
+
+def _run_nodes(beta: float, n_points: int, seed: int) -> np.ndarray:
+    """Nodes of the first run of nystrom_spectrum(TuningParam(beta),
+    n_points, runs, seed)."""
+    child = np.random.SeedSequence(seed).spawn(1)[0]
+    return beta * np.random.default_rng(child).standard_normal(n_points)
 
 
 def _kernel_diag_trace(tp: TuningParam, n_points: int, seed: int) -> float:
@@ -32,6 +53,18 @@ class TestKernel:
         expected = math.exp(-2.0) - 0.5 * math.exp(-1.0)
         assert float(kernel(1.0, -1.0)) == pytest.approx(expected, rel=1e-15)
         assert expected == pytest.approx(-0.0486044374, abs=1e-9)
+
+    def test_relative_accuracy_against_decimal_oracle(self):
+        # |s*t| from 1e-8 to 30 on both signs and three aspect ratios; the
+        # direct form loses everything below |s*t| ~ 1e-5
+        worst = 0.0
+        for x in np.logspace(-8.0, math.log10(30.0), 41):
+            for ratio in (1.0, 2.0, 3.0):
+                t = math.sqrt(x / ratio)
+                for s in (ratio * t, -ratio * t):
+                    exact = _kernel_decimal(s, t)
+                    worst = max(worst, abs(float(kernel(s, t)) - exact) / abs(exact))
+        assert worst <= 1e-14
 
     def test_symmetry_exact(self):
         rng = np.random.default_rng(3)
@@ -84,6 +117,53 @@ class TestNystromSpectrum:
         doubled = nystrom_spectrum(tp, 300, 20, seed=23, top_m=5)
         se = base.per_run.std(axis=0, ddof=1) / math.sqrt(base.runs)
         assert np.all(np.abs(doubled.eigenvalues - base.eigenvalues) <= 3.0 * se)
+
+    @pytest.mark.parametrize("n_points", [100, 400, 1000])
+    @pytest.mark.parametrize("beta", [1e-3, 0.25, 1.0, 10.0, 50.0])
+    def test_matches_dense_eigensolve(self, beta, n_points):
+        sp = nystrom_spectrum(TuningParam(beta), n_points, 1, seed=17, top_m=10)
+        gram = backend.kernel_gram(_run_nodes(beta, n_points, seed=17)) / n_points
+        dense = np.linalg.eigvalsh(gram)[::-1][:10]
+        trace = float(np.trace(gram))
+        assert sp.per_run_trace[0] == trace
+        assert np.max(np.abs(sp.per_run[0] - np.maximum(dense, 0.0))) <= 1e-12 * trace
+        # the eigenvalues of the factor sum to trace minus the residual trace
+        residual = sp.per_run_trace[0] - sp.per_run_eigen_sum[0]
+        assert residual <= RTOL * trace
+
+    def test_top_m_beyond_rank_is_zero_padded(self):
+        sp = nystrom_spectrum(TuningParam(0.25), 200, 3, seed=2, top_m=40)
+        assert np.all(sp.per_run_rank < 40)
+        for row, rank in zip(sp.per_run, sp.per_run_rank):
+            assert np.all(row[rank:] == 0.0)
+            assert np.all(row[:rank] >= 0.0)
+
+    def test_rank_zero_for_vanishing_kernel(self):
+        # nodes of order 1e-200 square to zero, so the sampled matrix is zero
+        sp = nystrom_spectrum(TuningParam(1e-200), 100, 2, seed=1, top_m=3)
+        assert np.array_equal(sp.per_run_rank, [0, 0])
+        assert np.all(sp.per_run == 0.0)
+        assert np.all(sp.per_run_eigen_sum == 0.0)
+        assert sp.n_clipped == 0
+
+    def test_rank_bounded_and_grows_with_beta(self):
+        mean_rank = []
+        for beta in (0.25, 1.0, 10.0):
+            sp = nystrom_spectrum(TuningParam(beta), 300, 3, seed=8, top_m=5)
+            assert sp.per_run_rank.dtype.kind == "i"
+            assert np.all((sp.per_run_rank >= 1) & (sp.per_run_rank <= 300))
+            mean_rank.append(float(np.mean(sp.per_run_rank)))
+        assert mean_rank == sorted(mean_rank) and len(set(mean_rank)) == 3
+
+    def test_bounded_memory(self):
+        # the dense 4000 x 4000 kernel matrix alone would be 128 MiB
+        tracemalloc.start()
+        try:
+            nystrom_spectrum(TuningParam(1.0), 4000, 1, seed=42, top_m=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_validation(self):
         tp = TuningParam(1.0)
