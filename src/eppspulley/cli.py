@@ -35,7 +35,7 @@ DEFAULT_BETAS = (0.25, 0.5, 0.75, 1.0, 2.0, 3.0, 5.0, 10.0)
 
 
 class InputFileError(Exception):
-    """Unreadable or malformed data file."""
+    """Unreadable or malformed data file, or unwritable output path."""
 
 
 def _default_seed() -> int:
@@ -53,7 +53,7 @@ def read_sample_file(path: str) -> list[float]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputFileError(f"cannot read {path}: {exc}") from exc
     values: list[float] = []
     seen_data = False
@@ -103,8 +103,11 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputFileError(f"cannot write {out}: {exc}") from exc
 
 
 def _json_text(obj) -> str:
@@ -266,7 +269,8 @@ def _add_quadrature(parser) -> None:
                         help="truncation radius in Gaussian standard units")
     parser.add_argument("--abs-tol", type=_positive_float, default=1e-10)
     parser.add_argument("--rel-tol", type=_positive_float, default=1e-10)
-    parser.add_argument("--max-subdivisions", type=_positive_int, default=2000)
+    parser.add_argument("--max-subdivisions", type=_positive_int, default=2000,
+                        help="most panels per axis the quadrature may refine to")
 
 
 def build_parser(seed: int) -> argparse.ArgumentParser:

@@ -1,10 +1,12 @@
-"""Adaptive Gauss-Kronrod quadrature on truncated real lines.
+"""Uniformly refined Gauss-Kronrod quadrature on [-R, R] and [-R, R]^2.
 
 Every integrand in this library carries a Gaussian factor, so integrals
-over the real line are truncated to [-R, R] and refined adaptively with
-a G7/K15 panel rule until the requested tolerance is met.  Integrands
-must accept a float ndarray of abscissae and return an ndarray of the
-same shape.
+over the line and the plane are truncated to [-R, R] and [-R, R]^2.
+Both use one loop: [-R, R] starts as 4 equal K15 panels and every panel
+is halved until the summed |K15 - G7| estimate (per panel in 1-D, per
+K15 x K15 tile in 2-D) is at most max(abs_tol, rel_tol * |value|).
+Sums run with math.fsum in panel order, so repeated calls are
+bit-identical.
 
 The module also provides the closed-form Gaussian smoothing identities
 used as building blocks and cross-checks elsewhere, and numerically safe
@@ -14,7 +16,6 @@ log-distribution function.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
@@ -81,12 +82,15 @@ def _build_rule():
 
 
 _NODES, _WK15, _WG7 = _build_rule()
+_INITIAL_PANELS = 4
+# integrate_1d is a single row block whose one row carries weight 1
+_ONE = np.ones(1)
 
 
 class QuadratureError(RuntimeError):
-    """Raised when the panel subdivision budget is exhausted or the
-    integrand produced non-finite values.  Carries the best estimate
-    reached and its error bound when available."""
+    """Raised when the panel budget is exhausted or the integrand
+    produced non-finite values.  Carries the best estimate reached and
+    its error bound when available."""
 
     def __init__(self, message, estimate=None, error_bound=None):
         super().__init__(message)
@@ -95,6 +99,9 @@ class QuadratureError(RuntimeError):
 
 
 class QuadratureResult(NamedTuple):
+    """Estimate, its error bound, and the number of panels per axis of
+    the refinement level that met the tolerance."""
+
     value: float
     error: float
     subdivisions: int
@@ -102,11 +109,15 @@ class QuadratureResult(NamedTuple):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and truncation for the adaptive rule.
+    """Truncation, tolerances and panel budget of the quadrature rule.
 
     truncation_radius is measured in standard units of the Gaussian
     factor carried by the integrand; beyond 12 such units the tail mass
-    is far below every tolerance used here.
+    is far below every tolerance used here.  Refinement stops once the
+    summed error estimate is at most max(abs_tol, rel_tol * |value|).
+    max_subdivisions caps the number of panels per axis: when halving
+    every panel would exceed it, QuadratureError is raised instead (the
+    first level of 4 panels always runs).
     """
 
     truncation_radius: float = 12.0
@@ -131,96 +142,82 @@ def config_for_beta(cfg: QuadratureConfig, beta: float) -> QuadratureConfig:
     return cfg
 
 
-def _panel(f, a, b):
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    xs = mid + half * _NODES
-    fx = np.asarray(f(xs), dtype=np.float64)
-    if fx.shape != xs.shape:
-        raise ValueError("integrand must return an array matching its input shape")
+def _checked(fx, shape):
+    fx = np.asarray(fx, dtype=np.float64)
+    if fx.shape != shape:
+        raise ValueError(f"integrand returned shape {fx.shape}, expected {shape}")
     if not np.all(np.isfinite(fx)):
-        raise QuadratureError(f"integrand returned non-finite values on [{a}, {b}]")
-    kron = half * float(fx @ _WK15)
-    gauss = half * float(fx @ _WG7)
-    # |K15 - G7| is a conservative bound for the K15 error on smooth
-    # integrands; the floor guards against a zero estimate from pure
-    # roundoff.
-    err = max(abs(kron - gauss), 10.0 * _EPS * half * float(np.abs(fx) @ _WK15))
-    return kron, err
+        raise QuadratureError("integrand returned non-finite values")
+    return fx
 
 
-def _adaptive(f, a, b, abs_tol, rel_tol, max_subdivisions, initial=4):
-    panels = []
-    edges = np.linspace(a, b, initial + 1)
-    total_v = 0.0
-    total_e = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        v, e = _panel(f, lo, hi)
-        heapq.heappush(panels, (-e, lo, hi, v, e))
-        total_v += v
-        total_e += e
-    nsub = initial
-    while total_e > max(abs_tol, rel_tol * abs(total_v)):
-        if nsub >= max_subdivisions:
+def _panel_sums(block, wk_rows, wg_rows, scale, panels):
+    """K15 values and error estimates, in panel order, of one block of
+    rows (axis 0) by all 15 * panels column nodes (axis 1).  The rows
+    are contracted with wk_rows (K15) or wg_rows (G7), then each column
+    panel with the same rule.  |K15 - G7| is a conservative bound on
+    smooth integrands; the floor keeps roundoff from giving a zero one.
+    """
+    kron = scale * ((wk_rows @ block).reshape(panels, 15) @ _WK15)
+    gauss = scale * ((wg_rows @ block).reshape(panels, 15) @ _WG7)
+    floor = 10.0 * _EPS * scale * ((wk_rows @ np.abs(block)).reshape(panels, 15) @ _WK15)
+    return kron, np.maximum(np.abs(kron - gauss), floor)
+
+
+def _integrate(f, cfg, dims):
+    cfg = cfg or QuadratureConfig()
+    r = cfg.truncation_radius
+    panels = _INITIAL_PANELS
+    while True:
+        half = r / panels
+        mids = (2.0 * np.arange(panels) + (1.0 - panels)) * half
+        x = (mids[:, None] + half * _NODES).ravel()
+        if dims == 1:
+            sums = [_panel_sums(_checked(f(x), x.shape)[None, :], _ONE, _ONE, half, panels)]
+        else:
+            sums = [
+                _panel_sums(
+                    _checked(f(rows[:, None], x[None, :]), (15, x.size)),
+                    _WK15, _WG7, half * half, panels,
+                )
+                for rows in x.reshape(panels, 15)
+            ]
+        value = math.fsum(np.concatenate([v for v, _ in sums]).tolist())
+        error = math.fsum(np.concatenate([e for _, e in sums]).tolist())
+        if error <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
+            return QuadratureResult(value, error, panels)
+        if 2 * panels > cfg.max_subdivisions:
             raise QuadratureError(
-                f"no convergence after {max_subdivisions} subdivisions "
-                f"(estimate {total_v:.17g}, error bound {total_e:.3g})",
-                estimate=total_v,
-                error_bound=total_e,
+                f"no convergence with {panels} panels per axis; halving them would exceed "
+                f"max_subdivisions={cfg.max_subdivisions} "
+                f"(estimate {value:.17g}, error bound {error:.3g})",
+                estimate=value,
+                error_bound=error,
             )
-        _, lo, hi, v, e = heapq.heappop(panels)
-        mid = 0.5 * (lo + hi)
-        v1, e1 = _panel(f, lo, mid)
-        v2, e2 = _panel(f, mid, hi)
-        total_v += (v1 + v2) - v
-        total_e += (e1 + e2) - e
-        heapq.heappush(panels, (-e1, lo, mid, v1, e1))
-        heapq.heappush(panels, (-e2, mid, hi, v2, e2))
-        nsub += 1
-    # Re-sum in left-to-right order so the result does not depend on the
-    # heap's internal layout.
-    ordered = sorted(panels, key=lambda p: p[1])
-    value = math.fsum(p[3] for p in ordered)
-    error = math.fsum(p[4] for p in ordered)
-    return QuadratureResult(value, error, nsub)
+        panels *= 2
 
 
 def integrate_1d(f: Callable, cfg: QuadratureConfig | None = None) -> QuadratureResult:
-    """Integrate f over [-R, R] adaptively.
+    """Integrate f over [-R, R] on uniformly refined K15 panels.
 
-    Returns the estimate together with a conservative error bound and
-    the number of panels used.  Raises QuadratureError (carrying the
-    best estimate) if the subdivision budget is exhausted.
+    f maps a 1-D float ndarray of abscissae to an array of the same
+    shape.  Returns the estimate together with a conservative error
+    bound and the number of panels used.  Raises QuadratureError
+    (carrying the best estimate) if the panel budget is exhausted.
     """
-    cfg = cfg or QuadratureConfig()
-    r = cfg.truncation_radius
-    return _adaptive(f, -r, r, cfg.abs_tol, cfg.rel_tol, cfg.max_subdivisions)
+    return _integrate(f, cfg, 1)
 
 
 def integrate_2d(f: Callable, cfg: QuadratureConfig | None = None) -> QuadratureResult:
-    """Integrate f(x, y) over [-R, R]^2 as nested adaptive 1d integrals.
+    """Integrate f(x, y) over [-R, R]^2 on uniformly refined K15 x K15
+    tiles.
 
-    f must be vectorized in its first argument for a scalar second
-    argument.  The inner integrals run at tightened tolerances so their
-    noise stays below the outer tolerance.
+    f must broadcast over both arguments: it is called with x of shape
+    (15, 1) and y of shape (1, 15 P) and must return the (15, 15 P)
+    array, else ValueError.  subdivisions in the result counts panels
+    per axis.  Raises QuadratureError as integrate_1d does.
     """
-    cfg = cfg or QuadratureConfig()
-    r = cfg.truncation_radius
-    inner_abs = max(cfg.abs_tol / (4.0 * r), 5e-15)
-    inner_rel = max(cfg.rel_tol / 10.0, 5e-15)
-
-    def outer(ys):
-        vals = np.empty_like(ys)
-        for i, yv in enumerate(ys):
-            y = float(yv)
-            vals[i] = _adaptive(
-                lambda xs: f(xs, y), -r, r, inner_abs, inner_rel, cfg.max_subdivisions
-            ).value
-        return vals
-
-    res = _adaptive(outer, -r, r, cfg.abs_tol, cfg.rel_tol, cfg.max_subdivisions)
-    error = res.error + 2.0 * r * inner_abs + inner_rel * abs(res.value)
-    return QuadratureResult(res.value, error, res.subdivisions)
+    return _integrate(f, cfg, 2)
 
 
 def normal_pdf(x):

@@ -58,7 +58,7 @@ def crn_limit_estimate(y1_t, y2_t, y1_0, y2_0, beta):
 
 def lehmann_moments_fixed_rule(theta, nodes=150):
     """Mean and variance of the Lehmann family by a fixed Gauss-Hermite
-    rule (independent of the adaptive panel engine)."""
+    rule (independent of the K15 panel engine)."""
     from scipy.special import log_ndtr, roots_hermitenorm
 
     x, w = roots_hermitenorm(nodes)
@@ -194,8 +194,9 @@ class TestExpansionCoefficients:
         assert c.sigma2 == pytest.approx(-2.0 * c.mu1**2, abs=1e-10)
 
     @pytest.mark.parametrize("mu,s2", [(1.0, 1.0), (0.5, 1.0), (0.0, 0.5)])
-    def test_contamination_closed_forms(self, mu, s2):
-        tp = TuningParam(1.0)
+    @pytest.mark.parametrize("beta", [0.25, 1.0, 10.0])
+    def test_contamination_closed_forms(self, beta, mu, s2):
+        tp = TuningParam(beta)
         c = expansion_coefficients(contamination(mu, s2), tp)
         assert c.mu1 == pytest.approx(mu, abs=1e-10)
         assert c.sigma1 == pytest.approx(s2 + mu * mu - 1.0, abs=1e-10)
@@ -207,6 +208,7 @@ class TestExpansionCoefficients:
             + gauss_square_mgf(tp.gamma, 0.0, 2.0)
         )
         assert c.d0 == pytest.approx(d0, abs=1e-10)
+        assert c.d0 == pytest.approx(d0, rel=1e-12)
 
     def test_stable_under_tightened_tolerances(self):
         fam = family_from_name("lehmann")

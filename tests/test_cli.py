@@ -54,6 +54,17 @@ class TestReadSampleFile:
         with pytest.raises(InputFileError, match="line 2"):
             read_sample_file(datafile("1\nnan\n3\n"))
 
+    def test_non_utf8_names_path(self, tmp_path, capsys):
+        from eppspulley.cli import InputFileError
+
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("1\n2\n# caf\u00e9\n".encode("latin-1"))
+        with pytest.raises(InputFileError, match="latin1.txt"):
+            read_sample_file(str(path))
+        code, _, err = run_cli(capsys, "stat", str(path))
+        assert code == 2
+        assert str(path) in err
+
 
 class TestStatCommand:
     def test_matches_library(self, capsys, datafile):
@@ -241,6 +252,14 @@ class TestOutputFile:
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("n,beta,statistic")
+
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys, datafile):
+        path = datafile("1\n2\n3\n4\n")
+        target = tmp_path / "missing-dir" / "report.csv"
+        code, out, err = run_cli(capsys, "stat", path, "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
 
 
 def test_slope_json_round_trip(capsys):

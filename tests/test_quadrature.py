@@ -69,6 +69,10 @@ class TestIntegrate1d:
         f = lambda x: np.exp(-0.3 * np.square(x)) * np.cos(x)
         assert integrate_1d(f).value == integrate_1d(f).value
 
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValueError):
+            integrate_1d(lambda x: normal_pdf(x)[:-1])
+
 
 class TestIntegrate2d:
     def test_product_density_normalizes(self):
@@ -89,6 +93,34 @@ class TestIntegrate2d:
             * normal_pdf(y)
         )
         assert res.value == pytest.approx(2.0 / 3.0**1.5, abs=1e-9)
+
+    def test_error_estimate_is_a_bound(self):
+        res = integrate_2d(
+            lambda x, y: np.exp(-2.0 * np.square(x - y)) * normal_pdf(x) * normal_pdf(y)
+        )
+        assert abs(res.value - gaussian_pair_moment(0, 2.0)) <= max(res.error, 1e-15)
+
+    def test_nonconvergence_carries_best_estimate(self):
+        cfg = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=5)
+        with pytest.raises(QuadratureError) as excinfo:
+            integrate_2d(
+                lambda x, y: np.cos(50.0 * (x - y)) ** 2 * normal_pdf(x) * normal_pdf(y), cfg
+            )
+        assert excinfo.value.estimate is not None
+        assert excinfo.value.error_bound > 0.0
+
+    def test_nonfinite_integrand_rejected(self):
+        with pytest.raises(QuadratureError):
+            integrate_2d(lambda x, y: np.full(np.broadcast(x, y).shape, np.nan))
+
+    def test_non_broadcasting_integrand_rejected(self):
+        # an integrand that ignores y returns one column per row
+        with pytest.raises(ValueError):
+            integrate_2d(lambda x, y: normal_pdf(x))
+
+    def test_deterministic(self):
+        f = lambda x, y: np.exp(-0.3 * np.square(x - y)) * np.cos(x) * normal_pdf(y)
+        assert integrate_2d(f) == integrate_2d(f)
 
 
 class TestClosedForms:
