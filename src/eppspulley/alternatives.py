@@ -2,9 +2,10 @@
 theta = 0.
 
 Each family carries its density g(x; theta) together with analytic
-first and second theta-derivatives at 0 (d1, d2).  The derivatives feed
-the slope machinery, which integrates products of them; finite
-differences are used only to cross-check them in tests.
+first and second theta-derivatives at 0 (d1, d2).  The slope machinery
+integrates d1 only, since the local index and the likelihood ratio
+benchmark depend on first derivatives alone; no library code reads d2.
+Finite differences are used only to cross-check both in tests.
 
 All callables are vectorized over x.
 """
@@ -35,9 +36,9 @@ class AlternativeFamily:
     """Density family g(x; theta) with g(x; 0) the standard normal.
 
     theta_domain is the open interval on which the defining formulas are
-    evaluated; density_domain is the (possibly smaller) interval on
-    which the formula is a genuine nonnegative density.  They coincide
-    except for mixtures, whose weight must stay in [0, 1].
+    evaluated.  Mixtures are genuine nonnegative densities only on the
+    part of it where their weight lies in [0, 1].  d2 is read by no
+    library code (see the module docstring).
     """
 
     name: str
@@ -45,7 +46,6 @@ class AlternativeFamily:
     d1: Callable
     d2: Callable
     theta_domain: tuple[float, float]
-    density_domain: tuple[float, float]
 
 
 def lehmann() -> AlternativeFamily:
@@ -67,7 +67,7 @@ def lehmann() -> AlternativeFamily:
         logp = log_normal_cdf(x)
         return normal_pdf(x) * logp * (2.0 + logp)
 
-    return AlternativeFamily("lehmann", density, d1, d2, (-0.9, 1.0), (-0.9, 1.0))
+    return AlternativeFamily("lehmann", density, d1, d2, (-0.9, 1.0))
 
 
 def ley_paindaveine_1() -> AlternativeFamily:
@@ -85,7 +85,7 @@ def ley_paindaveine_1() -> AlternativeFamily:
         q = 1.0 - normal_cdf(x)
         return normal_pdf(x) * (q * q - 2.0 * (1.0 - q) * q)
 
-    return AlternativeFamily("lp1", density, d1, d2, (-1.0, 1.0), (-1.0, 1.0))
+    return AlternativeFamily("lp1", density, d1, d2, (-1.0, 1.0))
 
 
 def ley_paindaveine_2() -> AlternativeFamily:
@@ -102,15 +102,15 @@ def ley_paindaveine_2() -> AlternativeFamily:
         return np.zeros_like(np.asarray(x, dtype=np.float64))
 
     bound = 1.0 / math.pi
-    return AlternativeFamily("lp2", density, d1, d2, (-bound, bound), (-bound, bound))
+    return AlternativeFamily("lp2", density, d1, d2, (-bound, bound))
 
 
 def contamination(mu: float, sigma2: float) -> AlternativeFamily:
     """Normal mixture (1-theta)*N(0,1) + theta*N(mu, sigma2).
 
     The formula is linear in theta, but it is a genuine density only for
-    theta in [0, 1]; the slope machinery therefore treats this family
-    one-sidedly where positivity matters.
+    theta in [0, 1]; theta_domain reaches below 0 so that finite
+    differences in theta can straddle the null.
     """
     mu = float(mu)
     sigma2 = float(sigma2)
@@ -134,7 +134,7 @@ def contamination(mu: float, sigma2: float) -> AlternativeFamily:
         return np.zeros_like(np.asarray(x, dtype=np.float64))
 
     name = f"contam:{mu:g}:{sigma2:g}"
-    return AlternativeFamily(name, density, d1, d2, (-0.5, 1.0), (0.0, 1.0))
+    return AlternativeFamily(name, density, d1, d2, (-0.5, 1.0))
 
 
 #: Row order of the efficiency table emitted by the CLI.

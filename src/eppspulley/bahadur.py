@@ -9,20 +9,29 @@ that vanishes at 0 and grows quadratically:
 The approximate slope is b(theta) divided by the largest eigenvalue of
 the limit-null covariance operator, so the local index is
 delta_beta / lambda1.  Efficiencies are reported relative to the
-likelihood ratio test, whose local index is the curvature of twice the
-minimal Kullback-Leibler divergence to the nearest normal law.
+likelihood ratio test, whose local index is the curvature at 0 of twice
+the minimal Kullback-Leibler divergence to the normal family.  For a
+regular family that curvature is the Fisher information of the score
+d1/phi minus its projection on the normal location and scale scores
+(Nikitin, Asymptotic Efficiency of Nonparametric Tests, 1995):
+
+    lrt = integral of d1^2/phi - mu1^2 - sigma1^2 / 2,
+
+with mu1 and sigma1 the first theta-derivatives at 0 of the family mean
+and variance.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .alternatives import AlternativeFamily, family_from_name
 from .quadrature import (
     QuadratureConfig,
+    QuadratureError,
     config_for_beta,
     integrate_1d,
     integrate_2d,
@@ -44,25 +53,26 @@ __all__ = [
 ]
 
 
+# Largest radius on which d1^2/phi is finite: phi underflows to zero
+# beyond |x| ~ 38.5.
+_SCORE_RADIUS = 37.0
+
+
 @dataclass(frozen=True)
 class ExpansionCoefficients:
     """Ingredients of the quadratic coefficient of b(theta).
 
-    mu1, mu2 and sigma1, sigma2 are the first and second theta-derivatives
-    at 0 of the family mean and variance.  j10, j11, j12 are the moments
-    of d1 against exp(-delta*x^2) of orders 0, 1, 2; j2 is the same
-    zeroth moment of d2; d0 is the double integral of
+    mu1 and sigma1 are the first theta-derivatives at 0 of the family
+    mean and variance.  j10, j11, j12 are the moments of d1 against
+    exp(-delta*x^2) of orders 0, 1, 2; d0 is the double integral of
     exp(-gamma*(x-y)^2) * d1(x) * d1(y).
     """
 
     mu1: float
-    mu2: float
     sigma1: float
-    sigma2: float
     j10: float
     j11: float
     j12: float
-    j2: float
     d0: float
 
 
@@ -147,23 +157,20 @@ def expansion_coefficients(
     cfg: QuadratureConfig | None = None,
 ) -> ExpansionCoefficients:
     """All quadratures feeding the local index, evaluated analytically
-    from the family's derivative callables."""
+    from the family's first-derivative callable."""
     cfg = config_for_beta(cfg or QuadratureConfig(), tp.beta)
-    d1, d2 = family.d1, family.d2
+    d1 = family.d1
     delta, gamma = tp.delta, tp.gamma
 
     mu1 = integrate_1d(lambda x: x * d1(x), cfg).value
-    mu2 = integrate_1d(lambda x: x * d2(x), cfg).value
     sigma1 = integrate_1d(lambda x: np.square(x) * d1(x), cfg).value
-    sigma2 = integrate_1d(lambda x: np.square(x) * d2(x), cfg).value - 2.0 * mu1 * mu1
     j10 = integrate_1d(lambda x: np.exp(-delta * np.square(x)) * d1(x), cfg).value
     j11 = integrate_1d(lambda x: np.exp(-delta * np.square(x)) * x * d1(x), cfg).value
     j12 = integrate_1d(lambda x: np.exp(-delta * np.square(x)) * np.square(x) * d1(x), cfg).value
-    j2 = integrate_1d(lambda x: np.exp(-delta * np.square(x)) * d2(x), cfg).value
     d0 = integrate_2d(
         lambda x, y: np.exp(-gamma * np.square(x - y)) * d1(x) * d1(y), cfg
     ).value
-    return ExpansionCoefficients(mu1, mu2, sigma1, sigma2, j10, j11, j12, j2, d0)
+    return ExpansionCoefficients(mu1, sigma1, j10, j11, j12, d0)
 
 
 def _assemble_local_index(c: ExpansionCoefficients, beta: float) -> float:
@@ -182,66 +189,40 @@ def local_index(
     return _assemble_local_index(expansion_coefficients(family, tp, cfg), tp.beta)
 
 
-def _kl_to_nearest_normal(family: AlternativeFamily, theta: float, cfg: QuadratureConfig) -> float:
-    """Minimal Kullback-Leibler divergence of g(.; theta) to any normal
-    law.  The minimizing normal matches the mean and variance of the
-    family, so only the cross-entropy integral remains."""
-    if theta == 0.0:
-        return 0.0
-    mean, var = _moments(family, theta, cfg)
-    g = family.density
-    log_norm = 0.5 * math.log(2.0 * math.pi * var)
+def lrt_local_index(family: AlternativeFamily, cfg: QuadratureConfig | None = None) -> float:
+    """Local index of the likelihood ratio test benchmark:
+    fisher - mu1^2 - sigma1^2 / 2, with fisher the integral of d1^2/phi
+    and mu1, sigma1 the integrals of x*d1 and x^2*d1.
 
-    def integrand(x):
-        gx = g(x, theta)
-        if np.any(gx < 0.0):
-            raise ArithmeticError(
-                f"{family.name} is not a density at theta={theta}; "
-                "evaluate on its valid side only"
-            )
-        out = np.zeros_like(gx)
-        pos = gx > 0.0
-        centred = x[pos] - mean
-        out[pos] = gx[pos] * (np.log(gx[pos]) + log_norm + 0.5 * np.square(centred) / var)
-        return out
-
-    return integrate_1d(integrand, cfg).value
-
-
-def lrt_local_index(
-    family: AlternativeFamily,
-    cfg: QuadratureConfig | None = None,
-    step: float = 1e-2,
-) -> float:
-    """Local index of the likelihood ratio test benchmark.
-
-    Extrapolates the curvature at 0 of 2*K(theta), K the minimal KL
-    divergence to a normal law, from K at steps h and 2h.  A symmetric
-    stencil is used when the formula is a density on both sides of 0.
-    Mixtures are densities on one side only, so they get a one-sided
-    stencil at h, 2h, 3h whose extrapolation cancels the same error
-    orders as the symmetric one; the step is halved there because
-    mixture divergences carry much larger high-order coefficients.
+    d1^2/phi is the one integrand here without a Gaussian factor: for a
+    normal contamination of variance 2 or more it does not decay at all
+    (the Fisher information is infinite), and beyond |x| ~ 38.5 phi
+    underflows and the ratio becomes 0/0.  The integrals therefore run
+    over [-R', R'] with R' = min(truncation_radius, 37), and
+    QuadratureError is raised when d1^2/phi summed at -R' and R' exceeds
+    max(abs_tol, rel_tol * fisher), since the truncated tail is then not
+    negligible.
     """
     cfg = cfg or QuadratureConfig()
-    lo, hi = family.density_domain
-    if lo < -2.0 * step and hi > 2.0 * step:
-        a1 = (
-            _kl_to_nearest_normal(family, step, cfg)
-            + _kl_to_nearest_normal(family, -step, cfg)
-        ) / step**2
-        a2 = (
-            _kl_to_nearest_normal(family, 2.0 * step, cfg)
-            + _kl_to_nearest_normal(family, -2.0 * step, cfg)
-        ) / (4.0 * step**2)
-        return (4.0 * a1 - a2) / 3.0
-    h = 0.25 * step
-    side = 1.0 if hi > 3.0 * h else -1.0
-    a = [
-        2.0 * _kl_to_nearest_normal(family, side * m * h, cfg) / (m * h) ** 2
-        for m in (1.0, 2.0, 3.0)
-    ]
-    return 3.0 * a[0] - 3.0 * a[1] + a[2]
+    cfg = replace(cfg, truncation_radius=min(cfg.truncation_radius, _SCORE_RADIUS))
+    d1 = family.d1
+
+    def score_square(x):
+        return np.square(d1(x)) / normal_pdf(x)
+
+    r = cfg.truncation_radius
+    fisher = integrate_1d(score_square, cfg).value
+    edge = float(np.sum(score_square(np.array([-r, r]))))
+    if edge > max(cfg.abs_tol, cfg.rel_tol * fisher):
+        raise QuadratureError(
+            f"Fisher information of {family.name} is not resolved on [-{r:g}, {r:g}]: "
+            f"d1^2/phi sums to {edge:.3g} at the radius (estimate {fisher:.17g})",
+            estimate=fisher,
+            error_bound=edge,
+        )
+    mu1 = integrate_1d(lambda x: x * d1(x), cfg).value
+    sigma1 = integrate_1d(lambda x: np.square(x) * d1(x), cfg).value
+    return fisher - mu1 * mu1 - 0.5 * sigma1 * sigma1
 
 
 def slope_report(

@@ -5,7 +5,10 @@ over the line and the plane are truncated to [-R, R] and [-R, R]^2.
 Both use one loop: [-R, R] starts as 4 equal K15 panels and every panel
 is halved until the summed |K15 - G7| estimate (per panel in 1-D, per
 K15 x K15 tile in 2-D) is at most max(abs_tol, rel_tol * |value|).
-Sums run with math.fsum in panel order, so repeated calls are
+Each estimate is floored at 10 eps times the rule applied to |f|, a
+roundoff floor that refinement does not lower; a tolerance below it
+raises QuadratureError as soon as the floor dominates the estimate,
+instead of refining to the panel budget.  Sums run with math.fsum in panel order, so repeated calls are
 bit-identical.
 
 The module also provides the closed-form Gaussian smoothing identities
@@ -88,8 +91,9 @@ _ONE = np.ones(1)
 
 
 class QuadratureError(RuntimeError):
-    """Raised when the panel budget is exhausted or the integrand
-    produced non-finite values.  Carries the best estimate reached and
+    """Raised when the panel budget is exhausted, the tolerance is below
+    the roundoff floor, or the integrand produced non-finite values (and
+    by callers whose truncated tail is not negligible).  Carries the best estimate reached and
     its error bound when available."""
 
     def __init__(self, message, estimate=None, error_bound=None):
@@ -157,11 +161,12 @@ def _panel_sums(block, wk_rows, wg_rows, scale, panels):
     are contracted with wk_rows (K15) or wg_rows (G7), then each column
     panel with the same rule.  |K15 - G7| is a conservative bound on
     smooth integrands; the floor keeps roundoff from giving a zero one.
+    Returns the K15 values, the error estimates and their floors.
     """
     kron = scale * ((wk_rows @ block).reshape(panels, 15) @ _WK15)
     gauss = scale * ((wg_rows @ block).reshape(panels, 15) @ _WG7)
     floor = 10.0 * _EPS * scale * ((wk_rows @ np.abs(block)).reshape(panels, 15) @ _WK15)
-    return kron, np.maximum(np.abs(kron - gauss), floor)
+    return kron, np.maximum(np.abs(kron - gauss), floor), floor
 
 
 def _integrate(f, cfg, dims):
@@ -182,10 +187,21 @@ def _integrate(f, cfg, dims):
                 )
                 for rows in x.reshape(panels, 15)
             ]
-        value = math.fsum(np.concatenate([v for v, _ in sums]).tolist())
-        error = math.fsum(np.concatenate([e for _, e in sums]).tolist())
-        if error <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
+        value, error, floor = (math.fsum(np.concatenate(col).tolist()) for col in zip(*sums))
+        tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))
+        if error <= tol:
             return QuadratureResult(value, error, panels)
+        # Once the floor is most of the estimate the integrand is resolved,
+        # and refining leaves the floor (10 eps times the integral of |f|)
+        # where it is: a tolerance below it can never be met.
+        if floor > tol and error <= 2.0 * floor:
+            raise QuadratureError(
+                f"tolerance {tol:.3g} is below the roundoff floor {floor:.3g} of the "
+                f"integrand (estimate {value:.17g}, error bound {error:.3g}, "
+                f"{panels} panels per axis)",
+                estimate=value,
+                error_bound=error,
+            )
         if 2 * panels > cfg.max_subdivisions:
             raise QuadratureError(
                 f"no convergence with {panels} panels per axis; halving them would exceed "
@@ -203,7 +219,8 @@ def integrate_1d(f: Callable, cfg: QuadratureConfig | None = None) -> Quadrature
     f maps a 1-D float ndarray of abscissae to an array of the same
     shape.  Returns the estimate together with a conservative error
     bound and the number of panels used.  Raises QuadratureError
-    (carrying the best estimate) if the panel budget is exhausted.
+    (carrying the best estimate) if the panel budget is exhausted or the
+    tolerance is below the roundoff floor.
     """
     return _integrate(f, cfg, 1)
 

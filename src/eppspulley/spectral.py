@@ -35,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backend import kernel
-from .quadrature import QuadratureConfig, integrate_1d, normal_pdf
 from .statistic import TuningParam
 
 __all__ = [
@@ -56,6 +55,7 @@ _MC_CHUNK = 200_000
 RTOL = 1e-14
 # Rows by which the Cholesky factor grows.
 _FACTOR_BLOCK = 64
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,17 +184,29 @@ def lambda1(tp: TuningParam, n_points: int = 1000, runs: int = 10, seed: int = 4
     return float(nystrom_spectrum(tp, n_points, runs, seed, top_m=1).eigenvalues[0])
 
 
-def operator_trace(tp: TuningParam, cfg: QuadratureConfig | None = None) -> float:
-    """Trace of the operator: the integral of K(t, t) against the
-    Gaussian weight.  Substituting t = beta*u keeps the integrand in
-    standard units for every beta."""
-    beta = tp.beta
+def operator_trace(tp: TuningParam) -> float:
+    """Trace of the operator: the integral of
+    K(t, t) = 1 - (1 + t^2 + t^4/2) exp(-t^2) against the Gaussian
+    weight, in closed form.  With s = 1 + 2 beta^2 it is
 
-    def integrand(u):
-        t = beta * u
-        return kernel(t, t) * normal_pdf(u)
+        1 - s^(-1/2) - beta^2 s^(-3/2) - 1.5 beta^4 s^(-5/2)
+          = sum over k >= 3 of (2k-1)!! beta^(2k) s^(-k-1/2) / k!.
 
-    return integrate_1d(integrand, cfg or QuadratureConfig()).value
+    The first form cancels O(1) terms to an O(beta^6) value, so it is
+    used for beta > 1 only; below, the series is summed (term ratio
+    (2k+1) beta^2 / (s (k+1)) <= 2/3, all terms positive).
+    """
+    b2 = tp.beta * tp.beta
+    s = 1.0 + 2.0 * b2
+    if tp.beta > 1.0:
+        return 1.0 - s**-0.5 - b2 * s**-1.5 - 1.5 * b2 * b2 * s**-2.5
+    total, term, k = 0.0, 2.5 * b2**3 * s**-3.5, 3
+    # with the ratio below 2/3 the terms left sum to at most 3 * term
+    while term > 0.25 * _EPS * total:
+        total += term
+        term *= (2 * k + 1) * b2 / (s * (k + 1))
+        k += 1
+    return total
 
 
 def null_pvalue(

@@ -113,10 +113,6 @@ class TestContamination:
         expected = normal_pdf(-1.0) - normal_pdf(0.0)
         assert float(fam.d1(np.array([0.0]))[0]) == pytest.approx(expected, rel=1e-12)
 
-    def test_density_domain_one_sided(self):
-        fam = contamination(1.0, 1.0)
-        assert fam.density_domain[0] == 0.0
-
 
 class TestRegistry:
     def test_known_names(self):

@@ -7,8 +7,10 @@ Oracles used here:
   * stochastic_limit vs a fully closed-form evaluation for
     contamination (all integrals are Gaussian);
   * the local index vs the brute-force ratio b(theta)/theta^2;
-  * the LRT index vs the analytic projection formula
-    (Fisher information of the score minus its location-scale part).
+  * the LRT index vs its closed form for contamination, vs the same
+    projection formula on a fixed Gauss-Hermite rule for every table
+    family, and vs the curvature of twice the minimal Kullback-Leibler
+    divergence to a normal law, extrapolated from theta > 0.
 """
 
 import math
@@ -19,14 +21,14 @@ from scipy.special import ndtri
 
 from eppspulley.alternatives import TABLE_FAMILIES, contamination, family_from_name, lehmann
 from eppspulley.bahadur import (
-    _kl_to_nearest_normal,
+    _moments,
     expansion_coefficients,
     local_index,
     lrt_local_index,
     slope_report,
     stochastic_limit,
 )
-from eppspulley.quadrature import QuadratureConfig, integrate_1d, normal_pdf
+from eppspulley.quadrature import QuadratureConfig, QuadratureError, integrate_1d, normal_pdf
 from eppspulley.statistic import TuningParam
 
 CFG = QuadratureConfig()
@@ -67,6 +69,56 @@ def lehmann_moments_fixed_rule(theta, nodes=150):
     m1 = float(np.sum(w * x * dens))
     m2 = float(np.sum(w * x * x * dens))
     return m1, m2 - m1 * m1
+
+
+def _kl_to_nearest_normal(family, theta, cfg):
+    """Minimal Kullback-Leibler divergence of g(.; theta) to any normal
+    law.  The minimizing normal matches the mean and variance of the
+    family, so only the cross-entropy integral remains."""
+    if theta == 0.0:
+        return 0.0
+    mean, var = _moments(family, theta, cfg)
+    g = family.density
+    log_norm = 0.5 * math.log(2.0 * math.pi * var)
+
+    def integrand(x):
+        gx = g(x, theta)
+        if np.any(gx < 0.0):
+            raise ArithmeticError(f"{family.name} is not a density at theta={theta}")
+        out = np.zeros_like(gx)
+        pos = gx > 0.0
+        centred = x[pos] - mean
+        out[pos] = gx[pos] * (np.log(gx[pos]) + log_norm + 0.5 * np.square(centred) / var)
+        return out
+
+    return integrate_1d(integrand, cfg).value
+
+
+def lrt_projection_fixed_rule(family, nodes=150):
+    """Fisher information of the score d1/phi minus its projection on
+    the normal location and scale scores, by a fixed Gauss-Hermite rule
+    (independent of the K15 panel engine)."""
+    from scipy.special import roots_hermitenorm
+
+    x, w = roots_hermitenorm(nodes)
+    w = w / math.sqrt(2.0 * math.pi)
+    score = family.d1(x) / normal_pdf(x)
+    fisher = float(np.sum(w * score * score))
+    mu1 = float(np.sum(w * x * score))
+    sigma1 = float(np.sum(w * x * x * score))
+    return fisher - mu1 * mu1 - 0.5 * sigma1 * sigma1
+
+
+def contam_lrt_closed_form(mu, s2):
+    """LRT index of contamination: the Fisher information
+    exp(mu^2/(2-s2)) / (s sqrt(2-s2)) - 1 minus mu1^2 = mu^2 and
+    sigma1^2 / 2 with sigma1 = s2 + mu^2 - 1; finite for s2 < 2."""
+    return (
+        math.exp(mu * mu / (2.0 - s2)) / math.sqrt(s2 * (2.0 - s2))
+        - 1.0
+        - mu * mu
+        - 0.5 * (s2 + mu * mu - 1.0) ** 2
+    )
 
 
 def gauss_square_mgf(c, mean, var):
@@ -166,7 +218,7 @@ class TestStochasticLimit:
     def test_nonnegative_at_moderate_theta(self, name):
         fam = family_from_name(name)
         tp = TuningParam(1.0)
-        lo, hi = fam.density_domain
+        hi = fam.theta_domain[1]
         for theta in (0.25 * hi, 0.6 * hi):
             assert stochastic_limit(fam, theta, tp) >= -1e-12
 
@@ -186,12 +238,6 @@ class TestExpansionCoefficients:
         assert c.j12 == pytest.approx(0.0, abs=1e-9)
         assert c.j11 != pytest.approx(0.0, abs=1e-6)
         assert c.d0 > 0.0
-
-    def test_lp2_linear_family(self):
-        c = expansion_coefficients(family_from_name("lp2"), TuningParam(1.0))
-        assert c.mu2 == pytest.approx(0.0, abs=1e-10)
-        assert c.j2 == pytest.approx(0.0, abs=1e-10)
-        assert c.sigma2 == pytest.approx(-2.0 * c.mu1**2, abs=1e-10)
 
     @pytest.mark.parametrize("mu,s2", [(1.0, 1.0), (0.5, 1.0), (0.0, 0.5)])
     @pytest.mark.parametrize("beta", [0.25, 1.0, 10.0])
@@ -215,7 +261,7 @@ class TestExpansionCoefficients:
         tp = TuningParam(2.0)
         a = expansion_coefficients(fam, tp, CFG)
         b = expansion_coefficients(fam, tp, TIGHT)
-        for field in ("mu1", "mu2", "sigma1", "sigma2", "j10", "j11", "j12", "j2", "d0"):
+        for field in ("mu1", "sigma1", "j10", "j11", "j12", "d0"):
             assert getattr(a, field) == pytest.approx(getattr(b, field), abs=1e-8)
 
 
@@ -250,20 +296,44 @@ class TestLrtLocalIndex:
     @pytest.mark.parametrize("name", TABLE_FAMILIES)
     def test_matches_projection_formula(self, name):
         fam = family_from_name(name)
-        fisher = integrate_1d(lambda x: np.square(fam.d1(x)) / normal_pdf(x), CFG).value
-        mu1 = integrate_1d(lambda x: x * fam.d1(x), CFG).value
-        sigma1 = integrate_1d(lambda x: np.square(x) * fam.d1(x), CFG).value
-        projection = fisher - mu1 * mu1 - 0.5 * sigma1 * sigma1
-        assert lrt_local_index(fam) == pytest.approx(projection, rel=5e-3)
+        assert lrt_local_index(fam) == pytest.approx(lrt_projection_fixed_rule(fam), rel=1e-12)
 
-    def test_contamination_brute_force_curve(self):
-        fam = contamination(1.0, 1.0)
+    @pytest.mark.parametrize("mu,s2", [(1.0, 1.0), (0.5, 1.0), (0.0, 0.5), (2.0, 1.0), (0.0, 0.1)])
+    def test_contamination_closed_form(self, mu, s2):
+        got = lrt_local_index(contamination(mu, s2))
+        assert got == pytest.approx(contam_lrt_closed_form(mu, s2), rel=1e-12)
+
+    @pytest.mark.parametrize("name", TABLE_FAMILIES)
+    def test_kl_brute_force_curve(self, name):
+        fam = family_from_name(name)
         thetas = np.linspace(0.005, 0.03, 6)
         curve = np.array(
             [2.0 * _kl_to_nearest_normal(fam, float(t), TIGHT) / t**2 for t in thetas]
         )
         extrapolated = np.polynomial.polynomial.polyfit(thetas, curve, 3)[0]
         assert lrt_local_index(fam) == pytest.approx(extrapolated, rel=1e-2)
+
+    @pytest.mark.parametrize("radius", [12.0, 30.0])
+    def test_infinite_fisher_information_raises(self, radius):
+        # contamination variance >= 2: d1^2/phi grows without bound
+        cfg = QuadratureConfig(truncation_radius=radius)
+        with pytest.raises(QuadratureError, match=f"-{radius:g}, {radius:g}") as excinfo:
+            lrt_local_index(contamination(0.0, 3.0), cfg)
+        assert excinfo.value.error_bound > excinfo.value.estimate * cfg.rel_tol
+
+    def test_slowly_decaying_score_needs_a_wider_radius(self):
+        # d1^2/phi decays like exp(-x^2/18) for variance 1.8
+        fam = contamination(0.0, 1.8)
+        with pytest.raises(QuadratureError, match="-12, 12"):
+            lrt_local_index(fam, QuadratureConfig(truncation_radius=12.0))
+        got = lrt_local_index(fam, QuadratureConfig(truncation_radius=30.0))
+        assert got == pytest.approx(contam_lrt_closed_form(0.0, 1.8), rel=1e-12)
+
+    def test_radius_beyond_density_underflow(self):
+        # phi underflows to 0 beyond |x| ~ 38.5; the radius is capped below that
+        fam = family_from_name("lehmann")
+        wide = lrt_local_index(fam, QuadratureConfig(truncation_radius=40.0))
+        assert wide == pytest.approx(lrt_local_index(fam), rel=1e-12)
 
 
 class TestSlopeReport:

@@ -276,6 +276,25 @@ def test_slope_json_round_trip(capsys):
     assert json.loads(json.dumps(report)) == report
 
 
+def test_slope_lrt_index_closed_form(capsys):
+    # contamination N(2, 1): Fisher information e^4 - 1, minus mu1^2 = 4
+    # and sigma1^2 / 2 = 8
+    code = main(["slope", "--alt", "contam:2:1", "--n-points", "150", "--runs", "1",
+                 "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert json.loads(out)["lrt_index"] == pytest.approx(math.exp(4.0) - 13.0, abs=1e-12)
+
+
+def test_slope_infinite_fisher_information_exit_code(capsys):
+    # contamination variance 3: the score's square grows without bound
+    code = main(["slope", "--alt", "contam:0:3", "--n-points", "150", "--runs", "1"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert "[-12, 12]" in captured.err
+
+
 def test_import_does_not_load_scipy():
     # scipy is about half of the CLI start-up time; only the slope
     # machinery needs it, and it loads it on first use

@@ -65,6 +65,21 @@ class TestIntegrate1d:
         with pytest.raises(QuadratureError):
             integrate_1d(lambda x: np.full_like(x, np.nan))
 
+    def test_tolerance_below_roundoff_floor_raises_early(self):
+        # the floor 10 eps * integral(|f|) is 2.2e-15 here; refining to the
+        # panel budget would evaluate 15 * (4 + 8 + ... + 1024) = 30660 points
+        points = []
+
+        def f(x):
+            points.append(x.size)
+            return normal_pdf(x)
+
+        with pytest.raises(QuadratureError, match="roundoff floor") as excinfo:
+            integrate_1d(f, QuadratureConfig(abs_tol=1e-17, rel_tol=1e-17))
+        assert sum(points) < 3066
+        assert excinfo.value.estimate == pytest.approx(1.0, abs=1e-14)
+        assert excinfo.value.error_bound < 1e-14
+
     def test_deterministic(self):
         f = lambda x: np.exp(-0.3 * np.square(x)) * np.cos(x)
         assert integrate_1d(f).value == integrate_1d(f).value
@@ -112,6 +127,20 @@ class TestIntegrate2d:
     def test_nonfinite_integrand_rejected(self):
         with pytest.raises(QuadratureError):
             integrate_2d(lambda x, y: np.full(np.broadcast(x, y).shape, np.nan))
+
+    def test_tolerance_below_roundoff_floor_raises_early(self):
+        # refining to the panel budget would evaluate
+        # 225 * (4^2 + 8^2 + ... + 1024^2) = 314571600 points
+        points = []
+
+        def f(x, y):
+            points.append(np.broadcast(x, y).size)
+            return normal_pdf(x) * normal_pdf(y)
+
+        with pytest.raises(QuadratureError, match="roundoff floor") as excinfo:
+            integrate_2d(f, QuadratureConfig(abs_tol=1e-17, rel_tol=1e-17))
+        assert sum(points) < 31457160
+        assert excinfo.value.estimate == pytest.approx(1.0, abs=1e-14)
 
     def test_non_broadcasting_integrand_rejected(self):
         # an integrand that ignores y returns one column per row

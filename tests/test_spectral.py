@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from eppspulley import backend
+from eppspulley.quadrature import QuadratureConfig, integrate_1d, normal_pdf
 from eppspulley.spectral import (
     RTOL,
     kernel,
@@ -27,6 +28,31 @@ def _kernel_decimal(s: float, t: float) -> float:
         x = s * t
         damp = (-(s * s + t * t) / 2).exp()
         return float((-(s - t) ** 2 / 2).exp() - (1 + x + x * x / 2) * damp)
+
+
+def _trace_decimal(beta: float) -> float:
+    """Closed-form operator trace at 60 significant digits from the
+    exact value of beta; the O(1) terms cancel to O(beta^6), which
+    leaves over 40 digits at beta = 1e-3."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        b2 = Decimal(beta) ** 2
+        s = 1 + 2 * b2
+        root = s.sqrt()
+        return float(1 - 1 / root - b2 / (s * root) - Decimal("1.5") * b2 * b2 / (s * s * root))
+
+
+def _trace_quadrature(beta: float, cfg: QuadratureConfig) -> float:
+    """Operator trace as the integral of K(t, t) against the Gaussian
+    weight on the K15 panel engine.  Substituting t = beta*u keeps the
+    integrand in standard units; its feature of width about 1/beta needs
+    more panels than the default budget at beta = 100."""
+
+    def integrand(u):
+        t = beta * u
+        return kernel(t, t) * normal_pdf(u)
+
+    return integrate_1d(integrand, cfg).value
 
 
 def _run_nodes(beta: float, n_points: int, seed: int) -> np.ndarray:
@@ -183,6 +209,16 @@ class TestOperatorTrace:
         exact = operator_trace(tp)
         mc = _kernel_diag_trace(tp, 10_000, seed=42)
         assert abs(mc - exact) / exact < 0.02
+
+    @pytest.mark.parametrize("beta", [1e-3, 0.25, 1.0, 10.0, 100.0])
+    def test_closed_form_matches_decimal(self, beta):
+        assert operator_trace(TuningParam(beta)) == pytest.approx(_trace_decimal(beta), rel=1e-14)
+
+    @pytest.mark.parametrize("beta", [0.25, 1.0, 10.0, 100.0])
+    def test_closed_form_matches_quadrature(self, beta):
+        cfg = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=8192)
+        exact = operator_trace(TuningParam(beta))
+        assert exact == pytest.approx(_trace_quadrature(beta, cfg), rel=1e-12)
 
     def test_vanishes_for_tiny_beta(self):
         # K(t,t) = t^6/6 + O(t^8) near 0, so the trace behaves like
