@@ -19,10 +19,8 @@ from .alternatives import (
 from .backend import backend_name
 from .bahadur import (
     EfficiencyTable,
-    ExpansionCoefficients,
     SlopeReport,
     efficiency_table,
-    expansion_coefficients,
     local_index,
     lrt_local_index,
     slope_report,
@@ -60,7 +58,6 @@ __all__ = [
     "AlternativeFamily",
     "DegenerateSampleError",
     "EfficiencyTable",
-    "ExpansionCoefficients",
     "QuadratureConfig",
     "QuadratureError",
     "QuadratureResult",
@@ -73,7 +70,6 @@ __all__ = [
     "contamination",
     "efficiency_table",
     "epps_pulley_statistic",
-    "expansion_coefficients",
     "family_from_name",
     "gaussian_pair_moment",
     "integrate_1d",

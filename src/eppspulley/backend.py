@@ -30,8 +30,8 @@ _SERIES_COEFFS = np.array([1.0 / math.factorial(n) for n in range(3, 19)]).resha
 
 def _bracket_series(x):
     """e^x - 1 - x - x^2/2 for |x| < _SERIES_CUTOFF, to full relative
-    accuracy."""
-    powers = np.empty((4, x.size))
+    accuracy; x is a real or complex 1-D array."""
+    powers = np.empty((4, x.size), dtype=x.dtype)
     powers[0] = 1.0
     powers[1] = x
     np.multiply(x, x, out=powers[2])

@@ -6,6 +6,22 @@ that vanishes at 0 and grows quadratically:
 
     b(theta) = delta_beta * theta^2 + O(theta^3).
 
+The statistic is the phi_beta-weighted L2 distance between the
+empirical characteristic function of the standardized sample and
+exp(-t^2/2), so b(theta) is that distance for the standardized family,
+and delta_beta is one nonnegative integral in the frequency domain:
+
+    delta_beta = integral of |H(t)|^2 phi_beta(t) dt,
+    H(t) = integral of B(itx) d1(x) dx + i t mu1 E - (sigma1/2) t^2 E,
+
+with H the theta-derivative at 0 of the characteristic function of the
+standardized family, B(z) = e^z - 1 - z - z^2/2, E = 1 - exp(-t^2/2),
+and phi_beta the N(0, beta^2) density.  Every term of H is O(t^3), so
+nothing cancels at any beta, and as beta -> 0 delta_beta tends to
+15 beta^6 kappa3'^2 / 36 with kappa3' the integral of (x^3 - 3x) d1, the
+theta-derivative of the third cumulant (Henze, Extreme smoothing and
+testing for multivariate normality, Statist. Probab. Lett. 35, 1997).
+
 The approximate slope is b(theta) divided by the largest eigenvalue of
 the limit-null covariance operator, so the local index is
 delta_beta / lambda1.  Efficiencies are reported relative to the
@@ -29,6 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .alternatives import AlternativeFamily, family_from_name
+from .backend import _SERIES_CUTOFF, _bracket_series
 from .quadrature import (
     QuadratureConfig,
     QuadratureError,
@@ -36,16 +53,15 @@ from .quadrature import (
     integrate_1d,
     integrate_2d,
     normal_pdf,
+    panel_rule,
 )
 from .spectral import lambda1
 from .statistic import TuningParam
 
 __all__ = [
     "EfficiencyTable",
-    "ExpansionCoefficients",
     "SlopeReport",
     "efficiency_table",
-    "expansion_coefficients",
     "local_index",
     "lrt_local_index",
     "slope_report",
@@ -56,24 +72,11 @@ __all__ = [
 # Largest radius on which d1^2/phi is finite: phi underflows to zero
 # beyond |x| ~ 38.5.
 _SCORE_RADIUS = 37.0
-
-
-@dataclass(frozen=True)
-class ExpansionCoefficients:
-    """Ingredients of the quadratic coefficient of b(theta).
-
-    mu1 and sigma1 are the first theta-derivatives at 0 of the family
-    mean and variance.  j10, j11, j12 are the moments of d1 against
-    exp(-delta*x^2) of orders 0, 1, 2; d0 is the double integral of
-    exp(-gamma*(x-y)^2) * d1(x) * d1(y).
-    """
-
-    mu1: float
-    sigma1: float
-    j10: float
-    j11: float
-    j12: float
-    d0: float
+# Largest phase of e^{itx}, in radians, across one panel half-width of
+# the x-rule: it sets the cutoff in t that P panels resolve.
+_PHASE_PER_PANEL = 3.0
+# Entries per row block of the (t, x) matrix of B(itx).
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -151,33 +154,57 @@ def stochastic_limit(
     return pair - 2.0 / math.sqrt(1.0 + beta2) * single
 
 
-def expansion_coefficients(
-    family: AlternativeFamily,
-    tp: TuningParam,
-    cfg: QuadratureConfig | None = None,
-) -> ExpansionCoefficients:
-    """All quadratures feeding the local index, evaluated analytically
-    from the family's first-derivative callable."""
-    cfg = config_for_beta(cfg or QuadratureConfig(), tp.beta)
+def _d1_moments(family: AlternativeFamily, cfg: QuadratureConfig):
+    """mu1 and sigma1, the integrals of x*d1 and x^2*d1, and the larger
+    of their two panel counts."""
     d1 = family.d1
-    delta, gamma = tp.delta, tp.gamma
-
-    mu1 = integrate_1d(lambda x: x * d1(x), cfg).value
-    sigma1 = integrate_1d(lambda x: np.square(x) * d1(x), cfg).value
-    j10 = integrate_1d(lambda x: np.exp(-delta * np.square(x)) * d1(x), cfg).value
-    j11 = integrate_1d(lambda x: np.exp(-delta * np.square(x)) * x * d1(x), cfg).value
-    j12 = integrate_1d(lambda x: np.exp(-delta * np.square(x)) * np.square(x) * d1(x), cfg).value
-    d0 = integrate_2d(
-        lambda x, y: np.exp(-gamma * np.square(x - y)) * d1(x) * d1(y), cfg
-    ).value
-    return ExpansionCoefficients(mu1, sigma1, j10, j11, j12, d0)
+    first = integrate_1d(lambda x: x * d1(x), cfg)
+    second = integrate_1d(lambda x: np.square(x) * d1(x), cfg)
+    return first.value, second.value, max(first.subdivisions, second.subdivisions)
 
 
-def _assemble_local_index(c: ExpansionCoefficients, beta: float) -> float:
-    b2 = beta * beta
-    middle = ((c.j10 - c.j12) * c.sigma1 - 2.0 * c.j11 * c.mu1) * b2 + c.j10 * c.sigma1 - 2.0 * c.j11 * c.mu1
-    last = (2.0 * c.mu1**2 + 0.75 * c.sigma1**2) * b2 + c.mu1**2
-    return c.d0 + b2 / (b2 + 1.0) ** 2.5 * middle + b2 / (2.0 * b2 + 1.0) ** 2.5 * last
+def _weighted_score(family: AlternativeFamily, cfg: QuadratureConfig, panels: int):
+    """Abscissae x and products w * d1(x) of the engine's K15 rule with
+    the given number of panels on [-R, R].
+
+    d1 integrates to 0 over the line.  When its rule sum on [-R, R]
+    exceeds max(abs_tol, rel_tol * the sum of |w d1|), part of the
+    perturbation lies beyond the radius, where no integral of d1 sees
+    it, and QuadratureError is raised naming [-R, R].
+    """
+    r = cfg.truncation_radius
+    x, w = panel_rule(r, panels)
+    wd1 = w * family.d1(x)
+    mass = float(np.sum(wd1))
+    if abs(mass) > max(cfg.abs_tol, cfg.rel_tol * float(np.sum(np.abs(wd1)))):
+        raise QuadratureError(
+            f"d1 of {family.name} integrates to {mass:.3g} on [-{r:g}, {r:g}], not 0: "
+            f"the alternative reaches beyond the truncation radius",
+            estimate=mass,
+            error_bound=abs(mass),
+        )
+    return x, wd1
+
+
+def _score_transform(t, x, wd1, mu1, sigma1):
+    """H(t) at the points of the 1-D array t, from the rule (x, wd1):
+
+        H(t) = sum of B(i t x) w d1(x) + t E (i mu1 - sigma1 t / 2),
+
+    with B(z) = e^z - 1 - z - z^2/2 and E = 1 - exp(-t^2/2).  B is
+    summed as its series where |t x| < 1, so every term keeps its
+    relative accuracy as t -> 0.  The (t, x) matrix is built in row
+    blocks of at most _BLOCK entries.
+    """
+    out = np.empty(t.size, dtype=np.complex128)
+    rows = max(1, _BLOCK // x.size)
+    for start in range(0, t.size, rows):
+        u = np.multiply.outer(t[start:start + rows], x).ravel()
+        b = np.exp(1j * u) - 1.0 - 1j * u + 0.5 * np.square(u)
+        small = np.abs(u) < _SERIES_CUTOFF
+        b[small] = _bracket_series(1j * u[small])
+        out[start:start + rows] = b.reshape(-1, x.size) @ wd1
+    return out + t * -np.expm1(-0.5 * np.square(t)) * (1j * mu1 - 0.5 * sigma1 * t)
 
 
 def local_index(
@@ -185,8 +212,57 @@ def local_index(
     tp: TuningParam,
     cfg: QuadratureConfig | None = None,
 ) -> float:
-    """Quadratic coefficient delta_beta of the stochastic limit at 0."""
-    return _assemble_local_index(expansion_coefficients(family, tp, cfg), tp.beta)
+    """Quadratic coefficient delta_beta of the stochastic limit at 0,
+
+        delta_beta = integral of |H(t)|^2 phi_beta(t) dt,
+
+    with H the theta-derivative at 0 of the characteristic function of
+    the standardized family (see _score_transform).  The integrand is
+    nonnegative and O(t^6) at 0, so the value keeps its relative
+    accuracy at any beta; H is even in modulus, so t runs over [0, T],
+    mapped linearly onto the engine's [-R, R].
+
+    The x-rule is the engine's K15 rule with P panels on [-R, R], P
+    starting at the larger panel count of the mu1 and sigma1 integrals.
+    The cutoff is T = min(R beta, 3 P / R), so e^{itx} turns by at most 3
+    radians over a panel half-width.  While T < R beta and the edge term
+    |H(T)|^2 phi_beta(T) T exceeds rel_tol * delta_beta, P doubles: the
+    dropped tail is a fraction of delta_beta, whatever abs_tol is.
+    QuadratureError is raised, naming the cutoff, when doubling would
+    exceed max_subdivisions, and, naming [-R, R], when d1 does not
+    integrate to 0 there (see _weighted_score).  No 2-D integral and no
+    radius escalation is involved.
+    """
+    cfg = cfg or QuadratureConfig()
+    mu1, sigma1, panels = _d1_moments(family, cfg)
+    r, beta = cfg.truncation_radius, tp.beta
+    while True:
+        x, wd1 = _weighted_score(family, cfg, panels)
+        cutoff = min(r * beta, _PHASE_PER_PANEL * panels / r)
+        # dt = (T / 2R) du on [0, T], doubled for the mirror half t < 0
+        scale = cutoff / r
+
+        def weighted_square(u):
+            t = (u + r) * (0.5 * scale)
+            h = _score_transform(t, x, wd1, mu1, sigma1)
+            return scale * (np.square(h.real) + np.square(h.imag)) * normal_pdf(t / beta) / beta
+
+        value = integrate_1d(weighted_square, cfg).value
+        if cutoff >= r * beta:
+            return value
+        edge = float(weighted_square(np.array([r]))[0]) * r
+        if edge <= cfg.rel_tol * value:
+            return value
+        if 2 * panels > cfg.max_subdivisions:
+            raise QuadratureError(
+                f"local index of {family.name} at beta={beta:g} is not resolved up to the "
+                f"cutoff t = {cutoff:.3g}: the edge term is {edge:.3g} with {panels} panels, "
+                f"and doubling them would exceed max_subdivisions={cfg.max_subdivisions} "
+                f"(estimate {value:.17g})",
+                estimate=value,
+                error_bound=edge,
+            )
+        panels *= 2
 
 
 def lrt_local_index(family: AlternativeFamily, cfg: QuadratureConfig | None = None) -> float:
@@ -201,7 +277,8 @@ def lrt_local_index(family: AlternativeFamily, cfg: QuadratureConfig | None = No
     over [-R', R'] with R' = min(truncation_radius, 37), and
     QuadratureError is raised when d1^2/phi summed at -R' and R' exceeds
     max(abs_tol, rel_tol * fisher), since the truncated tail is then not
-    negligible.
+    negligible, and when d1 does not integrate to 0 on [-R', R'] (see
+    _weighted_score).
     """
     cfg = cfg or QuadratureConfig()
     cfg = replace(cfg, truncation_radius=min(cfg.truncation_radius, _SCORE_RADIUS))
@@ -220,8 +297,8 @@ def lrt_local_index(family: AlternativeFamily, cfg: QuadratureConfig | None = No
             estimate=fisher,
             error_bound=edge,
         )
-    mu1 = integrate_1d(lambda x: x * d1(x), cfg).value
-    sigma1 = integrate_1d(lambda x: np.square(x) * d1(x), cfg).value
+    mu1, sigma1, panels = _d1_moments(family, cfg)
+    _weighted_score(family, cfg, panels)
     return fisher - mu1 * mu1 - 0.5 * sigma1 * sigma1
 
 

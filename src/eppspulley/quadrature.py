@@ -9,7 +9,8 @@ Each estimate is floored at 10 eps times the rule applied to |f|, a
 roundoff floor that refinement does not lower; a tolerance below it
 raises QuadratureError as soon as the floor dominates the estimate,
 instead of refining to the panel budget.  Sums run with math.fsum in panel order, so repeated calls are
-bit-identical.
+bit-identical.  panel_rule exposes the nodes and weights of one level,
+for callers that sum many integrands against the same rule.
 
 The module also provides the closed-form Gaussian smoothing identities
 used as building blocks and cross-checks elsewhere, and numerically safe
@@ -36,6 +37,7 @@ __all__ = [
     "log_normal_cdf",
     "normal_cdf",
     "normal_pdf",
+    "panel_rule",
     "smoothed_density_identity",
     "smoothed_second_moment_identity",
 ]
@@ -169,14 +171,27 @@ def _panel_sums(block, wk_rows, wg_rows, scale, panels):
     return kron, np.maximum(np.abs(kron - gauss), floor), floor
 
 
+def _panel_nodes(radius, panels):
+    """The 15 * panels K15 abscissae of panels equal panels on
+    [-radius, radius], in panel order, and the panel half-width."""
+    half = radius / panels
+    mids = (2.0 * np.arange(panels) + (1.0 - panels)) * half
+    return (mids[:, None] + half * _NODES).ravel(), half
+
+
+def panel_rule(radius: float, panels: int):
+    """Abscissae and K15 weights of the composite rule that the engine
+    applies at a level of panels equal panels on [-radius, radius]."""
+    x, half = _panel_nodes(radius, panels)
+    return x, np.tile(half * _WK15, panels)
+
+
 def _integrate(f, cfg, dims):
     cfg = cfg or QuadratureConfig()
     r = cfg.truncation_radius
     panels = _INITIAL_PANELS
     while True:
-        half = r / panels
-        mids = (2.0 * np.arange(panels) + (1.0 - panels)) * half
-        x = (mids[:, None] + half * _NODES).ravel()
+        x, half = _panel_nodes(r, panels)
         if dims == 1:
             sums = [_panel_sums(_checked(f(x), x.shape)[None, :], _ONE, _ONE, half, panels)]
         else:

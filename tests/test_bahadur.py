@@ -6,7 +6,10 @@ Oracles used here:
     mixture representation for contamination);
   * stochastic_limit vs a fully closed-form evaluation for
     contamination (all integrals are Gaussian);
-  * the local index vs the brute-force ratio b(theta)/theta^2;
+  * the local index vs the brute-force ratio b(theta)/theta^2, vs a
+    40-digit mpmath quadrature of the closed-form |H(t)|^2 phi_beta(t)
+    for contamination, and vs its small-beta asymptote
+    15 beta^6 kappa3'^2 / 36;
   * the LRT index vs its closed form for contamination, vs the same
     projection formula on a fixed Gauss-Hermite rule for every table
     family, and vs the curvature of twice the minimal Kullback-Leibler
@@ -15,6 +18,7 @@ Oracles used here:
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import ndtri
@@ -22,7 +26,6 @@ from scipy.special import ndtri
 from eppspulley.alternatives import TABLE_FAMILIES, contamination, family_from_name, lehmann
 from eppspulley.bahadur import (
     _moments,
-    expansion_coefficients,
     local_index,
     lrt_local_index,
     slope_report,
@@ -227,49 +230,87 @@ class TestStochasticLimit:
             stochastic_limit(family_from_name("lp2"), 0.9, TuningParam(1.0))
 
 
-class TestExpansionCoefficients:
-    def test_lp1_closed_forms(self):
-        c = expansion_coefficients(family_from_name("lp1"), TuningParam(1.0))
-        # mu1 = 2 * integral(x phi Phi) = 1/sqrt(pi)
-        assert c.mu1 == pytest.approx(1.0 / math.sqrt(math.pi), abs=1e-10)
-        # d1 odd: its even-weighted moments vanish
-        assert c.sigma1 == pytest.approx(0.0, abs=1e-9)
-        assert c.j10 == pytest.approx(0.0, abs=1e-9)
-        assert c.j12 == pytest.approx(0.0, abs=1e-9)
-        assert c.j11 != pytest.approx(0.0, abs=1e-6)
-        assert c.d0 > 0.0
+def contam_local_index_oracle(mu, s2, beta):
+    """delta_beta of contamination by mpmath quadrature at 40 digits.
+    The characteristic function of d1 is exp(i mu t - s2 t^2/2) - e^{-t^2/2},
+    so H(t) = that - i mu t e^{-t^2/2} + (sigma1/2) t^2 e^{-t^2/2} with
+    sigma1 = s2 + mu^2 - 1; the precision absorbs its cancellation."""
+    with mpmath.workdps(40):
+        mu, s2, beta = mpmath.mpf(mu), mpmath.mpf(s2), mpmath.mpf(beta)
+        sigma1 = s2 + mu * mu - 1
 
-    @pytest.mark.parametrize("mu,s2", [(1.0, 1.0), (0.5, 1.0), (0.0, 0.5)])
-    @pytest.mark.parametrize("beta", [0.25, 1.0, 10.0])
-    def test_contamination_closed_forms(self, beta, mu, s2):
-        tp = TuningParam(beta)
-        c = expansion_coefficients(contamination(mu, s2), tp)
-        assert c.mu1 == pytest.approx(mu, abs=1e-10)
-        assert c.sigma1 == pytest.approx(s2 + mu * mu - 1.0, abs=1e-10)
-        j10 = gauss_square_mgf(tp.delta, mu, s2) - gauss_square_mgf(tp.delta, 0.0, 1.0)
-        assert c.j10 == pytest.approx(j10, abs=1e-10)
-        d0 = (
-            gauss_square_mgf(tp.gamma, 0.0, 2.0 * s2)
-            - 2.0 * gauss_square_mgf(tp.gamma, mu, s2 + 1.0)
-            + gauss_square_mgf(tp.gamma, 0.0, 2.0)
-        )
-        assert c.d0 == pytest.approx(d0, abs=1e-10)
-        assert c.d0 == pytest.approx(d0, rel=1e-12)
+        def weighted_square(t):
+            g = mpmath.exp(-t * t / 2)
+            h = mpmath.exp(1j * mu * t - s2 * t * t / 2) - g
+            h += (sigma1 / 2 * t - 1j * mu) * t * g
+            return abs(h) ** 2 * mpmath.npdf(t, 0, beta)
 
-    def test_stable_under_tightened_tolerances(self):
-        fam = family_from_name("lehmann")
-        tp = TuningParam(2.0)
-        a = expansion_coefficients(fam, tp, CFG)
-        b = expansion_coefficients(fam, tp, TIGHT)
-        for field in ("mu1", "sigma1", "j10", "j11", "j12", "d0"):
-            assert getattr(a, field) == pytest.approx(getattr(b, field), abs=1e-8)
+        hi = 14 * min(beta, 1 / mpmath.sqrt(min(s2, 1)))
+        return float(2 * mpmath.quad(weighted_square, mpmath.linspace(0, hi, 9)))
+
+
+def kappa3_derivative(family):
+    """Theta-derivative at 0 of the third cumulant: integral of (x^3 - 3x) d1."""
+    return integrate_1d(lambda x: (x**3 - 3.0 * x) * family.d1(x), TIGHT).value
+
+
+CONTAM_ORACLE_CASES = [
+    (beta, mu, s2)
+    for mu, s2 in [(1.0, 1.0), (0.5, 1.0), (0.0, 0.5)]
+    for beta in [1e-3, 0.25, 1.0, 10.0, 100.0]
+] + [(1.0, 0.0, 0.01), (10.0, 0.0, 0.01)]
 
 
 class TestLocalIndex:
     @pytest.mark.parametrize("name", TABLE_FAMILIES)
-    @pytest.mark.parametrize("beta", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 3.0, 1e-3, 100.0])
     def test_nonnegative(self, name, beta):
         assert local_index(family_from_name(name), TuningParam(beta)) >= 0.0
+
+    @pytest.mark.parametrize("beta,mu,s2", CONTAM_ORACLE_CASES)
+    def test_contamination_oracle(self, beta, mu, s2):
+        got = local_index(contamination(mu, s2), TuningParam(beta))
+        oracle = contam_local_index_oracle(mu, s2, beta)
+        assert got == pytest.approx(oracle, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("name", ["lehmann", "lp1", "lp2", "contam:1:1", "contam:0.5:1"])
+    def test_small_beta_asymptote(self, name):
+        # as beta -> 0, H(t) ~ -i t^3 kappa3' / 6 and the integral of
+        # t^6 phi_beta is 15 beta^6; the next term is O(beta^2) relative
+        fam = family_from_name(name)
+        beta = 1e-3
+        limit = 15.0 * beta**6 * kappa3_derivative(fam) ** 2 / 36.0
+        assert local_index(fam, TuningParam(beta)) == pytest.approx(limit, rel=1e-5, abs=0.0)
+
+    def test_small_beta_symmetric(self):
+        # kappa3' = 0 for a symmetric contamination: delta_beta is O(beta^8)
+        beta = 1e-3
+        delta = local_index(family_from_name("contam:0:0.5"), TuningParam(beta))
+        assert 0.0 < delta < 1e-6 * beta**6
+
+    def test_stable_under_tightened_tolerances(self):
+        fam = family_from_name("lehmann")
+        for beta in (1e-3, 2.0, 100.0):
+            tp = TuningParam(beta)
+            assert local_index(fam, tp, CFG) == pytest.approx(
+                local_index(fam, tp, TIGHT), rel=1e-10, abs=0.0
+            )
+
+    @pytest.mark.parametrize("name", ["contam:40:1", "contam:-30:2"])
+    def test_alternative_beyond_radius_raises(self, name):
+        # on [-12, 12] d1 is just -phi: it integrates to -1, not 0
+        fam = family_from_name(name)
+        with pytest.raises(QuadratureError, match=r"\[-12, 12\]"):
+            local_index(fam, TuningParam(1.0))
+        with pytest.raises(QuadratureError, match=r"\[-12, 12\]"):
+            lrt_local_index(fam)
+
+    def test_cutoff_budget_exhausted_raises(self):
+        # a narrow bump keeps |H| large out to t ~ 30, beyond the cutoff
+        # that the panel budget allows
+        cfg = QuadratureConfig(max_subdivisions=128)
+        with pytest.raises(QuadratureError, match="cutoff"):
+            local_index(contamination(0.0, 0.01), TuningParam(10.0), cfg)
 
     def test_matches_brute_force_ratio(self):
         fam = lehmann()

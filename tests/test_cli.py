@@ -295,6 +295,34 @@ def test_slope_infinite_fisher_information_exit_code(capsys):
     assert "[-12, 12]" in captured.err
 
 
+@pytest.mark.parametrize("name", ["contam:40:1", "contam:-30:2"])
+def test_slope_alternative_beyond_radius_exit_code(capsys, name):
+    # the bump lies outside [-12, 12], where d1 is just -phi
+    code = main(["slope", "--alt", name, "--n-points", "150", "--runs", "1"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert "[-12, 12]" in captured.err
+
+
+def test_slope_small_beta_asymptote(capsys):
+    # delta_beta -> 15 beta^6 kappa3'^2 / 36 as beta -> 0, with
+    # kappa3' = integral of (x^3 - 3x) d1 (about 1.67117e-20 here)
+    from eppspulley.alternatives import lehmann
+    from eppspulley.quadrature import QuadratureConfig, integrate_1d
+
+    beta = 1e-3
+    d1 = lehmann().d1
+    tight = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12)
+    kappa3 = integrate_1d(lambda x: (x**3 - 3.0 * x) * d1(x), tight).value
+    code = main(["slope", "--alt", "lehmann", "--beta", str(beta), "--n-points", "150",
+                 "--runs", "1", "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    limit = 15.0 * beta**6 * kappa3**2 / 36.0
+    assert json.loads(out)["delta_beta"] == pytest.approx(limit, rel=1e-5, abs=0.0)
+
+
 def test_import_does_not_load_scipy():
     # scipy is about half of the CLI start-up time; only the slope
     # machinery needs it, and it loads it on first use
