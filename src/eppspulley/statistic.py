@@ -4,8 +4,15 @@ T is n times the squared L2 distance, weighted by a centred Gaussian
 density with standard deviation beta, between the empirical
 characteristic function of the scaled residuals and the characteristic
 function of the standard normal law.  It is evaluated through a closed
-form whose only expensive part is an O(n^2) pairwise sum, computed in
-fixed-size tiles by the backend module.
+form whose only expensive part is the pair sum
+sum_{j,k} exp(-gamma (Y_j - Y_k)^2).  The backend computes it as a fast
+Gauss transform in O(n) time and bounded memory, exact up to roundoff
+(at most 2.4e-21 truncation error per pair).
+
+The closed form cancels O(n) terms to an O(1) value, so the relative
+rounding error of the pair sum comes back multiplied by n: a 1e-15
+relative error in the pair sum leaves about 1e-8 absolute error in T at
+n = 1e7.
 
 Standardization uses the maximum-likelihood variance (divisor n, not
 n-1).  Statistics libraries usually default to n-1; results computed

@@ -54,6 +54,30 @@ class TestReadSampleFile:
         with pytest.raises(InputFileError, match="line 2"):
             read_sample_file(datafile("1\nnan\n3\n"))
 
+    def test_accepts_what_float_accepts(self, datafile):
+        path = datafile("value\n1_0\n \u0661\u0662 \n# c\n\n3e-1\n")
+        assert read_sample_file(path) == [10.0, 12.0, 0.3]
+
+    @pytest.mark.parametrize("text, line", [
+        ("1\n0x10\n", "line 2: not a number"),
+        ("1\n2\n1d3\n", "line 3: not a number"),
+        ("1\ninfinity\n", "line 2: non-finite"),
+        ("1\n1e400\n", "line 2: non-finite"),
+        # \x0b, \x0c and \u2028 do not end a line (str.splitlines would
+        # split there and shift the line number)
+        ("1\n\x0c2\x0b\n\u2028\nabc\n", "line 4: not a number"),
+    ])
+    def test_rejected_line_named(self, datafile, text, line):
+        from eppspulley.cli import InputFileError
+
+        with pytest.raises(InputFileError, match=line):
+            read_sample_file(datafile(text))
+
+    def test_long_file_round_trips(self, datafile):
+        values = np.random.default_rng(5).standard_normal(20_000).tolist()
+        path = datafile("x\n" + "\n".join(map(repr, values)) + "\n")
+        assert read_sample_file(path) == values
+
     def test_non_utf8_names_path(self, tmp_path, capsys):
         from eppspulley.cli import InputFileError
 
