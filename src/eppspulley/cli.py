@@ -19,7 +19,10 @@ the default seed (42); an explicit --seed wins over both.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import itertools
 import json
+import math
 import os
 import sys
 
@@ -48,12 +51,13 @@ def _default_seed() -> int:
         raise InputFileError(f"EP_SEED must be an integer, got {raw!r}") from None
 
 
-def read_sample_file(path: str) -> list[float]:
-    """Parse one float per line, naming the offending line on failure.
+def read_sample_file(path: str) -> np.ndarray:
+    """Parse one float per line into a float64 array, naming the
+    offending line on failure.
 
     The kept lines are parsed in one numpy call, which accepts exactly
-    the strings float() accepts; a line that fails it, or a non-finite
-    value, sends the file through the per-line loop that names the line.
+    the strings float() accepts; only when it fails, or a value is not
+    finite, are the lines walked again to name the first bad one.
     Lines are split on "\\n" alone (str.splitlines would also split on
     \\x0b, \\x0c and \\u2028 and shift the line numbers)."""
     try:
@@ -62,40 +66,30 @@ def read_sample_file(path: str) -> list[float]:
     except (OSError, UnicodeDecodeError) as exc:
         raise InputFileError(f"cannot read {path}: {exc}") from exc
     kept = [text for text in map(str.strip, lines) if text and not text.startswith("#")]
+    header = 0
     if kept:
         try:
             float(kept[0])
         except ValueError:
-            del kept[0]  # header line
+            del kept[0]
+            header = 1
     try:
         values = np.array(kept, dtype=np.float64)
         if np.all(np.isfinite(values)):
-            return values.tolist()
+            return values
     except ValueError:
         pass
-    return _read_lines(path, lines)
-
-
-def _read_lines(path: str, lines: list[str]) -> list[float]:
-    """The per-line parse of read_sample_file, which names the bad line."""
-    values: list[float] = []
-    seen_data = False
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.strip()
-        if not text or text.startswith("#"):
-            continue
+    # walk the kept lines again, past the header, to name the first bad one
+    numbered = enumerate(map(str.strip, lines), start=1)
+    data = ((lineno, text) for lineno, text in numbered if text and not text.startswith("#"))
+    for lineno, text in itertools.islice(data, header, None):
         try:
             value = float(text)
         except ValueError:
-            if not seen_data and not values:
-                seen_data = True  # header line
-                continue
             raise InputFileError(f"{path}: line {lineno}: not a number: {text!r}") from None
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise InputFileError(f"{path}: line {lineno}: non-finite value: {text!r}")
-        seen_data = True
-        values.append(value)
-    return values
+    raise AssertionError("numpy rejected a file that float() accepts")
 
 
 def _positive_int(text: str) -> int:
@@ -122,23 +116,24 @@ def _beta_list(text: str) -> tuple[float, ...]:
     return betas
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
+def _emit(record: dict, rows: list | None, args) -> None:
+    """Write a report: the record as JSON, or as CSV the rows, which
+    default to a header row of the record's keys and one row of its
+    values."""
+    if args.format == "json":
+        text = json.dumps(record, indent=2, sort_keys=True) + "\n"
+    else:
+        if rows is None:
+            rows = [record.keys(), record.values()]
+        text = "".join(",".join(map(str, row)) + "\n" for row in rows)
+    if args.out is None:
         sys.stdout.write(text)
     else:
         try:
-            with open(out, "w", encoding="utf-8") as fh:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise InputFileError(f"cannot write {out}: {exc}") from exc
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def _csv_row(cells) -> str:
-    return ",".join(str(c) for c in cells) + "\n"
+            raise InputFileError(f"cannot write {args.out}: {exc}") from exc
 
 
 def _quadrature_config(args) -> QuadratureConfig:
@@ -150,48 +145,29 @@ def _quadrature_config(args) -> QuadratureConfig:
     )
 
 
-def cmd_stat(args) -> int:
+def cmd_stat(args):
     sample = Sample(read_sample_file(args.input))
     value = epps_pulley_statistic(sample, TuningParam(args.beta))
-    report = {"n": sample.n, "beta": args.beta, "statistic": value}
-    if args.format == "json":
-        _emit(_json_text(report), args.out)
-    else:
-        _emit(_csv_row(report.keys()) + _csv_row(report.values()), args.out)
-    return 0
+    return {"n": sample.n, "beta": args.beta, "statistic": value}, None
 
 
-def _spectrum_table(args, betas) -> int:
+def cmd_eigen(args):
     spectra = [nystrom_spectrum(TuningParam(b), args.n_points, args.runs, args.seed, args.top_m)
-               for b in betas]
-    if args.format == "json":
-        report = {
-            "betas": list(betas),
-            "n_points": args.n_points,
-            "runs": args.runs,
-            "seed": args.seed,
-            "top_m": args.top_m,
-            "eigenvalues": [list(map(float, sp.eigenvalues)) for sp in spectra],
-            "trace_estimates": [sp.trace_estimate for sp in spectra],
-        }
-        _emit(_json_text(report), args.out)
-    else:
-        lines = [_csv_row(["rank", *betas])]
-        for rank in range(args.top_m):
-            lines.append(_csv_row([rank + 1, *(float(sp.eigenvalues[rank]) for sp in spectra)]))
-        _emit("".join(lines), args.out)
-    return 0
+               for b in args.beta]
+    record = {
+        "betas": list(args.beta),
+        "n_points": args.n_points,
+        "runs": args.runs,
+        "seed": args.seed,
+        "top_m": args.top_m,
+        "eigenvalues": [list(map(float, sp.eigenvalues)) for sp in spectra],
+        "trace_estimates": [sp.trace_estimate for sp in spectra],
+    }
+    ranks = enumerate(zip(*record["eigenvalues"]), start=1)
+    return record, [["rank", *record["betas"]], *([rank, *row] for rank, row in ranks)]
 
 
-def cmd_eigen(args) -> int:
-    return _spectrum_table(args, args.beta)
-
-
-def cmd_table1(args) -> int:
-    return _spectrum_table(args, DEFAULT_BETAS)
-
-
-def cmd_slope(args) -> int:
+def cmd_slope(args):
     family = family_from_name(args.alt)
     report = slope_report(
         family,
@@ -201,26 +177,10 @@ def cmd_slope(args) -> int:
         seed=args.seed,
         cfg=_quadrature_config(args),
     )
-    payload = {
-        "family": report.family,
-        "beta": report.beta,
-        "delta_beta": report.delta_beta,
-        "lambda1": report.lambda1,
-        "local_index": report.local_index,
-        "lrt_index": report.lrt_index,
-        "efficiency": report.efficiency,
-        "n_points": report.n_points,
-        "runs": report.runs,
-        "seed": report.seed,
-    }
-    if args.format == "json":
-        _emit(_json_text(payload), args.out)
-    else:
-        _emit(_csv_row(payload.keys()) + _csv_row(payload.values()), args.out)
-    return 0
+    return dataclasses.asdict(report), None
 
 
-def cmd_table2(args) -> int:
+def cmd_table2(args):
     families = [args.alt] if args.alt else list(TABLE_FAMILIES)
     betas = args.beta if args.beta else DEFAULT_BETAS
     for name in families:
@@ -233,31 +193,25 @@ def cmd_table2(args) -> int:
         seed=args.seed,
         cfg=_quadrature_config(args),
     )
-    if args.format == "json":
-        report = {
-            "families": list(table.families),
-            "betas": list(table.betas),
-            "efficiency": [list(map(float, row)) for row in table.efficiencies],
-            "n_points": table.n_points,
-            "runs": table.runs,
-            "seed": table.seed,
-        }
-        _emit(_json_text(report), args.out)
-    else:
-        lines = [_csv_row(["alternative", *table.betas])]
-        for name, row in zip(table.families, table.efficiencies):
-            lines.append(_csv_row([name, *map(float, row)]))
-        _emit("".join(lines), args.out)
-    return 0
+    record = {
+        "families": list(table.families),
+        "betas": list(table.betas),
+        "efficiency": [list(map(float, row)) for row in table.efficiencies],
+        "n_points": table.n_points,
+        "runs": table.runs,
+        "seed": table.seed,
+    }
+    cells = zip(record["families"], record["efficiency"])
+    return record, [["alternative", *record["betas"]], *([name, *row] for name, row in cells)]
 
 
-def cmd_pvalue(args) -> int:
+def cmd_pvalue(args):
     sample = Sample(read_sample_file(args.input))
     tp = TuningParam(args.beta)
     statistic = epps_pulley_statistic(sample, tp)
     spectrum = nystrom_spectrum(tp, args.n_points, args.runs, args.seed, args.top_m)
     pvalue = null_pvalue(statistic, spectrum, mc_samples=args.mc_samples, seed=args.seed)
-    report = {
+    record = {
         "n": sample.n,
         "beta": args.beta,
         "statistic": statistic,
@@ -268,11 +222,7 @@ def cmd_pvalue(args) -> int:
         "runs": args.runs,
         "seed": args.seed,
     }
-    if args.format == "json":
-        _emit(_json_text(report), args.out)
-    else:
-        _emit(_csv_row(report.keys()) + _csv_row(report.values()), args.out)
-    return 0
+    return record, None
 
 
 def _add_common(parser, seed) -> None:
@@ -319,7 +269,7 @@ def build_parser(seed: int) -> argparse.ArgumentParser:
     p.add_argument("--top-m", type=_positive_int, default=5)
     _add_protocol(p)
     _add_common(p, seed)
-    p.set_defaults(func=cmd_table1)
+    p.set_defaults(func=cmd_eigen, beta=DEFAULT_BETAS)
 
     p = sub.add_parser("slope", help="slope report for one alternative")
     p.add_argument("--alt", required=True,
@@ -360,7 +310,9 @@ def main(argv=None) -> int:
     parser = build_parser(seed)
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        record, rows = args.func(args)
+        _emit(record, rows, args)
+        return 0
     except InputFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -235,7 +235,7 @@ def null_pvalue(
     while left > 0:
         k = min(_MC_CHUNK, left)
         z = rng.standard_normal((k, lam.size))
-        draws = np.square(z) @ lam + shift
+        draws = np.square(z, out=z) @ lam + shift
         exceed += int(np.count_nonzero(draws >= statistic))
         left -= k
     return exceed / mc_samples

@@ -32,14 +32,17 @@ def run_cli(capsys, *argv):
 
 class TestReadSampleFile:
     def test_plain_values(self, datafile):
-        assert read_sample_file(datafile("1.5\n-2\n3e-1\n")) == [1.5, -2.0, 0.3]
+        values = read_sample_file(datafile("1.5\n-2\n3e-1\n"))
+        assert isinstance(values, np.ndarray)
+        assert values.dtype == np.float64
+        assert values.tolist() == [1.5, -2.0, 0.3]
 
     def test_comments_and_blanks_skipped(self, datafile):
         path = datafile("# a comment\n\n1\n\n# another\n2\n")
-        assert read_sample_file(path) == [1.0, 2.0]
+        assert read_sample_file(path).tolist() == [1.0, 2.0]
 
     def test_header_autodetected(self, datafile):
-        assert read_sample_file(datafile("value\n1\n2\n")) == [1.0, 2.0]
+        assert read_sample_file(datafile("value\n1\n2\n")).tolist() == [1.0, 2.0]
 
     def test_bad_line_names_line_number(self, datafile):
         from eppspulley.cli import InputFileError
@@ -56,7 +59,7 @@ class TestReadSampleFile:
 
     def test_accepts_what_float_accepts(self, datafile):
         path = datafile("value\n1_0\n \u0661\u0662 \n# c\n\n3e-1\n")
-        assert read_sample_file(path) == [10.0, 12.0, 0.3]
+        assert read_sample_file(path).tolist() == [10.0, 12.0, 0.3]
 
     @pytest.mark.parametrize("text, line", [
         ("1\n0x10\n", "line 2: not a number"),
@@ -66,6 +69,9 @@ class TestReadSampleFile:
         # \x0b, \x0c and \u2028 do not end a line (str.splitlines would
         # split there and shift the line number)
         ("1\n\x0c2\x0b\n\u2028\nabc\n", "line 4: not a number"),
+        # a header before the bad line
+        ("value\n# c\n\n1\nabc\n", "line 5: not a number"),
+        ("x\n1\nnan\n", "line 3: non-finite"),
     ])
     def test_rejected_line_named(self, datafile, text, line):
         from eppspulley.cli import InputFileError
@@ -76,7 +82,7 @@ class TestReadSampleFile:
     def test_long_file_round_trips(self, datafile):
         values = np.random.default_rng(5).standard_normal(20_000).tolist()
         path = datafile("x\n" + "\n".join(map(repr, values)) + "\n")
-        assert read_sample_file(path) == values
+        assert read_sample_file(path).tolist() == values
 
     def test_non_utf8_names_path(self, tmp_path, capsys):
         from eppspulley.cli import InputFileError
@@ -149,6 +155,13 @@ class TestEigenCommand:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+    def test_table1_is_eigen_at_default_betas(self, capsys):
+        protocol = ("--n-points", "200", "--runs", "2")
+        _, table1, _ = run_cli(capsys, "table1", *protocol)
+        _, eigen, _ = run_cli(capsys, "eigen", *protocol)
+        assert table1 == eigen
+        assert table1.startswith("rank,0.25,0.5,0.75,1.0,2.0,3.0,5.0,10.0\n")
 
     def test_json_round_trip(self, capsys):
         code, out, _ = run_cli(
@@ -287,8 +300,8 @@ class TestOutputFile:
 
 
 def test_slope_json_round_trip(capsys):
-    code = main(["slope", "--alt", "lehmann", "--beta", "0.5", "--n-points", "200",
-                 "--runs", "2", "--format", "json"])
+    argv = ["slope", "--alt", "lehmann", "--beta", "0.5", "--n-points", "200", "--runs", "2"]
+    code = main(argv + ["--format", "json"])
     out = capsys.readouterr().out
     assert code == 0
     report = json.loads(out)
@@ -298,6 +311,12 @@ def test_slope_json_round_trip(capsys):
     )
     assert math.isfinite(report["delta_beta"])
     assert json.loads(json.dumps(report)) == report
+    code = main(argv + ["--format", "csv"])
+    header, row = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert header == ("family,beta,delta_beta,lambda1,local_index,lrt_index,efficiency,"
+                      "n_points,runs,seed")
+    assert row.split(",") == [str(report[key]) for key in header.split(",")]
 
 
 def test_slope_lrt_index_closed_form(capsys):
