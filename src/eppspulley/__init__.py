@@ -19,11 +19,9 @@ from .alternatives import (
 from .backend import backend_name
 from .bahadur import (
     EfficiencyTable,
-    SlopeReport,
     efficiency_table,
     local_index,
     lrt_local_index,
-    slope_report,
     stochastic_limit,
 )
 from .quadrature import (
@@ -62,7 +60,6 @@ __all__ = [
     "QuadratureError",
     "QuadratureResult",
     "Sample",
-    "SlopeReport",
     "SpectrumResult",
     "TABLE_FAMILIES",
     "TuningParam",
@@ -85,7 +82,6 @@ __all__ = [
     "nystrom_spectrum",
     "operator_trace",
     "scaled_residuals",
-    "slope_report",
     "smoothed_density_identity",
     "smoothed_second_moment_identity",
     "stochastic_limit",

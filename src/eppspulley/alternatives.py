@@ -114,8 +114,8 @@ def contamination(mu: float, sigma2: float) -> AlternativeFamily:
     """
     mu = float(mu)
     sigma2 = float(sigma2)
-    if not sigma2 > 0.0:
-        raise ValueError("sigma2 must be positive")
+    if not (math.isfinite(mu) and 0.0 < sigma2 < math.inf):
+        raise ValueError(f"mu must be finite and sigma2 finite and positive, got {mu}, {sigma2}")
     if mu == 0.0 and sigma2 == 1.0:
         raise ValueError(
             "degenerate contamination: N(0,1) contaminated by itself is the null for every theta"

@@ -60,11 +60,9 @@ from .statistic import TuningParam
 
 __all__ = [
     "EfficiencyTable",
-    "SlopeReport",
     "efficiency_table",
     "local_index",
     "lrt_local_index",
-    "slope_report",
     "stochastic_limit",
 ]
 
@@ -79,28 +77,17 @@ _PHASE_PER_PANEL = 3.0
 _BLOCK = 1 << 14
 
 
-@dataclass(frozen=True)
-class SlopeReport:
-    """Local index and efficiency of one family at one beta, together
-    with the sampling protocol that produced lambda1."""
-
-    family: str
-    beta: float
-    delta_beta: float
-    lambda1: float
-    local_index: float
-    lrt_index: float
-    efficiency: float
-    n_points: int
-    runs: int
-    seed: int
+def _two_moments(f, cfg: QuadratureConfig):
+    """Integrals of x*f and x^2*f, and the larger of their panel counts."""
+    first = integrate_1d(lambda x: x * f(x), cfg)
+    second = integrate_1d(lambda x: np.square(x) * f(x), cfg)
+    return first.value, second.value, max(first.subdivisions, second.subdivisions)
 
 
 def _moments(family: AlternativeFamily, theta: float, cfg: QuadratureConfig):
     """Mean and variance of g(.; theta) by quadrature."""
     g = family.density
-    mean = integrate_1d(lambda x: x * g(x, theta), cfg).value
-    second = integrate_1d(lambda x: np.square(x) * g(x, theta), cfg).value
+    mean, second, _ = _two_moments(lambda x: g(x, theta), cfg)
     var = second - mean * mean
     if not var > 0.0:
         raise ArithmeticError(f"nonpositive variance {var} at theta={theta}")
@@ -152,15 +139,6 @@ def stochastic_limit(
         lambda x: np.exp(-delta_eff * np.square(x - mean)) * (g(x, theta) - matched(x)), cfg
     ).value
     return pair - 2.0 / math.sqrt(1.0 + beta2) * single
-
-
-def _d1_moments(family: AlternativeFamily, cfg: QuadratureConfig):
-    """mu1 and sigma1, the integrals of x*d1 and x^2*d1, and the larger
-    of their two panel counts."""
-    d1 = family.d1
-    first = integrate_1d(lambda x: x * d1(x), cfg)
-    second = integrate_1d(lambda x: np.square(x) * d1(x), cfg)
-    return first.value, second.value, max(first.subdivisions, second.subdivisions)
 
 
 def _weighted_score(family: AlternativeFamily, cfg: QuadratureConfig, panels: int):
@@ -234,7 +212,7 @@ def local_index(
     radius escalation is involved.
     """
     cfg = cfg or QuadratureConfig()
-    mu1, sigma1, panels = _d1_moments(family, cfg)
+    mu1, sigma1, panels = _two_moments(family.d1, cfg)
     r, beta = cfg.truncation_radius, tp.beta
     while True:
         x, wd1 = _weighted_score(family, cfg, panels)
@@ -297,46 +275,25 @@ def lrt_local_index(family: AlternativeFamily, cfg: QuadratureConfig | None = No
             estimate=fisher,
             error_bound=edge,
         )
-    mu1, sigma1, panels = _d1_moments(family, cfg)
+    mu1, sigma1, panels = _two_moments(family.d1, cfg)
     _weighted_score(family, cfg, panels)
     return fisher - mu1 * mu1 - 0.5 * sigma1 * sigma1
 
 
-def slope_report(
-    family: AlternativeFamily,
-    tp: TuningParam,
-    n_points: int = 1000,
-    runs: int = 10,
-    seed: int = 42,
-    cfg: QuadratureConfig | None = None,
-) -> SlopeReport:
-    """Assemble delta_beta, lambda1, the local index, the LRT benchmark
-    and the relative efficiency for one family at one beta."""
-    delta_beta = local_index(family, tp, cfg)
-    lam = lambda1(tp, n_points=n_points, runs=runs, seed=seed)
-    lrt = lrt_local_index(family, cfg)
-    li = delta_beta / lam
-    return SlopeReport(
-        family=family.name,
-        beta=tp.beta,
-        delta_beta=delta_beta,
-        lambda1=lam,
-        local_index=li,
-        lrt_index=lrt,
-        efficiency=li / lrt,
-        n_points=int(n_points),
-        runs=int(runs),
-        seed=int(seed),
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class EfficiencyTable:
-    """Efficiency grid: one row per family, one column per beta."""
+    """Efficiency grid, one row per family and one column per beta,
+    with the factors of every cell: local_index is
+    delta_beta / lambda1, and efficiencies is
+    local_index / lrt_index[:, None]."""
 
     families: tuple[str, ...]
     betas: tuple[float, ...]
     efficiencies: np.ndarray
+    delta_beta: np.ndarray
+    lambda1: np.ndarray
+    local_index: np.ndarray
+    lrt_index: np.ndarray
     n_points: int
     runs: int
     seed: int
@@ -350,23 +307,34 @@ def efficiency_table(
     seed: int = 42,
     cfg: QuadratureConfig | None = None,
 ) -> EfficiencyTable:
-    """Efficiency grid over families x betas.
+    """Efficiency grid over families x betas, the one place that forms
+    an efficiency; a single cell is the 1 x 1 table.
 
-    lambda1 is computed once per beta and the LRT index once per family,
-    which keeps a full table affordable.
+    Every name is resolved before any computation.  The LRT index is
+    computed once per family and lambda1 once per beta, which keeps a
+    full table affordable.  ArithmeticError is raised, naming the factor,
+    when one of them is not positive.
     """
     families = [family_from_name(name) for name in family_names]
-    lrt = {f.name: lrt_local_index(f, cfg) for f in families}
-    lam = {b: lambda1(TuningParam(b), n_points=n_points, runs=runs, seed=seed) for b in betas}
-    grid = np.empty((len(families), len(betas)))
-    for i, fam in enumerate(families):
-        for j, b in enumerate(betas):
-            tp = TuningParam(b)
-            grid[i, j] = local_index(fam, tp, cfg) / lam[b] / lrt[fam.name]
+    lrt = np.array([lrt_local_index(f, cfg) for f in families])
+    lam = np.array([lambda1(TuningParam(b), n_points=n_points, runs=runs, seed=seed)
+                    for b in betas])
+    names = [f"the LRT index of {f.name}" for f in families]
+    names += [f"lambda1 at beta={b:g}" for b in betas]
+    for name, value in zip(names, [*lrt, *lam]):
+        if not value > 0.0:
+            raise ArithmeticError(f"{name} is {value:g}, not positive: no efficiency is defined")
+    delta = np.array([[local_index(f, TuningParam(b), cfg) for b in betas] for f in families])
+    delta = delta.reshape(len(families), len(betas))
+    index = delta / lam
     return EfficiencyTable(
         families=tuple(f.name for f in families),
         betas=tuple(float(b) for b in betas),
-        efficiencies=grid,
+        efficiencies=index / lrt[:, None],
+        delta_beta=delta,
+        lambda1=lam,
+        local_index=index,
+        lrt_index=lrt,
         n_points=int(n_points),
         runs=int(runs),
         seed=int(seed),

@@ -19,7 +19,6 @@ the default seed (42); an explicit --seed wins over both.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import json
 import math
@@ -28,8 +27,8 @@ import sys
 
 import numpy as np
 
-from .alternatives import TABLE_FAMILIES, family_from_name
-from .bahadur import efficiency_table, slope_report
+from .alternatives import TABLE_FAMILIES, family_from_name  # noqa: F401 (perfbench hooks it)
+from .bahadur import efficiency_table
 from .quadrature import QuadratureConfig, QuadratureError
 from .spectral import null_pvalue, nystrom_spectrum
 from .statistic import DegenerateSampleError, Sample, TuningParam, epps_pulley_statistic
@@ -136,15 +135,6 @@ def _emit(record: dict, rows: list | None, args) -> None:
             raise InputFileError(f"cannot write {args.out}: {exc}") from exc
 
 
-def _quadrature_config(args) -> QuadratureConfig:
-    return QuadratureConfig(
-        truncation_radius=args.radius,
-        abs_tol=args.abs_tol,
-        rel_tol=args.rel_tol,
-        max_subdivisions=args.max_subdivisions,
-    )
-
-
 def cmd_stat(args):
     sample = Sample(read_sample_file(args.input))
     value = epps_pulley_statistic(sample, TuningParam(args.beta))
@@ -167,32 +157,34 @@ def cmd_eigen(args):
     return record, [["rank", *record["betas"]], *([rank, *row] for rank, row in ranks)]
 
 
+def _efficiencies(args, families, betas):
+    """efficiency_table at the protocol and quadrature flags in args."""
+    cfg = QuadratureConfig(truncation_radius=args.radius, abs_tol=args.abs_tol,
+                           rel_tol=args.rel_tol, max_subdivisions=args.max_subdivisions)
+    return efficiency_table(families, betas, n_points=args.n_points, runs=args.runs,
+                            seed=args.seed, cfg=cfg)
+
+
 def cmd_slope(args):
-    family = family_from_name(args.alt)
-    report = slope_report(
-        family,
-        TuningParam(args.beta),
-        n_points=args.n_points,
-        runs=args.runs,
-        seed=args.seed,
-        cfg=_quadrature_config(args),
-    )
-    return dataclasses.asdict(report), None
+    table = _efficiencies(args, [args.alt], [args.beta])
+    record = {
+        "family": table.families[0],
+        "beta": table.betas[0],
+        "delta_beta": float(table.delta_beta[0, 0]),
+        "lambda1": float(table.lambda1[0]),
+        "local_index": float(table.local_index[0, 0]),
+        "lrt_index": float(table.lrt_index[0]),
+        "efficiency": float(table.efficiencies[0, 0]),
+        "n_points": table.n_points,
+        "runs": table.runs,
+        "seed": table.seed,
+    }
+    return record, None
 
 
 def cmd_table2(args):
     families = [args.alt] if args.alt else list(TABLE_FAMILIES)
-    betas = args.beta if args.beta else DEFAULT_BETAS
-    for name in families:
-        family_from_name(name)  # validate before the long run
-    table = efficiency_table(
-        families,
-        betas,
-        n_points=args.n_points,
-        runs=args.runs,
-        seed=args.seed,
-        cfg=_quadrature_config(args),
-    )
+    table = _efficiencies(args, families, args.beta or DEFAULT_BETAS)
     record = {
         "families": list(table.families),
         "betas": list(table.betas),
@@ -238,11 +230,13 @@ def _add_protocol(parser) -> None:
 
 
 def _add_quadrature(parser) -> None:
-    parser.add_argument("--radius", type=_positive_float, default=12.0,
+    defaults = QuadratureConfig()
+    parser.add_argument("--radius", type=_positive_float, default=defaults.truncation_radius,
                         help="truncation radius in Gaussian standard units")
-    parser.add_argument("--abs-tol", type=_positive_float, default=1e-10)
-    parser.add_argument("--rel-tol", type=_positive_float, default=1e-10)
-    parser.add_argument("--max-subdivisions", type=_positive_int, default=2000,
+    parser.add_argument("--abs-tol", type=_positive_float, default=defaults.abs_tol)
+    parser.add_argument("--rel-tol", type=_positive_float, default=defaults.rel_tol)
+    parser.add_argument("--max-subdivisions", type=_positive_int,
+                        default=defaults.max_subdivisions,
                         help="most panels per axis the quadrature may refine to")
 
 

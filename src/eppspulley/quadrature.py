@@ -132,10 +132,10 @@ class QuadratureConfig:
     max_subdivisions: int = 2000
 
     def __post_init__(self):
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise ValueError("tolerances must be positive")
-        if not self.truncation_radius >= 8.0:
-            raise ValueError("truncation_radius must be at least 8")
+        if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
+        if not 8.0 <= self.truncation_radius < math.inf:
+            raise ValueError("truncation_radius must be finite and at least 8")
         if int(self.max_subdivisions) < 1:
             raise ValueError("max_subdivisions must be at least 1")
 

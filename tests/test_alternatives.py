@@ -107,6 +107,8 @@ class TestContamination:
     def test_bad_sigma_rejected(self):
         with pytest.raises(ValueError):
             contamination(1.0, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            contamination(1.0, math.inf)
 
     def test_d1_value(self):
         fam = contamination(1.0, 1.0)
@@ -131,3 +133,6 @@ class TestRegistry:
             family_from_name("contam:1")
         with pytest.raises(ValueError):
             family_from_name("contam:a:b")
+        for name in ("contam:nan:1", "contam:1:inf"):
+            with pytest.raises(ValueError, match="finite"):
+                family_from_name(name)

@@ -26,9 +26,9 @@ from scipy.special import ndtri
 from eppspulley.alternatives import TABLE_FAMILIES, contamination, family_from_name, lehmann
 from eppspulley.bahadur import (
     _moments,
+    efficiency_table,
     local_index,
     lrt_local_index,
-    slope_report,
     stochastic_limit,
 )
 from eppspulley.quadrature import QuadratureConfig, QuadratureError, integrate_1d, normal_pdf
@@ -377,14 +377,15 @@ class TestLrtLocalIndex:
         assert wide == pytest.approx(lrt_local_index(fam), rel=1e-12)
 
 
-class TestSlopeReport:
+class TestEfficiencyTable:
     def test_internal_consistency_and_protocol(self):
-        rep = slope_report(
-            family_from_name("lp2"), TuningParam(1.0), n_points=300, runs=3, seed=5
-        )
-        assert rep.local_index == pytest.approx(rep.delta_beta / rep.lambda1, rel=1e-14)
-        assert rep.efficiency == pytest.approx(rep.local_index / rep.lrt_index, rel=1e-14)
-        assert (rep.n_points, rep.runs, rep.seed) == (300, 3, 5)
-        assert rep.family == "lp2"
-        assert rep.delta_beta >= 0.0
-        assert 0.0 < rep.efficiency <= 1.05
+        table = efficiency_table(["lp2"], [1.0], n_points=300, runs=3, seed=5)
+        assert table.delta_beta.shape == table.efficiencies.shape == (1, 1)
+        assert table.lambda1.shape == table.lrt_index.shape == (1,)
+        local = table.local_index[0, 0]
+        assert local == pytest.approx(table.delta_beta[0, 0] / table.lambda1[0], rel=1e-14)
+        assert table.efficiencies[0, 0] == pytest.approx(local / table.lrt_index[0], rel=1e-14)
+        assert (table.n_points, table.runs, table.seed) == (300, 3, 5)
+        assert table.families == ("lp2",)
+        assert table.delta_beta[0, 0] >= 0.0
+        assert 0.0 < table.efficiencies[0, 0] <= 1.05

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -317,6 +318,11 @@ def test_slope_json_round_trip(capsys):
     assert header == ("family,beta,delta_beta,lambda1,local_index,lrt_index,efficiency,"
                       "n_points,runs,seed")
     assert row.split(",") == [str(report[key]) for key in header.split(",")]
+    # slope is the 1 x 1 case of table2: the same cell, to the last bit
+    code = main(["table2", "--alt", "lehmann", "--beta", "0.5", "--n-points", "200",
+                 "--runs", "2", "--format", "json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["efficiency"] == [[report["efficiency"]]]
 
 
 def test_slope_lrt_index_closed_form(capsys):
@@ -346,6 +352,36 @@ def test_slope_alternative_beyond_radius_exit_code(capsys, name):
     assert code == 4
     assert captured.out == ""
     assert "[-12, 12]" in captured.err
+
+
+@pytest.mark.parametrize("argv, factor", [
+    (["slope", "--alt", "contam:1e-300:1"], "LRT index of contam:1e-300:1"),
+    (["table2", "--alt", "lehmann", "--beta", "1e-200"], "lambda1 at beta=1e-200"),
+], ids=["lrt_index", "lambda1"])
+def test_zero_efficiency_denominator_exit_code(capsys, argv, factor):
+    # a factor that underflows to 0 is named instead of printing nan
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv + ["--n-points", "150", "--runs", "1"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert factor in captured.err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--alt", "lehmann", "--radius", "inf"],
+    ["--alt", "lehmann", "--abs-tol", "inf"],
+    ["--alt", "lehmann", "--rel-tol", "inf"],
+    ["--alt", "contam:nan:1"],
+    ["--alt", "contam:1:inf"],
+], ids=["radius", "abs_tol", "rel_tol", "mu", "sigma2"])
+def test_slope_nonfinite_input_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, "slope", *argv, "--n-points", "150", "--runs", "1")
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
 
 
 def test_slope_small_beta_asymptote(capsys):

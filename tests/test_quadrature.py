@@ -217,6 +217,9 @@ class TestConfig:
             QuadratureConfig(truncation_radius=4.0)
         with pytest.raises(ValueError):
             QuadratureConfig(max_subdivisions=0)
+        for field in ("truncation_radius", "abs_tol", "rel_tol"):
+            with pytest.raises(ValueError, match="finite"):
+                QuadratureConfig(**{field: math.inf})
 
     def test_radius_escalates_for_small_beta(self):
         cfg = QuadratureConfig()
