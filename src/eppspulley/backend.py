@@ -22,17 +22,14 @@ cost is O(n p) for the moments plus O(B (REACH + 1) p^2) for B occupied
 boxes, and the working memory is O(CHUNK p + B p): points are read in
 fixed chunks of CHUNK, and no (n, p) array is formed.
 
-The Gram matrix is n x n by definition; it is filled in fixed row blocks
-to keep the temporaries small.  The library's spectrum never forms it
-(see spectral); it is kept as the dense reference that tests compare the
-factorised spectrum against.
+The Gram matrix is n x n by definition, built in one kernel call.  The
+library's spectrum never forms it (see spectral); it is kept as the dense
+reference that tests compare the factorised spectrum against.
 """
 
 import math
 
 import numpy as np
-
-GRAM_BLOCK = 256
 
 # Fast Gauss transform: box width in z = sqrt(gamma) y, Taylor terms per
 # box, the largest box offset that interacts, and points per chunk.
@@ -172,9 +169,5 @@ def pairwise_gauss_sum(y, gamma):
 
 def kernel_gram(y):
     """Matrix K(y[i], y[j]) of the limit-null covariance kernel."""
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    n = y.size
-    out = np.empty((n, n), dtype=np.float64)
-    for start in range(0, n, GRAM_BLOCK):
-        out[start:start + GRAM_BLOCK] = kernel(y[start:start + GRAM_BLOCK, np.newaxis], y)
-    return out
+    y = np.asarray(y, dtype=np.float64)
+    return kernel(y[:, None], y[None, :])

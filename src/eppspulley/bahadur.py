@@ -40,6 +40,7 @@ and variance.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -75,6 +76,16 @@ _SCORE_RADIUS = 37.0
 _PHASE_PER_PANEL = 3.0
 # Entries per row block of the (t, x) matrix of B(itx).
 _BLOCK = 1 << 14
+
+
+@contextmanager
+def _naming(quantity: str):
+    """Prefix the message of a QuadratureError raised inside with the
+    quantity being integrated, keeping its estimate and error bound."""
+    try:
+        yield
+    except QuadratureError as exc:
+        raise QuadratureError(f"{quantity}: {exc}", exc.estimate, exc.error_bound) from exc
 
 
 def _two_moments(f, cfg: QuadratureConfig):
@@ -208,11 +219,13 @@ def local_index(
     dropped tail is a fraction of delta_beta, whatever abs_tol is.
     QuadratureError is raised, naming the cutoff, when doubling would
     exceed max_subdivisions, and, naming [-R, R], when d1 does not
-    integrate to 0 there (see _weighted_score).  No 2-D integral and no
-    radius escalation is involved.
+    integrate to 0 there (see _weighted_score); a failing integral's
+    message starts with the quantity it integrates.  No 2-D integral and
+    no radius escalation is involved.
     """
     cfg = cfg or QuadratureConfig()
-    mu1, sigma1, panels = _two_moments(family.d1, cfg)
+    with _naming(f"mu1 and sigma1 of {family.name}"):
+        mu1, sigma1, panels = _two_moments(family.d1, cfg)
     r, beta = cfg.truncation_radius, tp.beta
     while True:
         x, wd1 = _weighted_score(family, cfg, panels)
@@ -225,7 +238,8 @@ def local_index(
             h = _score_transform(t, x, wd1, mu1, sigma1)
             return scale * (np.square(h.real) + np.square(h.imag)) * normal_pdf(t / beta) / beta
 
-        value = integrate_1d(weighted_square, cfg).value
+        with _naming(f"local index of {family.name} at beta={beta:g}"):
+            value = integrate_1d(weighted_square, cfg).value
         if cutoff >= r * beta:
             return value
         edge = float(weighted_square(np.array([r]))[0]) * r
@@ -256,7 +270,8 @@ def lrt_local_index(family: AlternativeFamily, cfg: QuadratureConfig | None = No
     QuadratureError is raised when d1^2/phi summed at -R' and R' exceeds
     max(abs_tol, rel_tol * fisher), since the truncated tail is then not
     negligible, and when d1 does not integrate to 0 on [-R', R'] (see
-    _weighted_score).
+    _weighted_score); a failing integral's message starts with the
+    quantity it integrates.
     """
     cfg = cfg or QuadratureConfig()
     cfg = replace(cfg, truncation_radius=min(cfg.truncation_radius, _SCORE_RADIUS))
@@ -266,7 +281,8 @@ def lrt_local_index(family: AlternativeFamily, cfg: QuadratureConfig | None = No
         return np.square(d1(x)) / normal_pdf(x)
 
     r = cfg.truncation_radius
-    fisher = integrate_1d(score_square, cfg).value
+    with _naming(f"Fisher information of {family.name}"):
+        fisher = integrate_1d(score_square, cfg).value
     edge = float(np.sum(score_square(np.array([-r, r]))))
     if edge > max(cfg.abs_tol, cfg.rel_tol * fisher):
         raise QuadratureError(
@@ -275,7 +291,8 @@ def lrt_local_index(family: AlternativeFamily, cfg: QuadratureConfig | None = No
             estimate=fisher,
             error_bound=edge,
         )
-    mu1, sigma1, panels = _two_moments(family.d1, cfg)
+    with _naming(f"mu1 and sigma1 of {family.name}"):
+        mu1, sigma1, panels = _two_moments(family.d1, cfg)
     _weighted_score(family, cfg, panels)
     return fisher - mu1 * mu1 - 0.5 * sigma1 * sigma1
 

@@ -11,9 +11,10 @@ Subcommands:
 
 Data files hold one observation per line; blank lines and lines starting
 with '#' are skipped, and a single non-numeric first line is treated as
-a header.  Exit codes: 0 success, 2 input or usage error, 3 degenerate
-data, 4 numerical failure.  The environment variable EP_SEED overrides
-the default seed (42); an explicit --seed wins over both.
+a header.  The sampling commands (eigen, table1, slope, table2, pvalue)
+take --seed (default 42), and their output is byte-reproducible for fixed
+flags and seed.  Exit codes: 0 success, 2 input or usage error, 3
+degenerate data, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -22,32 +23,26 @@ import argparse
 import itertools
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
 from .alternatives import TABLE_FAMILIES, family_from_name  # noqa: F401 (perfbench hooks it)
 from .bahadur import efficiency_table
-from .quadrature import QuadratureConfig, QuadratureError
+from .quadrature import QuadratureConfig
 from .spectral import null_pvalue, nystrom_spectrum
 from .statistic import DegenerateSampleError, Sample, TuningParam, epps_pulley_statistic
 
 DEFAULT_BETAS = (0.25, 0.5, 0.75, 1.0, 2.0, 3.0, 5.0, 10.0)
 
 
-class InputFileError(Exception):
+class InputFileError(ValueError):
     """Unreadable or malformed data file, or unwritable output path."""
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("EP_SEED")
-    if raw is None:
-        return 42
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputFileError(f"EP_SEED must be an integer, got {raw!r}") from None
+# exit code of each failure; the first matching class wins, and
+# DegenerateSampleError is a ValueError
+EXIT_CODES = {DegenerateSampleError: 3, ValueError: 2, ArithmeticError: 4, RuntimeError: 4}
 
 
 def read_sample_file(path: str) -> np.ndarray:
@@ -217,16 +212,16 @@ def cmd_pvalue(args):
     return record, None
 
 
-def _add_common(parser, seed) -> None:
+def _add_common(parser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", default=None, help="write output to this path instead of stdout")
-    parser.add_argument("--seed", type=int, default=seed)
 
 
 def _add_protocol(parser) -> None:
     parser.add_argument("--n-points", type=_positive_int, default=1000,
                         help="sample nodes per spectrum run (min 100)")
     parser.add_argument("--runs", type=_positive_int, default=10)
+    parser.add_argument("--seed", type=int, default=42)
 
 
 def _add_quadrature(parser) -> None:
@@ -240,7 +235,7 @@ def _add_quadrature(parser) -> None:
                         help="most panels per axis the quadrature may refine to")
 
 
-def build_parser(seed: int) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="eppspulley", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -248,7 +243,7 @@ def build_parser(seed: int) -> argparse.ArgumentParser:
     p = sub.add_parser("stat", help="statistic for a data file")
     p.add_argument("input")
     p.add_argument("--beta", type=_positive_float, default=1.0)
-    _add_common(p, seed)
+    _add_common(p)
     p.set_defaults(func=cmd_stat)
 
     p = sub.add_parser("eigen", help="spectrum estimates for a list of betas")
@@ -256,13 +251,13 @@ def build_parser(seed: int) -> argparse.ArgumentParser:
                    help="comma separated list of positive betas")
     p.add_argument("--top-m", type=_positive_int, default=5)
     _add_protocol(p)
-    _add_common(p, seed)
+    _add_common(p)
     p.set_defaults(func=cmd_eigen)
 
     p = sub.add_parser("table1", help="eigen at the reference protocol and beta grid")
     p.add_argument("--top-m", type=_positive_int, default=5)
     _add_protocol(p)
-    _add_common(p, seed)
+    _add_common(p)
     p.set_defaults(func=cmd_eigen, beta=DEFAULT_BETAS)
 
     p = sub.add_parser("slope", help="slope report for one alternative")
@@ -271,7 +266,7 @@ def build_parser(seed: int) -> argparse.ArgumentParser:
     p.add_argument("--beta", type=_positive_float, default=1.0)
     _add_protocol(p)
     _add_quadrature(p)
-    _add_common(p, seed)
+    _add_common(p)
     p.set_defaults(func=cmd_slope)
 
     p = sub.add_parser("table2", help="efficiency grid for the six alternatives")
@@ -280,7 +275,7 @@ def build_parser(seed: int) -> argparse.ArgumentParser:
                    help="comma separated list of positive betas")
     _add_protocol(p)
     _add_quadrature(p)
-    _add_common(p, seed)
+    _add_common(p)
     p.set_defaults(func=cmd_table2)
 
     p = sub.add_parser("pvalue", help="statistic and Monte-Carlo p-value")
@@ -289,36 +284,21 @@ def build_parser(seed: int) -> argparse.ArgumentParser:
     p.add_argument("--mc-samples", type=_positive_int, default=100_000)
     p.add_argument("--top-m", type=_positive_int, default=5)
     _add_protocol(p)
-    _add_common(p, seed)
+    _add_common(p)
     p.set_defaults(func=cmd_pvalue)
 
     return parser
 
 
 def main(argv=None) -> int:
-    try:
-        seed = _default_seed()
-    except InputFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    parser = build_parser(seed)
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         record, rows = args.func(args)
         _emit(record, rows, args)
         return 0
-    except InputFileError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DegenerateSampleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (QuadratureError, ArithmeticError, RuntimeError, np.linalg.LinAlgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -260,26 +260,43 @@ def test_numerical_failure_exit_code(capsys):
     err = capsys.readouterr().err
     assert code == 4
     assert "convergence" in err
+    # the first integral of the LRT index is the one that fails
+    assert err.startswith("error: Fisher information of lehmann: ")
 
 
-class TestSeedHandling:
-    def test_env_seed_overrides_default(self, capsys, monkeypatch):
+def test_eigensolver_failure_exit_code(capsys, monkeypatch):
+    def fail(matrix):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    code, out, err = run_cli(capsys, "eigen", "--beta", "1", "--n-points", "150", "--runs", "1")
+    assert code == 4
+    assert out == ""
+    assert "eigensolver failed in run 0" in err
+
+
+class TestSeedIsAnArgument:
+    EIGEN = ("eigen", "--beta", "1", "--n-points", "150", "--runs", "1")
+
+    def test_environment_is_ignored(self, capsys, monkeypatch):
+        monkeypatch.delenv("EP_SEED", raising=False)
+        _, out_unset, _ = run_cli(capsys, *self.EIGEN)
         monkeypatch.setenv("EP_SEED", "123")
-        _, out_env, _ = run_cli(capsys, "eigen", "--beta", "1", "--n-points", "150",
-                                "--runs", "1")
-        monkeypatch.delenv("EP_SEED")
-        _, out_default, _ = run_cli(capsys, "eigen", "--beta", "1", "--n-points", "150",
-                                    "--runs", "1")
-        _, out_explicit, _ = run_cli(capsys, "eigen", "--beta", "1", "--n-points", "150",
-                                     "--runs", "1", "--seed", "123")
-        assert out_env != out_default
-        assert out_env == out_explicit
+        _, out_set, _ = run_cli(capsys, *self.EIGEN)
+        assert out_set == out_unset
 
-    def test_malformed_env_seed(self, capsys, monkeypatch):
+    def test_malformed_environment_is_ignored(self, capsys, monkeypatch):
         monkeypatch.setenv("EP_SEED", "not-an-int")
-        code, _, err = run_cli(capsys, "eigen", "--beta", "1")
-        assert code == 2
-        assert "EP_SEED" in err
+        code, _, err = run_cli(capsys, *self.EIGEN)
+        assert (code, err) == (0, "")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--help"])
+        assert excinfo.value.code == 0
+
+    def test_stat_takes_no_seed(self, capsys, datafile):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["stat", datafile("1\n2\n3\n"), "--seed", "1"])
+        assert excinfo.value.code == 2
 
 
 class TestOutputFile:
