@@ -53,9 +53,10 @@ def read_sample_file(path: str) -> np.ndarray:
     the strings float() accepts; only when it fails, or a value is not
     finite, are the lines walked again to name the first bad one.
     Lines are split on "\\n" alone (str.splitlines would also split on
-    \\x0b, \\x0c and \\u2028 and shift the line numbers)."""
+    \\x0b, \\x0c and \\u2028 and shift the line numbers).  A leading UTF-8
+    byte-order mark is dropped."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.read().split("\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputFileError(f"cannot read {path}: {exc}") from exc
@@ -193,22 +194,13 @@ def cmd_table2(args):
 
 
 def cmd_pvalue(args):
-    sample = Sample(read_sample_file(args.input))
-    tp = TuningParam(args.beta)
-    statistic = epps_pulley_statistic(sample, tp)
-    spectrum = nystrom_spectrum(tp, args.n_points, args.runs, args.seed, args.top_m)
-    pvalue = null_pvalue(statistic, spectrum, mc_samples=args.mc_samples, seed=args.seed)
-    record = {
-        "n": sample.n,
-        "beta": args.beta,
-        "statistic": statistic,
-        "p_value": pvalue,
-        "mc_samples": args.mc_samples,
-        "top_m": args.top_m,
-        "n_points": args.n_points,
-        "runs": args.runs,
-        "seed": args.seed,
-    }
+    record, _ = cmd_stat(args)
+    spectrum = nystrom_spectrum(TuningParam(args.beta), args.n_points, args.runs, args.seed,
+                                args.top_m)
+    pvalue = null_pvalue(record["statistic"], spectrum, mc_samples=args.mc_samples,
+                         seed=args.seed)
+    record.update(p_value=pvalue, mc_samples=args.mc_samples, top_m=args.top_m,
+                  n_points=args.n_points, runs=args.runs, seed=args.seed)
     return record, None
 
 

@@ -1,6 +1,7 @@
 """Shared invariant suite for the alternative families plus
 family-specific closed-form checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,19 +15,19 @@ from eppspulley.alternatives import (
     ley_paindaveine_1,
     ley_paindaveine_2,
 )
+from eppspulley.bahadur import local_index, lrt_local_index
 from eppspulley.quadrature import QuadratureConfig, integrate_1d, normal_pdf
+from eppspulley.statistic import TuningParam
 
 ALL_INSTANCES = [family_from_name(name) for name in TABLE_FAMILIES]
 CFG = QuadratureConfig()
 
 
-def richardson_fd(density, x, order, h=1e-4):
-    """Central finite difference in theta at 0 with one Richardson step."""
+def richardson_fd(density, x, h=1e-4):
+    """Central first difference in theta at 0 with one Richardson step."""
 
     def fd(step):
-        if order == 1:
-            return (density(x, step) - density(x, -step)) / (2.0 * step)
-        return (density(x, step) - 2.0 * density(x, 0.0) + density(x, -step)) / step**2
+        return (density(x, step) - density(x, -step)) / (2.0 * step)
 
     coarse = fd(2.0 * h)
     fine = fd(h)
@@ -47,15 +48,10 @@ class TestFamilyInvariants:
 
     def test_derivatives_integrate_to_zero(self, family):
         assert integrate_1d(family.d1, CFG).value == pytest.approx(0.0, abs=1e-8)
-        assert integrate_1d(family.d2, CFG).value == pytest.approx(0.0, abs=1e-8)
 
     def test_d1_matches_finite_differences(self, family):
         x = np.array([-2.0, -1.0, 0.5, 2.0])
-        assert np.max(np.abs(family.d1(x) - richardson_fd(family.density, x, 1))) < 1e-6
-
-    def test_d2_matches_finite_differences(self, family):
-        x = np.array([-1.0, 0.5, 2.0])
-        assert np.max(np.abs(family.d2(x) - richardson_fd(family.density, x, 2))) < 1e-6
+        assert np.max(np.abs(family.d1(x) - richardson_fd(family.density, x))) < 1e-6
 
     def test_null_moments(self, family):
         mean = integrate_1d(lambda x: x * family.density(x, 0.0), CFG).value
@@ -93,10 +89,6 @@ class TestLeyPaindaveine2:
         fam = ley_paindaveine_2()
         # cos(pi * Phi(0)) = cos(pi/2) = 0
         assert float(fam.d1(np.array([0.0]))[0]) == pytest.approx(0.0, abs=1e-15)
-
-    def test_d2_identically_zero(self):
-        fam = ley_paindaveine_2()
-        assert np.all(fam.d2(np.linspace(-5, 5, 41)) == 0.0)
 
 
 class TestContamination:
@@ -136,3 +128,18 @@ class TestRegistry:
         for name in ("contam:nan:1", "contam:1:inf"):
             with pytest.raises(ValueError, match="finite"):
                 family_from_name(name)
+
+
+class TestSecondDerivativeUnread:
+    def test_indices_ignore_d2(self):
+        # rebuild each family with a d2 that raises, as the benchmark
+        # harness rebuilds it with a counting d2: the indices must not move
+        def raising(x):
+            raise AssertionError("d2 was evaluated")
+
+        tp = TuningParam(1.0)
+        for family in ALL_INSTANCES:
+            rebuilt = dataclasses.replace(family, d2=raising)
+            assert family.d2 is None
+            assert lrt_local_index(rebuilt) == lrt_local_index(family), family.name
+            assert local_index(rebuilt, tp) == local_index(family, tp), family.name

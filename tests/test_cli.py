@@ -45,6 +45,13 @@ class TestReadSampleFile:
     def test_header_autodetected(self, datafile):
         assert read_sample_file(datafile("value\n1\n2\n")).tolist() == [1.0, 2.0]
 
+    @pytest.mark.parametrize("text, expected", [
+        ("\ufeff1.5\n2.5\n-0.5\n4\n", [1.5, 2.5, -0.5, 4.0]),
+        ("\ufeffvalue\n1\n2\n", [1.0, 2.0]),
+    ], ids=["numeric_first_line", "header"])
+    def test_byte_order_mark_dropped(self, datafile, text, expected):
+        assert read_sample_file(datafile(text)).tolist() == expected
+
     def test_bad_line_names_line_number(self, datafile):
         from eppspulley.cli import InputFileError
 

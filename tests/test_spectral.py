@@ -210,7 +210,9 @@ class TestOperatorTrace:
         mc = _kernel_diag_trace(tp, 10_000, seed=42)
         assert abs(mc - exact) / exact < 0.02
 
-    @pytest.mark.parametrize("beta", [1e-3, 0.25, 1.0, 10.0, 100.0])
+    # 0.999 and 1.001 straddle the switch from the series to the closed
+    # form at beta = 1; 1000 is far out on the closed-form side
+    @pytest.mark.parametrize("beta", [1e-3, 0.25, 0.999, 1.0, 1.001, 10.0, 100.0, 1000.0])
     def test_closed_form_matches_decimal(self, beta):
         assert operator_trace(TuningParam(beta)) == pytest.approx(_trace_decimal(beta), rel=1e-14)
 
