@@ -50,7 +50,6 @@ from .backend import _SERIES_CUTOFF, _bracket_series
 from .quadrature import (
     QuadratureConfig,
     QuadratureError,
-    config_for_beta,
     integrate_1d,
     integrate_2d,
     normal_pdf,
@@ -130,7 +129,7 @@ def stochastic_limit(
     lo, hi = family.theta_domain
     if not lo < theta < hi:
         raise ValueError(f"theta={theta} outside domain {family.theta_domain} of {family.name}")
-    cfg = config_for_beta(cfg or QuadratureConfig(), tp.beta)
+    cfg = cfg or QuadratureConfig()
     mean, var = _moments(family, theta, cfg)
     sd = math.sqrt(var)
     g = family.density
@@ -220,8 +219,8 @@ def local_index(
     QuadratureError is raised, naming the cutoff, when doubling would
     exceed max_subdivisions, and, naming [-R, R], when d1 does not
     integrate to 0 there (see _weighted_score); a failing integral's
-    message starts with the quantity it integrates.  No 2-D integral and
-    no radius escalation is involved.
+    message starts with the quantity it integrates.  No 2-D integral is
+    involved.
     """
     cfg = cfg or QuadratureConfig()
     with _naming(f"mu1 and sigma1 of {family.name}"):

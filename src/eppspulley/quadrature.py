@@ -13,7 +13,7 @@ bit-identical.  panel_rule exposes the nodes and weights of one level,
 for callers that sum many integrands against the same rule.
 
 The module also provides the closed-form Gaussian smoothing identities
-used as building blocks and cross-checks elsewhere, and numerically safe
+that the tests use as cross-checks of the engine, and numerically safe
 versions of the standard normal density, distribution function and
 log-distribution function.
 """
@@ -21,7 +21,7 @@ log-distribution function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -30,7 +30,6 @@ __all__ = [
     "QuadratureConfig",
     "QuadratureError",
     "QuadratureResult",
-    "config_for_beta",
     "gaussian_pair_moment",
     "integrate_1d",
     "integrate_2d",
@@ -138,14 +137,6 @@ class QuadratureConfig:
             raise ValueError("truncation_radius must be finite and at least 8")
         if int(self.max_subdivisions) < 1:
             raise ValueError("max_subdivisions must be at least 1")
-
-
-def config_for_beta(cfg: QuadratureConfig, beta: float) -> QuadratureConfig:
-    """Escalate the truncation radius when the Gaussian weight decays
-    slowly (small beta), leaving everything else unchanged."""
-    if beta < 0.5 and cfg.truncation_radius < 20.0:
-        return replace(cfg, truncation_radius=20.0)
-    return cfg
 
 
 def _checked(fx, shape):

@@ -106,6 +106,8 @@ def nystrom_spectrum(
         raise ValueError("runs must be at least 1")
     if not 1 <= top_m <= n_points:
         raise ValueError("top_m must be between 1 and n_points")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     children = np.random.SeedSequence(seed).spawn(runs)
     per_run = np.zeros((runs, top_m))
     traces = np.empty(runs)
@@ -147,12 +149,12 @@ def _pivoted_cholesky(y: np.ndarray) -> tuple[np.ndarray, float]:
     Returns (R, trace) with R of shape (rank, N) and G ~= R^T R, where
     trace is the exact trace of G.  Each step pivots on the largest
     entry of the residual diagonal d and computes one kernel column; it
-    stops once sum(d) <= RTOL * trace, when no positive pivot is left, or
-    at rank N.  The residual G - R^T R is positive semi-definite with
-    trace sum(d), so by Weyl's inequality every eigenvalue of R R^T is
-    within sum(d) of the matching eigenvalue of G (Harbrecht, Peters &
-    Schneider, Appl. Numer. Math. 62, 2012).  R grows in blocks of
-    _FACTOR_BLOCK rows, so memory is O(N * rank).
+    stops once sum(d) <= RTOL * trace or at rank N.  The residual
+    G - R^T R is positive semi-definite with trace sum(d), so by Weyl's
+    inequality every eigenvalue of R R^T is within sum(d) of the
+    matching eigenvalue of G (Harbrecht, Peters & Schneider, Appl.
+    Numer. Math. 62, 2012).  R grows in blocks of _FACTOR_BLOCK rows, so
+    memory is O(N * rank).
     """
     n = y.size
     d = kernel(y, y) / n
@@ -162,8 +164,6 @@ def _pivoted_cholesky(y: np.ndarray) -> tuple[np.ndarray, float]:
     while rank < n and float(np.sum(d)) > RTOL * trace:
         p = int(np.argmax(d))
         pivot = float(d[p])
-        if pivot <= 0.0:
-            break
         if rank == factor.shape[0]:
             grown = np.empty((min(n, rank + _FACTOR_BLOCK), n))
             grown[:rank] = factor
@@ -225,6 +225,8 @@ def null_pvalue(
     """
     if mc_samples < 1:
         raise ValueError("mc_samples must be at least 1")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     lam = np.maximum(np.asarray(spectrum.eigenvalues, dtype=np.float64), 0.0)
     shift = max(spectrum.trace_estimate - float(np.sum(lam)), 0.0)
     # entropy [seed, 1] keeps this stream disjoint from the spawned
@@ -232,9 +234,10 @@ def null_pvalue(
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 1]))
     exceed = 0
     left = int(mc_samples)
+    buf = np.empty((min(_MC_CHUNK, left), lam.size))
     while left > 0:
         k = min(_MC_CHUNK, left)
-        z = rng.standard_normal((k, lam.size))
+        z = rng.standard_normal(out=buf[:k])
         draws = np.square(z, out=z) @ lam + shift
         exceed += int(np.count_nonzero(draws >= statistic))
         left -= k

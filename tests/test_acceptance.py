@@ -26,7 +26,6 @@ from eppspulley.alternatives import TABLE_FAMILIES, family_from_name
 from eppspulley.bahadur import local_index, lrt_local_index, stochastic_limit
 from eppspulley.quadrature import (
     QuadratureConfig,
-    config_for_beta,
     gaussian_pair_moment,
     integrate_1d,
     integrate_2d,
@@ -165,7 +164,7 @@ def test_criterion_3_closed_form_identities():
     worst = 0.0
     for b in BETAS:
         gamma = 0.5 * b * b
-        cfg = config_for_beta(QuadratureConfig(), b)
+        cfg = QuadratureConfig()
         for k in (0, 1, 2):
             quad = integrate_2d(
                 lambda x, y: np.exp(-gamma * np.square(x - y))
@@ -182,7 +181,7 @@ def test_criterion_3_closed_form_identities():
             worst = max(worst, abs(quad - float(smoothed_density_identity(y, gamma))))
     for b in (0.5, 1.0, 2.0):
         gamma = 0.5 * b * b
-        cfg = config_for_beta(QuadratureConfig(), b)
+        cfg = QuadratureConfig()
         for x in (-3.0, -1.0, 0.0, 2.0):
             quad = integrate_1d(
                 lambda y: np.exp(-gamma * np.square(x - y)) * np.square(x - y) * normal_pdf(y),

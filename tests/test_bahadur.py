@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from eppspulley import bahadur
 from eppspulley.alternatives import TABLE_FAMILIES, contamination, family_from_name, lehmann
 from eppspulley.bahadur import (
     _moments,
@@ -31,7 +32,13 @@ from eppspulley.bahadur import (
     lrt_local_index,
     stochastic_limit,
 )
-from eppspulley.quadrature import QuadratureConfig, QuadratureError, integrate_1d, normal_pdf
+from eppspulley.quadrature import (
+    QuadratureConfig,
+    QuadratureError,
+    integrate_1d,
+    integrate_2d,
+    normal_pdf,
+)
 from eppspulley.statistic import TuningParam
 
 CFG = QuadratureConfig()
@@ -228,6 +235,17 @@ class TestStochasticLimit:
     def test_theta_outside_domain_rejected(self):
         with pytest.raises(ValueError):
             stochastic_limit(family_from_name("lp2"), 0.9, TuningParam(1.0))
+
+    def test_integrates_on_the_given_radius(self, monkeypatch):
+        radii = []
+
+        def recording(f, cfg=None):
+            radii.append(cfg.truncation_radius)
+            return integrate_2d(f, cfg)
+
+        monkeypatch.setattr(bahadur, "integrate_2d", recording)
+        stochastic_limit(family_from_name("lehmann"), 0.1, TuningParam(0.25), QuadratureConfig())
+        assert radii == [12.0]
 
 
 def contam_local_index_oracle(mu, s2, beta):

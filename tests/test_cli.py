@@ -143,6 +143,18 @@ class TestStatCommand:
         code, _, err = run_cli(capsys, "stat", "/no/such/file.txt")
         assert code == 2
 
+    def test_nonpositive_beta_is_usage_error(self, capsys, datafile):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["stat", datafile("1\n2\n4\n"), "--beta", "0"])
+        assert excinfo.value.code == 2
+        assert "--beta" in capsys.readouterr().err
+
+    def test_negative_statistic_is_numerical_failure(self, capsys, datafile, monkeypatch):
+        monkeypatch.setattr(eppspulley.backend, "pairwise_gauss_sum", lambda y, gamma: 0.0)
+        code, out, err = run_cli(capsys, "stat", datafile("1\n2\n4\n"))
+        assert (code, out) == (4, "")
+        assert "statistic evaluated to" in err
+
 
 class TestEigenCommand:
     def test_csv_layout(self, capsys):
@@ -187,9 +199,10 @@ class TestEigenCommand:
             main(["eigen", "--top-m", "0"])
         assert excinfo.value.code == 2
 
-    def test_bad_beta_list_is_usage_error(self, capsys):
+    @pytest.mark.parametrize("betas", ["1,-2", "1,x"])
+    def test_bad_beta_list_is_usage_error(self, capsys, betas):
         with pytest.raises(SystemExit) as excinfo:
-            main(["eigen", "--beta", "1,-2"])
+            main(["eigen", "--beta", betas])
         assert excinfo.value.code == 2
 
 
@@ -299,6 +312,15 @@ class TestSeedIsAnArgument:
         with pytest.raises(SystemExit) as excinfo:
             main(["--help"])
         assert excinfo.value.code == 0
+
+    @pytest.mark.parametrize("command, seed", [("eigen", "-1"), ("pvalue", "-5")])
+    def test_negative_seed_is_named(self, capsys, datafile, command, seed):
+        argv = [command, "--seed", seed, "--n-points", "150", "--runs", "1"]
+        if command == "pvalue":
+            argv.insert(1, datafile("1\n2\n4\n"))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"seed must be a non-negative integer, got {seed}" in err
 
     def test_stat_takes_no_seed(self, capsys, datafile):
         with pytest.raises(SystemExit) as excinfo:

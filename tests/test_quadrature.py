@@ -8,7 +8,6 @@ import pytest
 from eppspulley.quadrature import (
     QuadratureConfig,
     QuadratureError,
-    config_for_beta,
     gaussian_pair_moment,
     integrate_1d,
     integrate_2d,
@@ -173,7 +172,7 @@ class TestClosedForms:
             * (x - y) ** (2 * k)
             * normal_pdf(x)
             * normal_pdf(y),
-            config_for_beta(QuadratureConfig(), beta),
+            QuadratureConfig(),
         )
         assert res.value == pytest.approx(gaussian_pair_moment(k, gamma), abs=1e-8)
 
@@ -188,7 +187,7 @@ class TestClosedForms:
     @pytest.mark.parametrize("beta", BETA_GRID)
     def test_smoothed_density_matches_quadrature(self, beta):
         gamma = gamma_of(beta)
-        cfg = config_for_beta(QuadratureConfig(), beta)
+        cfg = QuadratureConfig()
         for y in range(-3, 4):
             res = integrate_1d(lambda x: np.exp(-gamma * np.square(x - y)) * normal_pdf(x), cfg)
             assert res.value == pytest.approx(
@@ -198,7 +197,7 @@ class TestClosedForms:
     @pytest.mark.parametrize("beta", (0.5, 1.0, 2.0))
     def test_smoothed_second_moment_matches_quadrature(self, beta):
         gamma = gamma_of(beta)
-        cfg = config_for_beta(QuadratureConfig(), beta)
+        cfg = QuadratureConfig()
         for x in range(-3, 4):
             res = integrate_1d(
                 lambda y: np.exp(-gamma * np.square(x - y)) * np.square(x - y) * normal_pdf(y),
@@ -220,11 +219,6 @@ class TestConfig:
         for field in ("truncation_radius", "abs_tol", "rel_tol"):
             with pytest.raises(ValueError, match="finite"):
                 QuadratureConfig(**{field: math.inf})
-
-    def test_radius_escalates_for_small_beta(self):
-        cfg = QuadratureConfig()
-        assert config_for_beta(cfg, 0.25).truncation_radius == 20.0
-        assert config_for_beta(cfg, 1.0).truncation_radius == 12.0
 
 
 class TestGaussHelpers:

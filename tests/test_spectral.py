@@ -10,6 +10,7 @@ import pytest
 from eppspulley import backend
 from eppspulley.quadrature import QuadratureConfig, integrate_1d, normal_pdf
 from eppspulley.spectral import (
+    _MC_CHUNK,
     RTOL,
     kernel,
     lambda1,
@@ -201,6 +202,8 @@ class TestNystromSpectrum:
             nystrom_spectrum(tp, 200, 2, top_m=0)
         with pytest.raises(ValueError):
             nystrom_spectrum(tp, 200, 2, top_m=201)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -3"):
+            nystrom_spectrum(tp, 200, 2, seed=-3)
 
 
 class TestOperatorTrace:
@@ -271,6 +274,17 @@ class TestNullPvalue:
         b = null_pvalue(0.3, spectrum, 30_000, seed=4)
         assert a == b
 
+    def test_chunks_draw_one_stream(self, spectrum):
+        # three chunks, the last of 7 rows, against one unchunked draw
+        mc, seed, t = 2 * _MC_CHUNK + 7, 5, 0.3
+        lam = spectrum.eigenvalues
+        shift = spectrum.trace_estimate - float(np.sum(lam))
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
+        draws = np.square(rng.standard_normal((mc, lam.size))) @ lam + shift
+        assert null_pvalue(t, spectrum, mc, seed) == np.count_nonzero(draws >= t) / mc
+
     def test_validation(self, spectrum):
         with pytest.raises(ValueError):
             null_pvalue(0.3, spectrum, 0)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            null_pvalue(0.3, spectrum, 10, seed=-1)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from eppspulley import backend
 from eppspulley.quadrature import QuadratureConfig, integrate_1d
 from eppspulley.statistic import (
     DegenerateSampleError,
@@ -77,6 +78,10 @@ class TestSample:
         with pytest.raises(ValueError):
             Sample([1.0, float("nan"), 2.0])
 
+    def test_two_dimensional_rejected(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            Sample(np.ones((2, 2)))
+
     def test_values_frozen(self):
         s = Sample([1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
@@ -137,6 +142,27 @@ class TestStatistic:
         for _ in range(20):
             values = rng.standard_t(df=3, size=int(rng.integers(2, 200)))
             assert epps_pulley_statistic(Sample(values), tp) >= 0.0
+
+    @staticmethod
+    def _pair_sum_giving(target):
+        """Stand-in pair sum that makes the closed form equal target * n."""
+
+        def pair_sum(y, gamma):
+            n, beta2 = y.size, 2.0 * gamma
+            single = float(np.sum(np.exp(-gamma / (1.0 + beta2) * np.square(y))))
+            rest = -2.0 / math.sqrt(1.0 + beta2) * single + n / math.sqrt(1.0 + 2.0 * beta2)
+            return n * (target * n - rest)
+
+        return pair_sum
+
+    def test_cancellation_noise_clamped_to_zero(self, monkeypatch):
+        monkeypatch.setattr(backend, "pairwise_gauss_sum", self._pair_sum_giving(-1e-12))
+        assert epps_pulley_statistic(Sample([1.0, 2.0, 4.0, 8.0]), TuningParam(1.0)) == 0.0
+
+    def test_clearly_negative_value_raises(self, monkeypatch):
+        monkeypatch.setattr(backend, "pairwise_gauss_sum", self._pair_sum_giving(-1e-6))
+        with pytest.raises(ArithmeticError, match="expected >= 0"):
+            epps_pulley_statistic(Sample([1.0, 2.0, 4.0, 8.0]), TuningParam(1.0))
 
     def test_degenerate_sample_raises(self):
         with pytest.raises(DegenerateSampleError):
