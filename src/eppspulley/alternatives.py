@@ -54,12 +54,12 @@ def lehmann() -> AlternativeFamily:
     """Distribution function raised to the power 1 + theta:
     g(x; theta) = (1+theta) * Phi(x)^theta * phi(x).
 
-    Phi^theta is computed as exp(theta * log Phi) so the far left tail
-    stays finite.
+    Phi^theta * phi is one exponential, exp(theta * log Phi - x^2/2) /
+    sqrt(2 pi), so the far left tail neither overflows nor underflows early.
     """
 
     def density(x, theta):
-        return (1.0 + theta) * np.exp(theta * log_normal_cdf(x)) * normal_pdf(x)
+        return (1.0 + theta) * np.exp(theta * log_normal_cdf(x) - 0.5 * np.square(x)) / math.sqrt(2.0 * math.pi)
 
     def d1(x):
         logp = log_normal_cdf(x)

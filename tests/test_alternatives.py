@@ -4,6 +4,7 @@ family-specific closed-form checks."""
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -71,6 +72,16 @@ class TestLehmann:
         x = np.array([-60.0, -45.0])
         assert np.all(np.isfinite(fam.d1(x)))
         assert np.all(np.isfinite(fam.density(x, 0.3)))
+
+    @pytest.mark.parametrize("theta", [-0.85, -0.5])
+    def test_far_left_tail_density(self, theta):
+        # Phi(-45)^theta overflows at theta = -0.85 and phi(-45) underflows
+        # to 0 at both; their product is a normal double
+        with mpmath.workdps(40):
+            x = mpmath.mpf(-45)
+            ref = float((1 + theta) * mpmath.ncdf(x) ** theta * mpmath.npdf(x))
+        assert ref > 1e-300
+        assert float(lehmann().density(np.array([-45.0]), theta)[0]) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 class TestLeyPaindaveine1:

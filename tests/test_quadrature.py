@@ -1,9 +1,12 @@
 """Quadrature engine and closed-form Gaussian identity tests."""
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import log_ndtr, ndtr
 
 from eppspulley.quadrature import (
     QuadratureConfig,
@@ -12,6 +15,7 @@ from eppspulley.quadrature import (
     integrate_1d,
     integrate_2d,
     log_normal_cdf,
+    normal_cdf,
     normal_pdf,
     smoothed_density_identity,
     smoothed_second_moment_identity,
@@ -219,6 +223,53 @@ class TestConfig:
         for field in ("truncation_radius", "abs_tol", "rel_tol"):
             with pytest.raises(ValueError, match="finite"):
                 QuadratureConfig(**{field: math.inf})
+
+
+# the junctions of log_normal_cdf's three pieces, and their neighbours
+JUNCTIONS = (-37.0, np.nextafter(-37.0, -np.inf), np.nextafter(-37.0, 0.0), 0.0, 1e-12, -1e-12)
+
+
+def mp_normal_cdf(x):
+    with mpmath.workdps(40):
+        return float(mpmath.ncdf(mpmath.mpf(float(x))))
+
+
+def mp_log_normal_cdf(x):
+    with mpmath.workdps(40):
+        return float(mpmath.log(mpmath.ncdf(mpmath.mpf(float(x)))))
+
+
+class TestNormalCdf:
+    """Phi and log Phi against 40-digit mpmath; scipy's ndtr and log_ndtr
+    are a second oracle."""
+
+    def test_cdf_against_mpmath(self):
+        x = np.concatenate([np.linspace(-37.0, 10.0, 471), JUNCTIONS])
+        ref = np.array([mp_normal_cdf(v) for v in x])
+        assert np.max(np.abs(normal_cdf(x) / ref - 1.0)) < 1e-12
+        assert np.max(np.abs(normal_cdf(x) / ndtr(x) - 1.0)) < 1e-12
+
+    def test_log_cdf_against_mpmath(self):
+        x = np.concatenate([np.linspace(-60.0, 8.0, 681), JUNCTIONS])
+        ref = np.array([mp_log_normal_cdf(v) for v in x])
+        assert np.all(np.abs(ref) > 1e-300)
+        assert np.max(np.abs(log_normal_cdf(x) / ref - 1.0)) < 1e-13
+        assert np.max(np.abs(log_normal_cdf(x) / log_ndtr(x) - 1.0)) < 1e-13
+
+    @pytest.mark.parametrize("fn", [normal_cdf, log_normal_cdf], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("x", [
+        -45.0,
+        np.array(0.5),
+        np.linspace(-50.0, 8.0, 15).reshape(15, 1),
+        np.linspace(-50.0, 50.0, 45).reshape(1, 45),
+    ], ids=["float", "0-d", "column", "row"])
+    def test_shape_dtype_and_no_warning(self, fn, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = fn(x)
+        assert np.shape(out) == np.shape(x)
+        assert np.asarray(out).dtype == np.float64
+        assert np.all(np.isfinite(out))
 
 
 class TestGaussHelpers:
