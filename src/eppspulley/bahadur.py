@@ -223,8 +223,25 @@ def local_index(
     involved.
     """
     cfg = cfg or QuadratureConfig()
+    return _local_index(family, tp, cfg, *_score_moments(family, cfg))
+
+
+def _score_moments(family: AlternativeFamily, cfg: QuadratureConfig):
+    """mu1 and sigma1, the integrals of x*d1 and x^2*d1, and the larger
+    of their panel counts; none depends on beta."""
     with _naming(f"mu1 and sigma1 of {family.name}"):
-        mu1, sigma1, panels = _two_moments(family.d1, cfg)
+        return _two_moments(family.d1, cfg)
+
+
+def _local_index(
+    family: AlternativeFamily,
+    tp: TuningParam,
+    cfg: QuadratureConfig,
+    mu1: float,
+    sigma1: float,
+    panels: int,
+) -> float:
+    """local_index from the family's _score_moments."""
     r, beta = cfg.truncation_radius, tp.beta
     while True:
         x, wd1 = _weighted_score(family, cfg, panels)
@@ -290,8 +307,7 @@ def lrt_local_index(family: AlternativeFamily, cfg: QuadratureConfig | None = No
             estimate=fisher,
             error_bound=edge,
         )
-    with _naming(f"mu1 and sigma1 of {family.name}"):
-        mu1, sigma1, panels = _two_moments(family.d1, cfg)
+    mu1, sigma1, panels = _score_moments(family, cfg)
     _weighted_score(family, cfg, panels)
     return fisher - mu1 * mu1 - 0.5 * sigma1 * sigma1
 
@@ -326,9 +342,10 @@ def efficiency_table(
     """Efficiency grid over families x betas, the one place that forms
     an efficiency; a single cell is the 1 x 1 table.
 
-    Every name is resolved before any computation.  The LRT index is
-    computed once per family and lambda1 once per beta, which keeps a
-    full table affordable.  ArithmeticError is raised, naming the factor,
+    Every name is resolved before any computation.  The LRT index and
+    the moments mu1 and sigma1 of local_index are computed once per
+    family and lambda1 once per beta, which keeps a full table
+    affordable.  ArithmeticError is raised, naming the factor,
     when one of them is not positive.
     """
     families = [family_from_name(name) for name in family_names]
@@ -340,8 +357,11 @@ def efficiency_table(
     for name, value in zip(names, [*lrt, *lam]):
         if not value > 0.0:
             raise ArithmeticError(f"{name} is {value:g}, not positive: no efficiency is defined")
-    delta = np.array([[local_index(f, TuningParam(b), cfg) for b in betas] for f in families])
-    delta = delta.reshape(len(families), len(betas))
+    cfg = cfg or QuadratureConfig()
+    delta = np.empty((len(families), len(betas)))
+    for row, f in zip(delta, families):
+        moments = _score_moments(f, cfg)
+        row[:] = [_local_index(f, TuningParam(b), cfg, *moments) for b in betas]
     index = delta / lam
     return EfficiencyTable(
         families=tuple(f.name for f in families),

@@ -16,14 +16,23 @@ Gaussian part of K), so G has numerical rank far below N: about 10 at
 beta = 0.25 and 130 at beta = 10 for N = 1000.  G is therefore never
 formed.  A pivoted Cholesky factorisation G ~= R^T R, with R of shape
 rank x N, stops once the trace of the positive semi-definite residual
-falls to RTOL times the trace of G, and the eigenvalues are those of the
-small rank x rank matrix R R^T.  Each eigenvalue is then within the
-residual trace of the matching eigenvalue of G, and memory is O(N*rank).
-At N = 1000 one run takes about 1.4 ms at beta = 0.25 and 12 ms at
-beta = 10, against about 140 ms for a dense eigensolve of G (2-vCPU
-x86-64 VM, one BLAS thread).  The cost is O(N * rank^2), so the margin
-shrinks as the rank nears N: 0.18 s against 0.24 s at beta = 50 (rank
-about 490), and 0.47 s against 0.23 s at beta = 100 (rank about 770),
+falls to half of RTOL times the trace of G; the other half is a margin
+for roundoff, so that the trace minus the eigenvalue sum of R R^T stays
+below RTOL * trace.  The eigenvalues are those of the small rank x rank
+matrix R R^T, each within the residual trace of the matching eigenvalue
+of G, and memory is O(N*rank).
+
+Each step needs one kernel column.  The nodes are sorted by |y|, which
+leaves the eigenvalues of G unchanged, so the nodes with |y_i y_p| < 1
+form a prefix.  There K(y_i, y_p) = sum over k = 3..18 of f_k(y_i)
+f_k(y_p), with f_k(y) = y^k e^(-y^2/2) / sqrt(k!), to full relative
+accuracy, and the prefix of the column is one matrix-vector product
+with a 16 x N feature table built once per run; the suffix takes the
+direct form.  At N = 1000 one run takes about 0.8 ms at beta = 0.25,
+1.7 ms at beta = 1 and 9 ms at beta = 10, against 130-210 ms for a
+dense eigensolve of G (2-vCPU x86-64 VM, one BLAS thread).  The cost is
+O(N * rank^2), so the margin shrinks as the rank nears N: 0.12 s at
+beta = 50 (rank about 490), and 0.36 s at beta = 100 (rank about 770),
 where the factorisation is the slower of the two.
 """
 
@@ -34,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import kernel
+from .backend import _SERIES_CUTOFF, kernel
 from .statistic import TuningParam
 
 __all__ = [
@@ -55,6 +64,10 @@ _MC_CHUNK = 200_000
 RTOL = 1e-14
 # Rows by which the Cholesky factor grows.
 _FACTOR_BLOCK = 64
+# Rows k = 0..18 of the feature table and the factors 1/sqrt(k),
+# k = 1..18, whose running products give y^k / sqrt(k!).
+_FEATURE_ROWS = 19
+_INV_SQRT_K = 1.0 / np.sqrt(np.arange(1.0, _FEATURE_ROWS))
 _EPS = float(np.finfo(np.float64).eps)
 
 
@@ -114,13 +127,14 @@ def nystrom_spectrum(
     sums = np.empty(runs)
     ranks = np.empty(runs, dtype=np.int64)
     clipped = 0
+    factor = np.empty((min(n_points, _FACTOR_BLOCK), n_points))
     for r in range(runs):
         rng = np.random.default_rng(children[r])
         y = tp.beta * rng.standard_normal(n_points)
-        factor, traces[r] = _pivoted_cholesky(y)
-        ranks[r] = factor.shape[0]
+        factor, ranks[r], traces[r] = _pivoted_cholesky(y, factor)
+        top_rows = factor[:ranks[r]]
         try:
-            eig = np.linalg.eigvalsh(factor @ factor.T)
+            eig = np.linalg.eigvalsh(top_rows @ top_rows.T)
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(f"eigensolver failed in run {r}") from exc
         sums[r] = float(np.sum(eig))
@@ -143,40 +157,102 @@ def nystrom_spectrum(
     )
 
 
-def _pivoted_cholesky(y: np.ndarray) -> tuple[np.ndarray, float]:
+def _feature_table(y: np.ndarray) -> np.ndarray:
+    """Table T of shape (19, N) with T[k, i] = y_i^k e^(-y_i^2/2) / sqrt(k!).
+
+    Row 0 is damp = e^(-y^2/2), and rows 3..18 are the features f_k(y)
+    of the rank-one expansion K(s, t) = sum over k >= 3 of f_k(s) f_k(t);
+    the terms k = 3..18 are the ones _bracket_series sums, so where
+    |s t| < _SERIES_CUTOFF their sum is K to full relative accuracy.
+    Each row is the one above times y / sqrt(k), so no entry overflows:
+    where damp underflows to 0 the whole column is 0.
+    """
+    table = np.empty((_FEATURE_ROWS, y.size))
+    table[0] = np.exp(-0.5 * np.square(y))
+    np.multiply.outer(_INV_SQRT_K, y, out=table[1:])
+    for k in range(1, _FEATURE_ROWS):
+        table[k] *= table[k - 1]
+    return table
+
+
+def _kernel_column(
+    y: np.ndarray, magnitude: np.ndarray, table: np.ndarray, p: int, out: np.ndarray
+) -> None:
+    """out = K(y, y[p]) on nodes y sorted by ascending magnitude = |y|,
+    from their _feature_table.
+
+    The nodes with |y_i y_p| < _SERIES_CUTOFF form a prefix [:cut], on
+    which the column is one matrix-vector product of feature rows; on
+    the suffix the direct form exp(-(y-y_p)^2/2) - (1 + x + x^2/2)
+    damp damp_p (x = y y_p) loses at most about 12 ulp to cancellation,
+    as in backend.kernel.
+    """
+    yp = float(y[p])
+    a = abs(yp)
+    cut = y.size if a == 0.0 else int(np.searchsorted(magnitude, _SERIES_CUTOFF / a))
+    features = table[3:]
+    np.matmul(features[:, p], features[:, :cut], out=out[:cut])
+    if cut < y.size:
+        tail = out[cut:]
+        rest = y[cut:]
+        x = rest * yp
+        np.subtract(rest, yp, out=tail)
+        np.square(tail, out=tail)
+        tail *= -0.5
+        np.exp(tail, out=tail)
+        poly = (0.5 * x + 1.0) * x + 1.0
+        poly *= table[0, cut:]
+        poly *= table[0, p]
+        tail -= poly
+
+
+def _pivoted_cholesky(y: np.ndarray, factor: np.ndarray) -> tuple[np.ndarray, int, float]:
     """Pivoted Cholesky factor of G = (K(y_i, y_j)/N), stored transposed.
 
-    Returns (R, trace) with R of shape (rank, N) and G ~= R^T R, where
-    trace is the exact trace of G.  Each step pivots on the largest
-    entry of the residual diagonal d and computes one kernel column; it
-    stops once sum(d) <= RTOL * trace or at rank N.  The residual
-    G - R^T R is positive semi-definite with trace sum(d), so by Weyl's
-    inequality every eigenvalue of R R^T is within sum(d) of the
-    matching eigenvalue of G (Harbrecht, Peters & Schneider, Appl.
-    Numer. Math. 62, 2012).  R grows in blocks of _FACTOR_BLOCK rows, so
-    memory is O(N * rank).
+    factor is a work buffer of N columns; it is returned, grown by
+    _FACTOR_BLOCK rows whenever the rank outgrows it, together with the
+    rank and the exact trace of G, so the caller can pass it to the next
+    run.  Its first rank rows hold R with G ~= P^T R^T R P for the
+    permutation P that sorts the nodes by |y|.  The order of the nodes
+    does not change the eigenvalues of G, and R R^T has the nonzero
+    eigenvalues of R^T R.  The trace is the diagonal sum in the order
+    the nodes were drawn.
+
+    Each step pivots on the largest entry of the residual diagonal d and
+    computes one kernel column (see _kernel_column); it stops once
+    sum(d) <= RTOL * trace / 2 or at rank N.  The residual is positive
+    semi-definite with trace sum(d), so by Weyl's inequality every
+    eigenvalue of R R^T is within sum(d) of the matching eigenvalue of G
+    (Harbrecht, Peters & Schneider, Appl. Numer. Math. 62, 2012).  The
+    halved threshold leaves a margin for the roundoff of sum(d) and of
+    the eigenvalue sum, so that trace minus the eigenvalue sum of R R^T
+    stays below RTOL * trace.  Memory is O(N * rank).
     """
     n = y.size
     d = kernel(y, y) / n
     trace = float(np.sum(d))
-    factor = np.empty((min(n, _FACTOR_BLOCK), n))
+    magnitude = np.abs(y)
+    order = np.argsort(magnitude, kind="stable")
+    y, magnitude, d = y[order], magnitude[order], d[order]
+    table = _feature_table(y)
+    stop = 0.5 * RTOL * trace
     rank = 0
-    while rank < n and float(np.sum(d)) > RTOL * trace:
-        p = int(np.argmax(d))
+    while rank < n and float(d.sum()) > stop:
+        p = int(d.argmax())
         pivot = float(d[p])
         if rank == factor.shape[0]:
             grown = np.empty((min(n, rank + _FACTOR_BLOCK), n))
             grown[:rank] = factor
             factor = grown
         row = factor[rank]
-        row[:] = kernel(y, y[p])
+        _kernel_column(y, magnitude, table, p, row)
         row /= n
         row -= factor[:rank, p] @ factor[:rank]
         row /= math.sqrt(pivot)
         d -= np.square(row)
         d[p] = 0.0
         rank += 1
-    return factor[:rank], trace
+    return factor, rank, trace
 
 
 def lambda1(tp: TuningParam, n_points: int = 1000, runs: int = 10, seed: int = 42) -> float:

@@ -407,3 +407,11 @@ class TestEfficiencyTable:
         assert table.families == ("lp2",)
         assert table.delta_beta[0, 0] >= 0.0
         assert 0.0 < table.efficiencies[0, 0] <= 1.05
+
+    def test_cells_equal_local_index_exactly(self):
+        names, betas = ["lehmann", "contam:1:1"], [0.5, 3.0]
+        table = efficiency_table(names, betas, n_points=100, runs=1, seed=5)
+        for i, name in enumerate(names):
+            for j, beta in enumerate(betas):
+                cell = local_index(family_from_name(name), TuningParam(beta))
+                assert table.delta_beta[i, j] == cell

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -10,8 +11,12 @@ import pytest
 from eppspulley import backend
 from eppspulley.quadrature import QuadratureConfig, integrate_1d, normal_pdf
 from eppspulley.spectral import (
+    _FACTOR_BLOCK,
     _MC_CHUNK,
     RTOL,
+    _feature_table,
+    _kernel_column,
+    _pivoted_cholesky,
     kernel,
     lambda1,
     null_pvalue,
@@ -158,6 +163,26 @@ class TestNystromSpectrum:
         residual = sp.per_run_trace[0] - sp.per_run_eigen_sum[0]
         assert residual <= RTOL * trace
 
+    def test_residual_within_rtol_across_a_sweep(self):
+        # 480 runs; stopping at sum(d) <= RTOL * trace, without a margin
+        # for the roundoff of sum(d), let a few runs end above the bound
+        worst = 0.0
+        for beta in (0.25, 1.0, 3.0, 10.0):
+            for n_points in (100, 300, 1000):
+                sp = nystrom_spectrum(TuningParam(beta), n_points, 40, seed=123, top_m=1)
+                residual = sp.per_run_trace - sp.per_run_eigen_sum
+                worst = max(worst, float(np.max(residual / (RTOL * sp.per_run_trace))))
+        assert worst <= 1.0
+
+    def test_factor_buffer_is_reused_and_grown_by_blocks(self):
+        y = _run_nodes(10.0, 300, seed=4)
+        small = np.empty((1, 300))
+        factor, rank, _ = _pivoted_cholesky(y, small)
+        assert rank > _FACTOR_BLOCK
+        assert factor.shape == (1 + _FACTOR_BLOCK * math.ceil((rank - 1) / _FACTOR_BLOCK), 300)
+        again, same_rank, _ = _pivoted_cholesky(y, factor)
+        assert again is factor and same_rank == rank
+
     def test_top_m_beyond_rank_is_zero_padded(self):
         sp = nystrom_spectrum(TuningParam(0.25), 200, 3, seed=2, top_m=40)
         assert np.all(sp.per_run_rank < 40)
@@ -204,6 +229,43 @@ class TestNystromSpectrum:
             nystrom_spectrum(tp, 200, 2, top_m=201)
         with pytest.raises(ValueError, match="seed must be a non-negative integer, got -3"):
             nystrom_spectrum(tp, 200, 2, seed=-3)
+
+
+class TestKernelColumn:
+    @staticmethod
+    def _sorted(y):
+        return y[np.argsort(np.abs(y), kind="stable")]
+
+    @pytest.mark.parametrize("beta", [1e-3, 0.25, 1.0, 10.0, 100.0])
+    def test_matches_kernel_oracle(self, beta):
+        y = self._sorted(_run_nodes(beta, 1000, seed=29))
+        magnitude = np.abs(y)
+        table = _feature_table(y)
+        # smallest |y|, the nodes either side of |y| = 1, where the prefix
+        # |y_i y_p| < 1 ends near the pivot itself, and the largest |y|
+        near_one = int(np.searchsorted(magnitude, 1.0))
+        pivots = {0, max(near_one - 1, 0), min(near_one, y.size - 1), y.size - 1}
+        out = np.empty(y.size)
+        for p in sorted(pivots):
+            _kernel_column(y, magnitude, table, p, out)
+            exact = kernel(y, y[p])
+            assert np.max(np.abs(out - exact)) <= 4 * np.finfo(float).eps
+            prefix = magnitude * abs(y[p]) < 1.0
+            assert np.all(np.abs(out - exact)[prefix] <= 1e-13 * np.abs(exact[prefix]))
+
+    def test_pivot_at_zero_is_all_prefix(self):
+        y = self._sorted(np.append(_run_nodes(1.0, 200, seed=3), 0.0))
+        assert y[0] == 0.0
+        out = np.full(y.size, np.nan)
+        _kernel_column(y, np.abs(y), _feature_table(y), 0, out)
+        assert np.array_equal(out, kernel(y, 0.0))
+
+    @pytest.mark.parametrize("beta", [1e-200, 1e-100, 1e-10, 1e-3, 1.0, 100.0, 1e3])
+    def test_no_warning_across_the_range(self, beta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sp = nystrom_spectrum(TuningParam(beta), 100, 2, seed=6, top_m=3)
+        assert np.all(np.isfinite(sp.per_run))
 
 
 class TestOperatorTrace:
