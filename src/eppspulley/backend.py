@@ -80,13 +80,17 @@ def kernel(s, t):
     Near x = 0 the bracket is summed as its Taylor series, so K keeps
     full relative accuracy where the direct form cancels to zero; away
     from it the direct form exp(-(s-t)^2/2) - (1+x+x^2/2) exp(-(s^2+t^2)/2)
-    is used, since e^x alone overflows for large s*t.  Symmetric in
-    (s, t) exactly, including in floating point."""
+    is used, since e^x alone overflows for large s*t.  Where damp
+    underflows to 0 the exact product (1+x+x^2/2) damp is below the
+    smallest subnormal while x^2 may overflow, so x is taken as 0 there
+    rather than forming inf * 0.  Symmetric in (s, t) exactly, including
+    in floating point."""
     s = np.asarray(s, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
     st = s * t
     damp = np.exp(-0.5 * (np.square(s) + np.square(t)))
-    out = np.asarray(np.exp(-0.5 * np.square(s - t)) - (1.0 + st + 0.5 * st * st) * damp)
+    x = np.where(damp == 0.0, 0.0, st)
+    out = np.asarray(np.exp(-0.5 * np.square(s - t)) - (1.0 + x + 0.5 * x * x) * damp)
     small = np.abs(st) < _SERIES_CUTOFF
     if np.any(small):
         out[small] = damp[small] * _bracket_series(st[small])

@@ -34,10 +34,25 @@ dense eigensolve of G (2-vCPU x86-64 VM, one BLAS thread).  The cost is
 O(N * rank^2), so the margin shrinks as the rank nears N: 0.12 s at
 beta = 50 (rank about 490), and 0.36 s at beta = 100 (rank about 770),
 where the factorisation is the slower of the two.
+
+The per-run spectra depend on (beta, N, runs, seed) alone, never on
+top_m or on any data, so they are memoized per process in an LRU cache
+of _SPECTRUM_CACHE_SIZE = 16 keys; nystrom_spectrum cuts each call's
+top_m from the cached runs into fresh arrays, so lambda1 (top_m = 1)
+reuses the entry that table1 (top_m = 5) made.  table1 followed by
+table2 visits the 8 betas of a table in turn, so a cache of fewer than
+8 keys would never hit.  An entry holds each run's rank eigenvalues and
+three numbers per run, at most runs x (N + 3) doubles: about 11 KB at
+beta = 10 under the reference protocol (N = 1000, 10 runs), and at most
+1.3 MB for 16 keys of that protocol.  A single CLI command gains nothing
+from it, since at its default flags it computes each key once; the gain
+is in a process that asks again, such as a batch of p-values at a few
+betas, or table1 followed by table2.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -59,6 +74,10 @@ __all__ = [
 # draws to _MC_CHUNK x top_m doubles.
 _MC_CHUNK = 200_000
 
+# Keys (beta, n_points, runs, seed) that _sampled_runs keeps: at least
+# the 8 betas of a table, or table1 then table2 would never hit.
+_SPECTRUM_CACHE_SIZE = 16
+
 # Relative residual trace at which the pivoted Cholesky factorisation of
 # the sampled kernel matrix stops.
 RTOL = 1e-14
@@ -69,6 +88,8 @@ _FACTOR_BLOCK = 64
 _FEATURE_ROWS = 19
 _INV_SQRT_K = 1.0 / np.sqrt(np.arange(1.0, _FEATURE_ROWS))
 _EPS = float(np.finfo(np.float64).eps)
+# Below this |x| the polynomial 1 + x + x^2/2 of the kernel is finite.
+_SQRT_MAX = math.sqrt(float(np.finfo(np.float64).max))
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,7 +132,10 @@ def nystrom_spectrum(
 
     Each run draws its nodes from a dedicated child stream of the master
     seed, so runs are independent yet individually reproducible, and the
-    per-run spectra are bit-identical for identical arguments.
+    per-run spectra are bit-identical for identical arguments.  They are
+    memoized per process by (beta, n_points, runs, seed), so a repeated
+    key re-slices them to top_m instead of factorising again; the
+    returned arrays are fresh on every call.
     """
     if n_points < 100:
         raise ValueError("n_points must be at least 100")
@@ -121,24 +145,11 @@ def nystrom_spectrum(
         raise ValueError("top_m must be between 1 and n_points")
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    children = np.random.SeedSequence(seed).spawn(runs)
+    eigs, traces, sums, ranks = _sampled_runs(tp.beta, int(n_points), int(runs), int(seed))
     per_run = np.zeros((runs, top_m))
-    traces = np.empty(runs)
-    sums = np.empty(runs)
-    ranks = np.empty(runs, dtype=np.int64)
     clipped = 0
-    factor = np.empty((min(n_points, _FACTOR_BLOCK), n_points))
-    for r in range(runs):
-        rng = np.random.default_rng(children[r])
-        y = tp.beta * rng.standard_normal(n_points)
-        factor, ranks[r], traces[r] = _pivoted_cholesky(y, factor)
-        top_rows = factor[:ranks[r]]
-        try:
-            eig = np.linalg.eigvalsh(top_rows @ top_rows.T)
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError(f"eigensolver failed in run {r}") from exc
-        sums[r] = float(np.sum(eig))
-        top = eig[::-1][:top_m]
+    for r, eig in enumerate(eigs):
+        top = eig[:top_m]
         clipped += int(np.count_nonzero(top < 0.0))
         per_run[r, :top.size] = np.maximum(top, 0.0)
     return SpectrumResult(
@@ -150,11 +161,47 @@ def nystrom_spectrum(
         eigenvalues=per_run.mean(axis=0),
         per_run=per_run,
         trace_estimate=float(np.mean(traces)),
-        per_run_trace=traces,
-        per_run_eigen_sum=sums,
+        per_run_trace=traces.copy(),
+        per_run_eigen_sum=sums.copy(),
         n_clipped=clipped,
-        per_run_rank=ranks,
+        per_run_rank=ranks.copy(),
     )
+
+
+@functools.lru_cache(maxsize=_SPECTRUM_CACHE_SIZE)
+def _sampled_runs(
+    beta: float, n_points: int, runs: int, seed: int
+) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray, np.ndarray]:
+    """Every run's eigenvalues of R R^T in descending order, and the
+    runs' traces, eigenvalue sums and ranks, all as read-only arrays.
+
+    Memoized per process (see the module docstring); an exception is
+    not cached, so a failed key is computed again on its next call.
+    """
+    children = np.random.SeedSequence(seed).spawn(runs)
+    eigs = []
+    traces = np.empty(runs)
+    sums = np.empty(runs)
+    ranks = np.empty(runs, dtype=np.int64)
+    factor = np.empty((min(n_points, _FACTOR_BLOCK), n_points))
+    for r in range(runs):
+        rng = np.random.default_rng(children[r])
+        y = beta * rng.standard_normal(n_points)
+        factor, ranks[r], traces[r] = _pivoted_cholesky(y, factor)
+        if not math.isfinite(traces[r]):
+            raise ArithmeticError(f"kernel trace is not finite at beta={beta:g} in run {r}")
+        top_rows = factor[:ranks[r]]
+        try:
+            eig = np.linalg.eigvalsh(top_rows @ top_rows.T)
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError(f"eigensolver failed in run {r}") from exc
+        sums[r] = float(np.sum(eig))
+        eig = eig[::-1].copy()
+        eig.flags.writeable = False
+        eigs.append(eig)
+    for arr in (traces, sums, ranks):
+        arr.flags.writeable = False
+    return tuple(eigs), traces, sums, ranks
 
 
 def _feature_table(y: np.ndarray) -> np.ndarray:
@@ -196,6 +243,11 @@ def _kernel_column(
         tail = out[cut:]
         rest = y[cut:]
         x = rest * yp
+        if a * magnitude[-1] >= _SQRT_MAX:
+            # x^2 may overflow, but only where a damp factor underflows
+            # to 0, and there the exact product below is under the
+            # smallest subnormal: take x = 0 rather than form inf * 0
+            x[(table[0, cut:] == 0.0) | (table[0, p] == 0.0)] = 0.0
         np.subtract(rest, yp, out=tail)
         np.square(tail, out=tail)
         tail *= -0.5

@@ -299,6 +299,34 @@ def test_eigensolver_failure_exit_code(capsys, monkeypatch):
     assert "eigensolver failed in run 0" in err
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("beta", ["1e100", "1e160"])
+def test_eigen_at_huge_beta(capsys, beta):
+    # the nodes lie far apart, so the sampled matrix tends to I/N; beyond
+    # beta of about 1e154 the squares of the nodes overflow on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore" if float(beta) > 1e154 else "error", RuntimeWarning)
+        code, out, _ = run_cli(capsys, "eigen", "--beta", beta, "--n-points", "100",
+                               "--runs", "1", "--format", "json")
+    assert code == 0
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert report["trace_estimates"] == [pytest.approx(1.0, rel=1e-14)]
+    assert report["eigenvalues"] == [pytest.approx([0.01] * 5, rel=1e-14)]
+
+
+def test_eigen_with_overflowing_nodes_is_numerical_failure(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code, out, err = run_cli(capsys, "eigen", "--beta", "1e308", "--n-points", "100",
+                                 "--runs", "1", "--format", "json")
+    assert code == 4
+    assert out == ""
+    assert "beta=1e+308" in err
+
+
 class TestSeedIsAnArgument:
     EIGEN = ("eigen", "--beta", "1", "--n-points", "150", "--runs", "1")
 

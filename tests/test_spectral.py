@@ -8,7 +8,8 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from eppspulley import backend
+from eppspulley import backend, cli, spectral
+from eppspulley.bahadur import efficiency_table
 from eppspulley.quadrature import QuadratureConfig, integrate_1d, normal_pdf
 from eppspulley.spectral import (
     _FACTOR_BLOCK,
@@ -17,6 +18,7 @@ from eppspulley.spectral import (
     _feature_table,
     _kernel_column,
     _pivoted_cholesky,
+    _sampled_runs,
     kernel,
     lambda1,
     null_pvalue,
@@ -98,6 +100,15 @@ class TestKernel:
                     worst = max(worst, abs(float(kernel(s, t)) - exact) / abs(exact))
         assert worst <= 1e-14
 
+    def test_huge_arguments_are_finite(self):
+        # (1 + x + x^2/2) overflows where the damping factor underflows to 0
+        s = np.array([1e100, 1e100, 1e200, 40.0])
+        t = np.array([1e100, -1e100, 1e200, 40.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            values = kernel(s, t)
+        assert np.array_equal(values, [1.0, 0.0, 1.0, 1.0])
+
     def test_symmetry_exact(self):
         rng = np.random.default_rng(3)
         s = rng.normal(scale=3.0, size=200)
@@ -120,6 +131,8 @@ class TestNystromSpectrum:
     def test_reproducible_bit_identical(self):
         tp = TuningParam(1.0)
         a = nystrom_spectrum(tp, 200, 3, seed=7, top_m=4)
+        # factorise again rather than read the memoized runs
+        _sampled_runs.cache_clear()
         b = nystrom_spectrum(tp, 200, 3, seed=7, top_m=4)
         assert np.array_equal(a.per_run, b.per_run)
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
@@ -209,6 +222,7 @@ class TestNystromSpectrum:
 
     def test_bounded_memory(self):
         # the dense 4000 x 4000 kernel matrix alone would be 128 MiB
+        _sampled_runs.cache_clear()
         tracemalloc.start()
         try:
             nystrom_spectrum(TuningParam(1.0), 4000, 1, seed=42, top_m=5)
@@ -229,6 +243,76 @@ class TestNystromSpectrum:
             nystrom_spectrum(tp, 200, 2, top_m=201)
         with pytest.raises(ValueError, match="seed must be a non-negative integer, got -3"):
             nystrom_spectrum(tp, 200, 2, seed=-3)
+
+
+class TestSpectrumCache:
+    ARRAYS = ("eigenvalues", "per_run", "per_run_trace", "per_run_eigen_sum", "per_run_rank")
+
+    @staticmethod
+    def _count_factorisations(monkeypatch):
+        calls = []
+
+        def counting(y, factor):
+            calls.append(y.size)
+            return _pivoted_cholesky(y, factor)
+
+        monkeypatch.setattr(spectral, "_pivoted_cholesky", counting)
+        return calls
+
+    def test_repeated_key_factorises_once(self, monkeypatch):
+        calls = self._count_factorisations(monkeypatch)
+        tp = TuningParam(1.0)
+        for top_m in (5, 5, 1, 3):
+            nystrom_spectrum(tp, 200, 3, seed=7, top_m=top_m)
+        assert len(calls) == 3
+        nystrom_spectrum(tp, 200, 3, seed=8, top_m=5)
+        assert len(calls) == 6
+
+    def test_hit_equals_miss_and_top_m_shares_an_entry(self):
+        tp = TuningParam(1.0)
+        five = nystrom_spectrum(tp, 300, 4, seed=3, top_m=5)
+        hit = nystrom_spectrum(tp, 300, 4, seed=3, top_m=1)
+        _sampled_runs.cache_clear()
+        miss = nystrom_spectrum(tp, 300, 4, seed=3, top_m=1)
+        for name in self.ARRAYS:
+            assert np.array_equal(getattr(hit, name), getattr(miss, name))
+        assert hit.trace_estimate == miss.trace_estimate
+        assert hit.n_clipped == miss.n_clipped == five.n_clipped
+        assert np.array_equal(five.per_run[:, 0], hit.per_run[:, 0])
+        assert np.array_equal(five.per_run_trace, hit.per_run_trace)
+        assert np.array_equal(five.per_run_eigen_sum, hit.per_run_eigen_sum)
+
+    def test_mutating_a_result_leaves_the_cache_intact(self):
+        tp = TuningParam(0.5)
+        first = nystrom_spectrum(tp, 200, 2, seed=4, top_m=4)
+        kept = {name: getattr(first, name).copy() for name in self.ARRAYS}
+        for name in kept:
+            getattr(first, name)[...] = -1
+        again = nystrom_spectrum(tp, 200, 2, seed=4, top_m=4)
+        for name, value in kept.items():
+            assert np.array_equal(getattr(again, name), value)
+
+    def test_efficiency_table_after_eigen_factorises_nothing(self, capsys, monkeypatch):
+        protocol = ["--n-points", "150", "--runs", "2"]
+        assert cli.main(["eigen", *protocol]) == 0
+        calls = self._count_factorisations(monkeypatch)
+        efficiency_table(["lehmann"], cli.DEFAULT_BETAS, n_points=150, runs=2, seed=42)
+        assert calls == []
+
+    def test_failure_is_not_cached(self, monkeypatch):
+        def fail(matrix):
+            raise np.linalg.LinAlgError("did not converge")
+
+        tp = TuningParam(1.0)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigvalsh", fail)
+            with pytest.raises(RuntimeError, match="eigensolver failed in run 0"):
+                nystrom_spectrum(tp, 150, 2, seed=5)
+        assert _sampled_runs.cache_info().currsize == 0
+        calls = self._count_factorisations(monkeypatch)
+        sp = nystrom_spectrum(tp, 150, 2, seed=5)
+        assert len(calls) == 2
+        assert np.all(np.isfinite(sp.per_run)) and sp.eigenvalues[0] > 0.0
 
 
 class TestKernelColumn:
@@ -266,6 +350,26 @@ class TestKernelColumn:
             warnings.simplefilter("error", RuntimeWarning)
             sp = nystrom_spectrum(TuningParam(beta), 100, 2, seed=6, top_m=3)
         assert np.all(np.isfinite(sp.per_run))
+
+
+    @pytest.mark.parametrize("beta", [1e3, 1e10, 1e50, 1e100, 1e150])
+    def test_huge_beta_is_warning_free_and_finite(self, beta):
+        # the nodes lie far apart, so G tends to I/N: trace 1, eigenvalues 1/N
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sp = nystrom_spectrum(TuningParam(beta), 100, 2, seed=6, top_m=3)
+        assert np.all(np.isfinite(sp.per_run_trace)) and np.all(np.isfinite(sp.per_run))
+        assert np.all(np.abs(sp.per_run_eigen_sum - sp.per_run_trace) <= RTOL * sp.per_run_trace)
+        if beta >= 1e10:
+            assert sp.per_run_trace == pytest.approx(1.0, rel=1e-14)
+            assert sp.per_run == pytest.approx(0.01, rel=1e-14)
+
+    def test_overflowing_nodes_raise(self):
+        # beta * z overflows to inf for |z| > 1.8, so the trace is NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(ArithmeticError, match="not finite at beta=1e\\+308"):
+                nystrom_spectrum(TuningParam(1e308), 100, 1, seed=6)
 
 
 class TestOperatorTrace:
