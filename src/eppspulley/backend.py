@@ -84,13 +84,17 @@ def kernel(s, t):
     underflows to 0 the exact product (1+x+x^2/2) damp is below the
     smallest subnormal while x^2 may overflow, so x is taken as 0 there
     rather than forming inf * 0.  Symmetric in (s, t) exactly, including
-    in floating point."""
+    in floating point.  s * t, s^2, t^2 and (s - t)^2 overflow to inf only
+    where damp or exp(-(s-t)^2/2) is 0 either way, so their overflow is
+    not reported."""
     s = np.asarray(s, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
-    st = s * t
-    damp = np.exp(-0.5 * (np.square(s) + np.square(t)))
+    with np.errstate(over="ignore"):
+        st = s * t
+        damp = np.exp(-0.5 * (np.square(s) + np.square(t)))
+        gauss = np.exp(-0.5 * np.square(s - t))
     x = np.where(damp == 0.0, 0.0, st)
-    out = np.asarray(np.exp(-0.5 * np.square(s - t)) - (1.0 + x + 0.5 * x * x) * damp)
+    out = np.asarray(gauss - (1.0 + x + 0.5 * x * x) * damp)
     small = np.abs(st) < _SERIES_CUTOFF
     if np.any(small):
         out[small] = damp[small] * _bracket_series(st[small])

@@ -35,6 +35,16 @@ d1/phi minus its projection on the normal location and scale scores
 
 with mu1 and sigma1 the first theta-derivatives at 0 of the family mean
 and variance.
+
+H is summed over the nodes of a symmetric K15 rule in x.  The real part
+of B(itx) is even in x and its imaginary part odd, so the sum is two
+real matrix-vector products over the nodes x > 0, against the sum and
+the difference of w d1 at x and -x: half the nodes and no complex
+arithmetic.  efficiency_table computes H once per family, x-rule and
+t-grid: above a beta the cutoff of the t-integral no longer depends on
+beta (see local_index), so the cells of a row integrate on the same
+t-nodes and share every value of H, and each cell still equals the
+local_index of its own call bit for bit.
 """
 
 from __future__ import annotations
@@ -174,25 +184,49 @@ def _weighted_score(family: AlternativeFamily, cfg: QuadratureConfig, panels: in
     return x, wd1
 
 
-def _score_transform(t, x, wd1, mu1, sigma1):
-    """H(t) at the points of the 1-D array t, from the rule (x, wd1):
+def _folded_score(family: AlternativeFamily, cfg: QuadratureConfig, panels: int):
+    """The rule (x, w d1) of _weighted_score folded onto its nodes x > 0:
+    those nodes, w d1(x) + w d1(-x) and w d1(x) - w d1(-x).
+
+    panel_rule's nodes are symmetric bit for bit, x == -x[::-1], and for
+    an even panel count (every count here is 4 times a power of 2) none
+    sits at 0, so the second half of the rule mirrors the first.
+    """
+    x, wd1 = _weighted_score(family, cfg, panels)
+    half = x.size // 2
+    mirror = wd1[half - 1::-1]
+    return x[half:], wd1[half:] + mirror, wd1[half:] - mirror
+
+
+def _score_transform(t, x, even, odd, mu1, sigma1):
+    """H(t) at the points t >= 0 of the 1-D array t, from the folded
+    rule (x, even, odd) of _folded_score:
 
         H(t) = sum of B(i t x) w d1(x) + t E (i mu1 - sigma1 t / 2),
 
-    with B(z) = e^z - 1 - z - z^2/2 and E = 1 - exp(-t^2/2).  B is
-    summed as its series where |t x| < 1, so every term keeps its
-    relative accuracy as t -> 0.  The (t, x) matrix is built in row
+    with B(z) = e^z - 1 - z - z^2/2 and E = 1 - exp(-t^2/2).  The real
+    part of B(i u) is cos u - 1 + u^2/2, even in u, and its imaginary
+    part sin u - u, odd in u, so the sum over the full rule is two real
+    matrix-vector products over the nodes x > 0, against even and odd.
+    B is summed as its series where t x < 1, so every term keeps its
+    relative accuracy as t -> 0.  The (t, x) matrices are built in row
     blocks of at most _BLOCK entries.
     """
-    out = np.empty(t.size, dtype=np.complex128)
+    re = np.empty(t.size)
+    im = np.empty(t.size)
     rows = max(1, _BLOCK // x.size)
     for start in range(0, t.size, rows):
-        u = np.multiply.outer(t[start:start + rows], x).ravel()
-        b = np.exp(1j * u) - 1.0 - 1j * u + 0.5 * np.square(u)
-        small = np.abs(u) < _SERIES_CUTOFF
-        b[small] = _bracket_series(1j * u[small])
-        out[start:start + rows] = b.reshape(-1, x.size) @ wd1
-    return out + t * -np.expm1(-0.5 * np.square(t)) * (1j * mu1 - 0.5 * sigma1 * t)
+        u = np.multiply.outer(t[start:start + rows], x)
+        b_re = np.cos(u) - 1.0 + 0.5 * np.square(u)
+        b_im = np.sin(u) - u
+        small = u < _SERIES_CUTOFF
+        series = _bracket_series(1j * u[small])
+        b_re[small] = series.real
+        b_im[small] = series.imag
+        re[start:start + rows] = b_re @ even
+        im[start:start + rows] = b_im @ odd
+    te = t * -np.expm1(-0.5 * np.square(t))
+    return (re - 0.5 * sigma1 * t * te) + 1j * (im + mu1 * te)
 
 
 def local_index(
@@ -211,7 +245,8 @@ def local_index(
     mapped linearly onto the engine's [-R, R].
 
     The x-rule is the engine's K15 rule with P panels on [-R, R], P
-    starting at the larger panel count of the mu1 and sigma1 integrals.
+    starting at the larger panel count of the mu1 and sigma1 integrals,
+    folded onto its nodes x > 0 (see _score_transform).
     The cutoff is T = min(R beta, 3 P / R), so e^{itx} turns by at most 3
     radians over a panel half-width.  While T < R beta and the edge term
     |H(T)|^2 phi_beta(T) T exceeds rel_tol * delta_beta, P doubles: the
@@ -223,7 +258,7 @@ def local_index(
     involved.
     """
     cfg = cfg or QuadratureConfig()
-    return _local_index(family, tp, cfg, *_score_moments(family, cfg))
+    return _local_index(family, tp, cfg, *_score_moments(family, cfg), {})
 
 
 def _score_moments(family: AlternativeFamily, cfg: QuadratureConfig):
@@ -240,19 +275,34 @@ def _local_index(
     mu1: float,
     sigma1: float,
     panels: int,
+    memo: dict,
 ) -> float:
-    """local_index from the family's _score_moments."""
+    """local_index from the family's _score_moments.
+
+    memo belongs to one family and one cfg: it maps a panel count P to
+    the folded x-rule (_folded_score) and (P, the bytes of a t array) to
+    |H(t)|^2 there.  For beta >= 3 P / R^2 the cutoff 3 P / R does not
+    depend on beta, so the betas of a table row integrate on the same
+    t-nodes at every refinement level and share every |H(t)|^2; each is
+    computed once per row, and the cells are the values that a fresh
+    memo gives, bit for bit.
+    """
     r, beta = cfg.truncation_radius, tp.beta
     while True:
-        x, wd1 = _weighted_score(family, cfg, panels)
+        if panels not in memo:
+            memo[panels] = _folded_score(family, cfg, panels)
+        rule = memo[panels]
         cutoff = min(r * beta, _PHASE_PER_PANEL * panels / r)
         # dt = (T / 2R) du on [0, T], doubled for the mirror half t < 0
         scale = cutoff / r
 
         def weighted_square(u):
             t = (u + r) * (0.5 * scale)
-            h = _score_transform(t, x, wd1, mu1, sigma1)
-            return scale * (np.square(h.real) + np.square(h.imag)) * normal_pdf(t / beta) / beta
+            key = (panels, t.tobytes())
+            if key not in memo:
+                h = _score_transform(t, *rule, mu1, sigma1)
+                memo[key] = np.square(h.real) + np.square(h.imag)
+            return scale * memo[key] * normal_pdf(t / beta) / beta
 
         with _naming(f"local index of {family.name} at beta={beta:g}"):
             value = integrate_1d(weighted_square, cfg).value
@@ -344,8 +394,9 @@ def efficiency_table(
 
     Every name is resolved before any computation.  The LRT index and
     the moments mu1 and sigma1 of local_index are computed once per
-    family and lambda1 once per beta, which keeps a full table
-    affordable.  ArithmeticError is raised, naming the factor,
+    family and lambda1 once per beta, and every |H(t)|^2 once per
+    family, x-rule and t-grid (see _local_index), which keeps a full
+    table affordable.  ArithmeticError is raised, naming the factor,
     when one of them is not positive.
     """
     families = [family_from_name(name) for name in family_names]
@@ -360,8 +411,8 @@ def efficiency_table(
     cfg = cfg or QuadratureConfig()
     delta = np.empty((len(families), len(betas)))
     for row, f in zip(delta, families):
-        moments = _score_moments(f, cfg)
-        row[:] = [_local_index(f, TuningParam(b), cfg, *moments) for b in betas]
+        moments, memo = _score_moments(f, cfg), {}
+        row[:] = [_local_index(f, TuningParam(b), cfg, *moments, memo) for b in betas]
     index = delta / lam
     return EfficiencyTable(
         families=tuple(f.name for f in families),

@@ -52,6 +52,7 @@ betas, or table1 followed by table2.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -212,10 +213,12 @@ def _feature_table(y: np.ndarray) -> np.ndarray:
     the terms k = 3..18 are the ones _bracket_series sums, so where
     |s t| < _SERIES_CUTOFF their sum is K to full relative accuracy.
     Each row is the one above times y / sqrt(k), so no entry overflows:
-    where damp underflows to 0 the whole column is 0.
+    where damp underflows to 0 the whole column is 0, and where y^2
+    overflows to inf damp is 0 either way.
     """
     table = np.empty((_FEATURE_ROWS, y.size))
-    table[0] = np.exp(-0.5 * np.square(y))
+    with np.errstate(over="ignore"):
+        table[0] = np.exp(-0.5 * np.square(y))
     np.multiply.outer(_INV_SQRT_K, y, out=table[1:])
     for k in range(1, _FEATURE_ROWS):
         table[k] *= table[k - 1]
@@ -242,14 +245,20 @@ def _kernel_column(
     if cut < y.size:
         tail = out[cut:]
         rest = y[cut:]
-        x = rest * yp
-        if a * magnitude[-1] >= _SQRT_MAX:
+        # x and (y - y_p)^2 overflow to inf only beyond |y| of
+        # sqrt(max float) / 2, and only where a damp factor or the
+        # Gaussian term is 0 either way
+        largest = float(magnitude[-1])
+        huge = largest >= 0.5 * _SQRT_MAX
+        with np.errstate(over="ignore") if huge else contextlib.nullcontext():
+            x = rest * yp
+            np.subtract(rest, yp, out=tail)
+            np.square(tail, out=tail)
+        if a * largest >= _SQRT_MAX:
             # x^2 may overflow, but only where a damp factor underflows
             # to 0, and there the exact product below is under the
             # smallest subnormal: take x = 0 rather than form inf * 0
             x[(table[0, cut:] == 0.0) | (table[0, p] == 0.0)] = 0.0
-        np.subtract(rest, yp, out=tail)
-        np.square(tail, out=tail)
         tail *= -0.5
         np.exp(tail, out=tail)
         poly = (0.5 * x + 1.0) * x + 1.0

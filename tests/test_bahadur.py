@@ -25,6 +25,8 @@ from scipy.special import ndtri
 
 from eppspulley import bahadur
 from eppspulley.alternatives import TABLE_FAMILIES, contamination, family_from_name, lehmann
+from eppspulley.backend import _SERIES_CUTOFF, _bracket_series
+from eppspulley.cli import DEFAULT_BETAS
 from eppspulley.bahadur import (
     _moments,
     efficiency_table,
@@ -38,6 +40,7 @@ from eppspulley.quadrature import (
     integrate_1d,
     integrate_2d,
     normal_pdf,
+    panel_rule,
 )
 from eppspulley.statistic import TuningParam
 
@@ -409,9 +412,90 @@ class TestEfficiencyTable:
         assert 0.0 < table.efficiencies[0, 0] <= 1.05
 
     def test_cells_equal_local_index_exactly(self):
-        names, betas = ["lehmann", "contam:1:1"], [0.5, 3.0]
-        table = efficiency_table(names, betas, n_points=100, runs=1, seed=5)
-        for i, name in enumerate(names):
-            for j, beta in enumerate(betas):
-                cell = local_index(family_from_name(name), TuningParam(beta))
-                assert table.delta_beta[i, j] == cell
+        # the lp2 and contam:1:1 rows share the cutoff 3P/R across their
+        # betas, and lp2 at beta >= 3 and contam:1:1 at beta >= 0.75 double
+        # P, so later cells reuse the transforms of the row's first cells
+        rows = [
+            (["lehmann", "contam:1:1"], [0.5, 3.0]),
+            (["lp2"], [2.0, 3.0, 5.0, 10.0]),
+            (["contam:1:1"], [0.5, 0.75, 1.0]),
+        ]
+        for names, betas in rows:
+            table = efficiency_table(names, betas, n_points=100, runs=1, seed=5)
+            for i, name in enumerate(names):
+                for j, beta in enumerate(betas):
+                    cell = local_index(family_from_name(name), TuningParam(beta))
+                    assert table.delta_beta[i, j] == cell, (name, beta)
+
+    def test_each_transform_is_computed_once_per_row(self, monkeypatch):
+        # evaluated cell by cell, H takes 164 calls on the paper grid, on
+        # 43 distinct (family, t) pairs
+        calls = []
+
+        def recording(t, x, even, odd, mu1, sigma1):
+            calls.append((mu1, sigma1, x.size, t.tobytes()))
+            return score_transform(t, x, even, odd, mu1, sigma1)
+
+        score_transform = bahadur._score_transform
+        monkeypatch.setattr(bahadur, "_score_transform", recording)
+        efficiency_table(TABLE_FAMILIES, DEFAULT_BETAS, n_points=100, runs=1)
+        assert len(set(calls)) == len(calls) == 43
+
+
+def full_rule_score_transform(t, x, wd1, mu1, sigma1):
+    """H(t) summed in complex arithmetic over the whole rule (x, wd1),
+    as bahadur computed it before folding the rule onto x > 0, and the
+    sums of the magnitudes of the terms of its real and imaginary parts.
+
+    H cancels terms of size (t x)^2 w d1 down to the decay of the
+    characteristic function of d1, so two orders of summation agree
+    within a few eps times those sums, not times |H|."""
+    u = np.multiply.outer(t, x).ravel()
+    b = np.exp(1j * u) - 1.0 - 1j * u + 0.5 * np.square(u)
+    small = np.abs(u) < _SERIES_CUTOFF
+    b[small] = _bracket_series(1j * u[small])
+    b = b.reshape(-1, x.size)
+    te = t * -np.expm1(-0.5 * np.square(t))
+    h = b @ wd1 + te * (1j * mu1 - 0.5 * sigma1 * t)
+    magnitude = np.abs(wd1)
+    return (
+        h,
+        np.abs(b.real) @ magnitude + 0.5 * abs(sigma1) * t * te,
+        np.abs(b.imag) @ magnitude + abs(mu1) * te,
+    )
+
+
+class TestScoreTransform:
+    @pytest.mark.parametrize("radius", [12.0, 37.0])
+    def test_panel_rule_is_symmetric(self, radius):
+        for panels in range(4, 1025):
+            x, w = panel_rule(radius, panels)
+            assert np.array_equal(x, -x[::-1]), panels
+            assert np.array_equal(w, w[::-1]), panels
+            assert panels % 2 == 1 or np.all(x != 0.0), panels
+
+    @pytest.mark.parametrize("panels", [16, 64])
+    @pytest.mark.parametrize("name", ["lehmann", "lp2", "contam:1:1", "contam:0:0.5"])
+    def test_matches_full_rule_oracle(self, name, panels):
+        fam = family_from_name(name)
+        mu1, sigma1, _ = bahadur._score_moments(fam, CFG)
+        x, wd1 = bahadur._weighted_score(fam, CFG, panels)
+        top = 3.0 * panels / CFG.truncation_radius
+        # t x = 1 at t = 1/x, where B switches between series and direct form
+        crossing = 1.0 / x[x > 1.0 / top][::23]
+        t = np.sort(np.concatenate([
+            np.geomspace(1e-8, top, 200),
+            crossing,
+            np.nextafter(crossing, 0.0),
+            np.nextafter(crossing, np.inf),
+        ]))
+        oracle, real_scale, imag_scale = full_rule_score_transform(t, x, wd1, mu1, sigma1)
+        got = bahadur._score_transform(t, *bahadur._folded_score(fam, CFG, panels), mu1, sigma1)
+        assert np.all(np.abs(got.real - oracle.real) <= 1e-13 * real_scale)
+        assert np.all(np.abs(got.imag - oracle.imag) <= 1e-13 * imag_scale)
+        # where the terms add up to at most 40 |H|, the bound holds
+        # relative to |H| as well: most t < 1 here, but only about 30
+        # points for contam:0:0.5, whose odd terms cancel to 0
+        plain = real_scale + imag_scale <= 40.0 * np.abs(oracle)
+        assert np.count_nonzero(plain) >= 30
+        assert got[plain] == pytest.approx(oracle[plain], rel=1e-13, abs=0.0)

@@ -247,6 +247,18 @@ class TestTable2Command:
         eff = json.loads(out)["efficiency"][0][0]
         assert abs(eff - 0.743) <= 0.03
 
+    def test_repeated_calls_match_a_fresh_process(self, capsys):
+        # lp2 at beta 3 and 10 shares its t-nodes and doubles its x-panels,
+        # so a transform memo that outlived a call would show here
+        argv = ["table2", "--alt", "lp2", "--beta", "0.5,3,10", "--n-points", "200",
+                "--runs", "2", "--format", "json"]
+        outputs = [run_cli(capsys, *argv)[1] for _ in range(2)]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(eppspulley.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        fresh = subprocess.run([sys.executable, "-m", "eppspulley.cli", *argv], env=env,
+                               capture_output=True, timeout=60, check=True).stdout
+        assert [out.encode() for out in outputs] == [fresh, fresh]
+
 
 class TestPvalueCommand:
     def test_report_fields_and_range(self, capsys, datafile):
@@ -303,12 +315,13 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
-@pytest.mark.parametrize("beta", ["1e100", "1e160"])
+@pytest.mark.parametrize("beta", ["1e100", "1e160", "1e300"])
 def test_eigen_at_huge_beta(capsys, beta):
     # the nodes lie far apart, so the sampled matrix tends to I/N; beyond
-    # beta of about 1e154 the squares of the nodes overflow on the way
+    # beta of about 1e154 the squares of the nodes overflow to inf, which
+    # only ever multiplies a damping factor that is 0, and is not reported
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore" if float(beta) > 1e154 else "error", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         code, out, _ = run_cli(capsys, "eigen", "--beta", beta, "--n-points", "100",
                                "--runs", "1", "--format", "json")
     assert code == 0

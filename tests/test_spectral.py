@@ -105,7 +105,7 @@ class TestKernel:
         s = np.array([1e100, 1e100, 1e200, 40.0])
         t = np.array([1e100, -1e100, 1e200, 40.0])
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error", RuntimeWarning)
             values = kernel(s, t)
         assert np.array_equal(values, [1.0, 0.0, 1.0, 1.0])
 
@@ -344,7 +344,7 @@ class TestKernelColumn:
         _kernel_column(y, np.abs(y), _feature_table(y), 0, out)
         assert np.array_equal(out, kernel(y, 0.0))
 
-    @pytest.mark.parametrize("beta", [1e-200, 1e-100, 1e-10, 1e-3, 1.0, 100.0, 1e3])
+    @pytest.mark.parametrize("beta", [1e-200, 1e-100, 1e-10, 1e-3, 1.0, 100.0, 1e3, 1e160, 1e300])
     def test_no_warning_across_the_range(self, beta):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
