@@ -257,29 +257,29 @@ def local_index(
     message starts with the quantity it integrates.  No 2-D integral is
     involved.
     """
-    cfg = cfg or QuadratureConfig()
-    return _local_index(family, tp, cfg, *_score_moments(family, cfg), {})
+    return _local_index(family, tp, cfg or QuadratureConfig(), {})
 
 
-def _score_moments(family: AlternativeFamily, cfg: QuadratureConfig):
+def _score_moments(family: AlternativeFamily, cfg: QuadratureConfig, memo: dict | None = None):
     """mu1 and sigma1, the integrals of x*d1 and x^2*d1, and the larger
-    of their panel counts; none depends on beta."""
-    with _naming(f"mu1 and sigma1 of {family.name}"):
-        return _two_moments(family.d1, cfg)
+    of their panel counts; none depends on beta.  memo, when given,
+    belongs to one family and one cfg, and keeps them under "moments"."""
+    memo = {} if memo is None else memo
+    if "moments" not in memo:
+        with _naming(f"mu1 and sigma1 of {family.name}"):
+            memo["moments"] = _two_moments(family.d1, cfg)
+    return memo["moments"]
 
 
 def _local_index(
     family: AlternativeFamily,
     tp: TuningParam,
     cfg: QuadratureConfig,
-    mu1: float,
-    sigma1: float,
-    panels: int,
     memo: dict,
 ) -> float:
-    """local_index from the family's _score_moments.
+    """local_index with a memo that belongs to one family and one cfg.
 
-    memo belongs to one family and one cfg: it maps a panel count P to
+    memo keeps the family's _score_moments, and maps a panel count P to
     the folded x-rule (_folded_score) and (P, the bytes of a t array) to
     |H(t)|^2 there.  For beta >= 3 P / R^2 the cutoff 3 P / R does not
     depend on beta, so the betas of a table row integrate on the same
@@ -287,6 +287,7 @@ def _local_index(
     computed once per row, and the cells are the values that a fresh
     memo gives, bit for bit.
     """
+    mu1, sigma1, panels = _score_moments(family, cfg, memo)
     r, beta = cfg.truncation_radius, tp.beta
     while True:
         if panels not in memo:
@@ -323,7 +324,11 @@ def _local_index(
         panels *= 2
 
 
-def lrt_local_index(family: AlternativeFamily, cfg: QuadratureConfig | None = None) -> float:
+def lrt_local_index(
+    family: AlternativeFamily,
+    cfg: QuadratureConfig | None = None,
+    memo: dict | None = None,
+) -> float:
     """Local index of the likelihood ratio test benchmark:
     fisher - mu1^2 - sigma1^2 / 2, with fisher the integral of d1^2/phi
     and mu1, sigma1 the integrals of x*d1 and x^2*d1.
@@ -338,9 +343,14 @@ def lrt_local_index(family: AlternativeFamily, cfg: QuadratureConfig | None = No
     negligible, and when d1 does not integrate to 0 on [-R', R'] (see
     _weighted_score); a failing integral's message starts with the
     quantity it integrates.
+
+    memo, when given, belongs to one family and cfg, as the memo of
+    efficiency_table's local index does: when R' is the truncation
+    radius, mu1 and sigma1 are read from it or kept in it, so that the
+    two indices integrate them once.
     """
-    cfg = cfg or QuadratureConfig()
-    cfg = replace(cfg, truncation_radius=min(cfg.truncation_radius, _SCORE_RADIUS))
+    given = cfg or QuadratureConfig()
+    cfg = replace(given, truncation_radius=min(given.truncation_radius, _SCORE_RADIUS))
     d1 = family.d1
 
     def score_square(x):
@@ -357,7 +367,7 @@ def lrt_local_index(family: AlternativeFamily, cfg: QuadratureConfig | None = No
             estimate=fisher,
             error_bound=edge,
         )
-    mu1, sigma1, panels = _score_moments(family, cfg)
+    mu1, sigma1, panels = _score_moments(family, cfg, memo if cfg == given else None)
     _weighted_score(family, cfg, panels)
     return fisher - mu1 * mu1 - 0.5 * sigma1 * sigma1
 
@@ -392,15 +402,18 @@ def efficiency_table(
     """Efficiency grid over families x betas, the one place that forms
     an efficiency; a single cell is the 1 x 1 table.
 
-    Every name is resolved before any computation.  The LRT index and
-    the moments mu1 and sigma1 of local_index are computed once per
-    family and lambda1 once per beta, and every |H(t)|^2 once per
-    family, x-rule and t-grid (see _local_index), which keeps a full
-    table affordable.  ArithmeticError is raised, naming the factor,
+    Every name is resolved before any computation.  The LRT index is
+    computed once per family and lambda1 once per beta, the moments mu1
+    and sigma1 once per family for both indices when the LRT radius
+    min(R, 37) is R (the default), and every |H(t)|^2 once per family,
+    x-rule and t-grid (see _local_index), which keeps a full table
+    affordable.  ArithmeticError is raised, naming the factor,
     when one of them is not positive.
     """
     families = [family_from_name(name) for name in family_names]
-    lrt = np.array([lrt_local_index(f, cfg) for f in families])
+    cfg = cfg or QuadratureConfig()
+    memos = [{} for _ in families]
+    lrt = np.array([lrt_local_index(f, cfg, memo) for f, memo in zip(families, memos)])
     lam = np.array([lambda1(TuningParam(b), n_points=n_points, runs=runs, seed=seed)
                     for b in betas])
     names = [f"the LRT index of {f.name}" for f in families]
@@ -408,11 +421,10 @@ def efficiency_table(
     for name, value in zip(names, [*lrt, *lam]):
         if not value > 0.0:
             raise ArithmeticError(f"{name} is {value:g}, not positive: no efficiency is defined")
-    cfg = cfg or QuadratureConfig()
     delta = np.empty((len(families), len(betas)))
-    for row, f in zip(delta, families):
-        moments, memo = _score_moments(f, cfg), {}
-        row[:] = [_local_index(f, TuningParam(b), cfg, *moments, memo) for b in betas]
+    for row, f, memo in zip(delta, families, memos):
+        row[:] = [_local_index(f, TuningParam(b), cfg, memo) for b in betas]
+        memo.clear()  # the row is done
     index = delta / lam
     return EfficiencyTable(
         families=tuple(f.name for f in families),

@@ -20,6 +20,7 @@ degenerate data, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -227,7 +228,10 @@ def _add_quadrature(parser) -> None:
                         help="most panels per axis the quadrature may refine to")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parse_args leaves it
+    unchanged, so every main call shares it."""
     parser = argparse.ArgumentParser(prog="eppspulley", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="subcommand", required=True)

@@ -48,6 +48,18 @@ beta = 10 under the reference protocol (N = 1000, 10 runs), and at most
 from it, since at its default flags it computes each key once; the gain
 is in a process that asks again, such as a batch of p-values at a few
 betas, or table1 followed by table2.
+
+The Monte-Carlo draws of null_pvalue's truncated limit law depend on
+the clipped top_m eigenvalues, the trace shift, mc_samples and the seed
+alone, never on the statistic, so they are memoized per process too,
+keyed on exactly those values (the eigenvalues by their bytes), and
+each p-value is one count over the kept draws.  Only mc_samples up to
+_MC_KEEP_LIMIT = 2^18 is kept, in an LRU cache of _MC_CACHE_SIZE = 4
+keys, so the kept draws never exceed 4 x 2^18 doubles (8 MiB) whatever
+mc_samples is; a larger mc_samples is drawn and counted chunk by chunk
+on every call, as before.  Either way the draws come _MC_CHUNK = 16384
+rows at a time, so the transient normals take _MC_CHUNK x top_m
+doubles (0.66 MB at top_m = 5).
 """
 
 from __future__ import annotations
@@ -71,9 +83,14 @@ __all__ = [
     "operator_trace",
 ]
 
-# Monte-Carlo draws per batch in null_pvalue: bounds the memory of the
-# draws to _MC_CHUNK x top_m doubles.
-_MC_CHUNK = 200_000
+# Monte-Carlo rows per chunk in null_pvalue: bounds the transient
+# normals to _MC_CHUNK x top_m doubles.  A power of 2, so that the chunk
+# boundaries fall on the row blocks of the matrix-vector product.
+_MC_CHUNK = 1 << 14
+# Largest mc_samples whose draws null_pvalue keeps, and the number of
+# keys it keeps: at most 4 x 2^18 doubles, 8 MiB, in all.
+_MC_KEEP_LIMIT = 1 << 18
+_MC_CACHE_SIZE = 4
 
 # Keys (beta, n_points, runs, seed) that _sampled_runs keeps: at least
 # the 8 betas of a table, or table1 then table2 would never hit.
@@ -352,30 +369,72 @@ def null_pvalue(
     mc_samples: int = 100_000,
     seed: int = 42,
 ) -> float:
-    """Monte-Carlo tail probability of the truncated limit law.
+    """Monte-Carlo tail probability of the truncated limit law: the
+    share of mc_samples draws that are >= statistic.
 
     The limit law is a weighted sum of chi-square(1) variables over the
     full spectrum; only the top_m estimated eigenvalues are simulated,
     and the discarded tail is compensated by a deterministic mean shift
     equal to the trace deficit.  The approximation matches the first
     moment of the full limit law but slightly understates its spread.
+
+    The draws are memoized per process by (the bytes of the clipped
+    eigenvalues, the shift, mc_samples, seed) when mc_samples is at
+    most _MC_KEEP_LIMIT, up to _MC_CACHE_SIZE keys, as read-only arrays;
+    a hit gives the p-value a miss gives, bit for bit.  A larger
+    mc_samples is drawn chunk by chunk on every call and keeps nothing.
+    A NaN statistic raises ValueError; +inf gives 0.
     """
     if mc_samples < 1:
         raise ValueError("mc_samples must be at least 1")
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    if math.isnan(statistic):
+        raise ValueError(f"statistic must not be NaN, got {statistic}")
     lam = np.maximum(np.asarray(spectrum.eigenvalues, dtype=np.float64), 0.0)
     shift = max(spectrum.trace_estimate - float(np.sum(lam)), 0.0)
+    mc_samples, seed = int(mc_samples), int(seed)
+    if mc_samples <= _MC_KEEP_LIMIT:
+        draws = _kept_draws(lam.tobytes(), shift, mc_samples, seed)
+        exceed = int(np.count_nonzero(draws >= statistic))
+    else:
+        chunks = _draw_chunks(lam, shift, mc_samples, seed)
+        exceed = sum(int(np.count_nonzero(chunk >= statistic)) for chunk in chunks)
+    return exceed / mc_samples
+
+
+@functools.lru_cache(maxsize=_MC_CACHE_SIZE)
+def _kept_draws(lam_bytes: bytes, shift: float, mc_samples: int, seed: int) -> np.ndarray:
+    """All mc_samples draws of _draw_chunks in one read-only array."""
+    draws = np.empty(mc_samples)
+    start = 0
+    for chunk in _draw_chunks(np.frombuffer(lam_bytes), shift, mc_samples, seed):
+        draws[start:start + chunk.size] = chunk
+        start += chunk.size
+    draws.flags.writeable = False
+    return draws
+
+
+def _draw_chunks(lam: np.ndarray, shift: float, mc_samples: int, seed: int):
+    """Yield mc_samples draws of sum lam_j z_j^2 + shift, z standard
+    normal, in chunks of at most _MC_CHUNK; each chunk is a view of one
+    buffer that the next overwrites.
+
+    standard_normal(out=...) continues one stream whatever the chunk
+    size, so the normals are those of a single (mc_samples, top_m) draw,
+    and at top_m = 5 so are the draws, bit for bit.  At other top_m the
+    BLAS kernel may round a chunk's last rows differently from the same
+    rows inside one long product, in the last bit.
+    """
     # entropy [seed, 1] keeps this stream disjoint from the spawned
     # per-run streams of nystrom_spectrum under the same master seed
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 1]))
-    exceed = 0
-    left = int(mc_samples)
-    buf = np.empty((min(_MC_CHUNK, left), lam.size))
-    while left > 0:
-        k = min(_MC_CHUNK, left)
-        z = rng.standard_normal(out=buf[:k])
-        draws = np.square(z, out=z) @ lam + shift
-        exceed += int(np.count_nonzero(draws >= statistic))
-        left -= k
-    return exceed / mc_samples
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
+    rows = min(_MC_CHUNK, mc_samples)
+    normals = np.empty((rows, lam.size))
+    draws = np.empty(rows)
+    for start in range(0, mc_samples, rows):
+        k = min(rows, mc_samples - start)
+        z = rng.standard_normal(out=normals[:k])
+        np.matmul(np.square(z, out=z), lam, out=draws[:k])
+        draws[:k] += shift
+        yield draws[:k]

@@ -441,6 +441,26 @@ class TestEfficiencyTable:
         efficiency_table(TABLE_FAMILIES, DEFAULT_BETAS, n_points=100, runs=1)
         assert len(set(calls)) == len(calls) == 43
 
+    @pytest.mark.parametrize("radius, per_family", [(12.0, 1), (37.0, 1), (40.0, 2)])
+    def test_moments_are_integrated_once_per_family(self, monkeypatch, radius, per_family):
+        # the LRT index runs on min(R, 37): at R <= 37 it shares mu1 and
+        # sigma1 with the local index, beyond it both integrate their own
+        calls = []
+
+        def counting(f, cfg):
+            calls.append(cfg.truncation_radius)
+            return two_moments(f, cfg)
+
+        two_moments = bahadur._two_moments
+        cfg = QuadratureConfig(truncation_radius=radius)
+        names = ["lehmann", "lp2", "contam:1:1"]
+        plain = [lrt_local_index(family_from_name(name), cfg) for name in names]
+        monkeypatch.setattr(bahadur, "_two_moments", counting)
+        table = efficiency_table(names, [0.5, 3.0], n_points=100, runs=1, cfg=cfg)
+        assert len(calls) == per_family * len(names)
+        assert set(calls) == {min(radius, 37.0), radius}
+        assert table.lrt_index.tolist() == plain
+
 
 def full_rule_score_transform(t, x, wd1, mu1, sigma1):
     """H(t) summed in complex arithmetic over the whole rule (x, wd1),

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import eppspulley
+from eppspulley import cli
 from eppspulley.cli import main, read_sample_file
 from eppspulley.statistic import Sample, TuningParam, epps_pulley_statistic
 
@@ -29,6 +30,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def fresh_cli_stdout(*argv):
+    """Standard output of the CLI run in a new interpreter."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(eppspulley.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "eppspulley.cli", *argv], env=env,
+                          capture_output=True, timeout=60, check=True).stdout
 
 
 class TestReadSampleFile:
@@ -253,10 +262,7 @@ class TestTable2Command:
         argv = ["table2", "--alt", "lp2", "--beta", "0.5,3,10", "--n-points", "200",
                 "--runs", "2", "--format", "json"]
         outputs = [run_cli(capsys, *argv)[1] for _ in range(2)]
-        src = os.path.dirname(os.path.dirname(os.path.abspath(eppspulley.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        fresh = subprocess.run([sys.executable, "-m", "eppspulley.cli", *argv], env=env,
-                               capture_output=True, timeout=60, check=True).stdout
+        fresh = fresh_cli_stdout(*argv)
         assert [out.encode() for out in outputs] == [fresh, fresh]
 
 
@@ -287,6 +293,23 @@ class TestPvalueCommand:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+    def test_batch_matches_a_fresh_process(self, capsys, datafile):
+        # the second sample reads the draws the first one left in the memo
+        rng = np.random.default_rng(4)
+        paths = [datafile("\n".join(map(str, rng.standard_normal(80))) + "\n", f"s{i}.txt")
+                 for i in range(2)]
+        flags = ["--n-points", "150", "--runs", "2", "--mc-samples", "3000", "--format", "json"]
+        outputs = [run_cli(capsys, "pvalue", path, *flags)[1] for path in paths]
+        assert outputs[1].encode() == fresh_cli_stdout("pvalue", paths[1], *flags)
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys, datafile):
+    assert cli.build_parser() is cli.build_parser()
+    path = datafile("1\n2\n4\n")
+    beta = [json.loads(run_cli(capsys, "stat", path, *flags, "--format", "json")[1])["beta"]
+            for flags in (["--beta", "2"], [])]
+    assert beta == [2.0, 1.0]
 
 
 def test_numerical_failure_exit_code(capsys):

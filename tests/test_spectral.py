@@ -1,5 +1,6 @@
 """Kernel, Nystrom spectrum, operator trace and p-value sampling tests."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -13,9 +14,12 @@ from eppspulley.bahadur import efficiency_table
 from eppspulley.quadrature import QuadratureConfig, integrate_1d, normal_pdf
 from eppspulley.spectral import (
     _FACTOR_BLOCK,
+    _MC_CACHE_SIZE,
     _MC_CHUNK,
+    _MC_KEEP_LIMIT,
     RTOL,
     _feature_table,
+    _kept_draws,
     _kernel_column,
     _pivoted_cholesky,
     _sampled_runs,
@@ -443,14 +447,111 @@ class TestNullPvalue:
     def test_chunks_draw_one_stream(self, spectrum):
         # three chunks, the last of 7 rows, against one unchunked draw
         mc, seed, t = 2 * _MC_CHUNK + 7, 5, 0.3
-        lam = spectrum.eigenvalues
-        shift = spectrum.trace_estimate - float(np.sum(lam))
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-        draws = np.square(rng.standard_normal((mc, lam.size))) @ lam + shift
+        draws = _one_chunk_draws(spectrum, mc, seed)
         assert null_pvalue(t, spectrum, mc, seed) == np.count_nonzero(draws >= t) / mc
+
+    def test_streamed_chunks_draw_one_stream(self, spectrum):
+        # above the keep limit, counted chunk by chunk
+        mc, seed, t = _MC_KEEP_LIMIT + 1, 5, 0.3
+        draws = _one_chunk_draws(spectrum, mc, seed)
+        assert null_pvalue(t, spectrum, mc, seed) == np.count_nonzero(draws >= t) / mc
+
+    def test_small_chunks_equal_one_chunk_reference(self, spectrum):
+        mc, seed = 2 * _MC_CHUNK + 7, 5
+        lam, shift = _law(spectrum)
+        kept = _kept_draws(lam.tobytes(), shift, mc, seed)
+        assert np.array_equal(kept, _one_chunk_draws(spectrum, mc, seed))
 
     def test_validation(self, spectrum):
         with pytest.raises(ValueError):
             null_pvalue(0.3, spectrum, 0)
         with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
             null_pvalue(0.3, spectrum, 10, seed=-1)
+
+    def test_nan_statistic_is_rejected(self, spectrum):
+        # every comparison with NaN is false, which would read as p = 0
+        with pytest.raises(ValueError, match="statistic must not be NaN, got nan"):
+            null_pvalue(float("nan"), spectrum, 10)
+        with pytest.raises(ValueError, match="statistic must not be NaN"):
+            null_pvalue(np.float64("nan"), spectrum, _MC_KEEP_LIMIT + 1)
+        assert null_pvalue(math.inf, spectrum, 10) == 0.0
+        assert null_pvalue(-math.inf, spectrum, 10) == 1.0
+
+
+def _law(spectrum):
+    """Clipped eigenvalues and trace shift, as null_pvalue simulates them."""
+    lam = np.maximum(spectrum.eigenvalues, 0.0)
+    return lam, max(spectrum.trace_estimate - float(np.sum(lam)), 0.0)
+
+
+def _one_chunk_draws(spectrum, mc, seed):
+    """The mc draws of null_pvalue from a single (mc, top_m) normal draw."""
+    lam, shift = _law(spectrum)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
+    return np.square(rng.standard_normal((mc, lam.size))) @ lam + shift
+
+
+class TestNullPvalueMemo:
+    def test_hit_equals_miss_bit_for_bit(self, spectrum):
+        mc, seed = 5000, 3
+        draws = _one_chunk_draws(spectrum, mc, seed)
+        # a statistic equal to a draw counts that draw (>=)
+        stats = [0.0, float(draws[17]), float(np.median(draws)), 0.3, math.inf]
+        misses = []
+        for t in stats:
+            _kept_draws.cache_clear()
+            misses.append(null_pvalue(t, spectrum, mc, seed))
+        hits = [null_pvalue(t, spectrum, mc, seed) for t in stats]
+        assert _kept_draws.cache_info()[:2] == (len(stats), 1)
+        assert hits == misses
+        assert misses == [np.count_nonzero(draws >= t) / mc for t in stats]
+        assert misses[1] > np.count_nonzero(draws > stats[1]) / mc
+
+    def test_a_batch_draws_once_and_every_key_field_misses(self, spectrum):
+        info = _kept_draws.cache_info
+        for t in (0.01, 0.05, 0.1, 0.2, 0.3):
+            null_pvalue(t, spectrum, 2000, seed=4)
+        assert (info().misses, info().hits) == (1, 4)
+        other_top_m = nystrom_spectrum(TuningParam(1.0), 400, 4, seed=9, top_m=4)
+        scaled = dataclasses.replace(spectrum, eigenvalues=spectrum.eigenvalues * (1 + 2**-40))
+        other_trace = dataclasses.replace(spectrum, trace_estimate=spectrum.trace_estimate * 2)
+        for args in [(spectrum, 2000, 5), (spectrum, 2001, 4), (other_top_m, 2000, 4),
+                     (scaled, 2000, 4), (other_trace, 2000, 4)]:
+            before = info().misses
+            null_pvalue(0.1, *args)
+            assert info().misses == before + 1, args[1:]
+
+    def test_kept_draws_are_read_only(self, spectrum):
+        null_pvalue(0.1, spectrum, 100, seed=2)
+        lam, shift = _law(spectrum)
+        draws = _kept_draws(lam.tobytes(), shift, 100, 2)
+        assert _kept_draws.cache_info().hits == 1
+        assert not draws.flags.writeable
+        with pytest.raises(ValueError):
+            draws[0] = -1.0
+
+    def test_above_the_keep_limit_memory_is_one_chunk(self, spectrum):
+        mc = _MC_KEEP_LIMIT + 1
+        tracemalloc.start()
+        try:
+            null_pvalue(0.1, spectrum, mc, seed=6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the normals and the draws of one chunk, with room to spare; one
+        # vector of all mc draws alone would be 2 MiB
+        assert peak < 2 * _MC_CHUNK * (spectrum.top_m + 1) * 8 < mc * 8
+        assert _kept_draws.cache_info().currsize == 0
+
+    def test_resident_draws_are_bounded(self, spectrum):
+        # the stated bound: 8 MiB of kept draws, whatever mc_samples is
+        assert _MC_CACHE_SIZE * _MC_KEEP_LIMIT * 8 <= 8 * 2**20
+        tracemalloc.start()
+        try:
+            for seed in range(_MC_CACHE_SIZE + 2):
+                null_pvalue(0.1, spectrum, _MC_KEEP_LIMIT, seed)
+            resident = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert _kept_draws.cache_info().currsize == _MC_CACHE_SIZE
+        assert resident < _MC_CACHE_SIZE * _MC_KEEP_LIMIT * 8 + 2**16
