@@ -27,6 +27,7 @@ library's spectrum never forms it (see spectral); it is kept as the dense
 reference that tests compare the factorised spectrum against.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -132,9 +133,13 @@ def _box_moments(y, scale, origin):
     return boxes, moments
 
 
+@functools.cache
 def _interaction_matrices():
     """M_o[j, k] = (-1)^k f^(j+k)(o h) for f(u) = e^(-u^2), o = 0..REACH,
-    from the Hermite recurrence f^(n+1) = -2u f^(n) - 2n f^(n-1)."""
+    from the Hermite recurrence f^(n+1) = -2u f^(n) - 2n f^(n-1).
+
+    They depend on the module constants alone, so they are built once
+    per process, on the first pair sum, as a tuple of read-only arrays."""
     u = BOX_WIDTH * np.arange(REACH + 1)
     deriv = np.empty((2 * P_TERMS - 1, u.size))
     deriv[0] = np.exp(-u * u)
@@ -143,7 +148,10 @@ def _interaction_matrices():
         deriv[n + 1] = -2.0 * u * deriv[n] - 2.0 * n * deriv[n - 1]
     j = np.arange(P_TERMS)
     sign = np.where(j % 2 == 0, 1.0, -1.0)
-    return [deriv[j[:, None] + j[None, :], o] * sign for o in range(REACH + 1)]
+    matrices = tuple(deriv[j[:, None] + j[None, :], o] * sign for o in range(REACH + 1))
+    for m_o in matrices:
+        m_o.flags.writeable = False
+    return matrices
 
 
 def pairwise_gauss_sum(y, gamma):

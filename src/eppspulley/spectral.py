@@ -12,28 +12,34 @@ weight, form the matrix G = (K(y_i, y_j)/N), and take its eigenvalues.
 Several independent runs are averaged.
 
 The eigenvalues of G decay geometrically (the Mehler expansion of the
-Gaussian part of K), so G has numerical rank far below N: about 10 at
-beta = 0.25 and 130 at beta = 10 for N = 1000.  G is therefore never
-formed.  A pivoted Cholesky factorisation G ~= R^T R, with R of shape
-rank x N, stops once the trace of the positive semi-definite residual
-falls to half of RTOL times the trace of G; the other half is a margin
-for roundoff, so that the trace minus the eigenvalue sum of R R^T stays
+Gaussian part of K), so G has numerical rank far below N: about 15 at
+beta = 0.25 and 140 at beta = 10 for N = 1000.  G is therefore never
+formed.  A Cholesky factorisation G ~= R^T R, with R of shape rank x N,
+stops once the trace of the positive semi-definite residual falls to
+half of RTOL times the trace of G; the other half is a margin for
+roundoff, so that the trace minus the eigenvalue sum of R R^T stays
 below RTOL * trace.  The eigenvalues are those of the small rank x rank
 matrix R R^T, each within the residual trace of the matching eigenvalue
 of G, and memory is O(N*rank).
 
-Each step needs one kernel column.  The nodes are sorted by |y|, which
-leaves the eigenvalues of G unchanged, so the nodes with |y_i y_p| < 1
-form a prefix.  There K(y_i, y_p) = sum over k = 3..18 of f_k(y_i)
-f_k(y_p), with f_k(y) = y^k e^(-y^2/2) / sqrt(k!), to full relative
+K is a sum of rank-one terms, K(s, t) = sum over k >= 3 of f_k(s)
+f_k(t) with f_k(y) = y^k e^(-y^2/2) / sqrt(k!), and a 19 x N table of
+f_0..f_18 is built once per run.  The factor starts with the rows
+f_k / sqrt(N), k = 3..18, that carry more than the stopping threshold;
+it is completed by pivoting on the residual, the tail k > 18, one
+kernel column per step.  The nodes are sorted by |y|, which leaves the
+eigenvalues of G unchanged, so the nodes with |y_i y_p| < 1 form a
+prefix.  There the terms k = 3..18 give K(y_i, y_p) to full relative
 accuracy, and the prefix of the column is one matrix-vector product
-with a 16 x N feature table built once per run; the suffix takes the
-direct form.  At N = 1000 one run takes about 0.8 ms at beta = 0.25,
-1.7 ms at beta = 1 and 9 ms at beta = 10, against 130-210 ms for a
-dense eigensolve of G (2-vCPU x86-64 VM, one BLAS thread).  The cost is
-O(N * rank^2), so the margin shrinks as the rank nears N: 0.12 s at
-beta = 50 (rank about 490), and 0.36 s at beta = 100 (rank about 770),
-where the factorisation is the slower of the two.
+with the table; the suffix takes the direct form.  At beta = 0.25 the
+seeded rows alone meet the threshold and no column is computed.  At
+N = 1000 one run takes about 0.85 ms at beta = 0.25, 1.4 ms at beta = 1
+and 7.9 ms at beta = 10 (0.99, 1.8 and 10.4 ms by pivoting alone),
+against 130-210 ms for a dense eigensolve of G (2-vCPU x86-64 VM, one
+BLAS thread, best of 15).  The cost is O(N * rank^2), so the margin
+shrinks as the rank nears N: 0.15 s at beta = 50 (rank about 500), and
+0.36 s at beta = 100 (rank about 770), where the factorisation is the
+slower of the two.
 
 The per-run spectra depend on (beta, N, runs, seed) alone, never on
 top_m or on any data, so they are memoized per process in an LRU cache
@@ -42,7 +48,7 @@ top_m from the cached runs into fresh arrays, so lambda1 (top_m = 1)
 reuses the entry that table1 (top_m = 5) made.  table1 followed by
 table2 visits the 8 betas of a table in turn, so a cache of fewer than
 8 keys would never hit.  An entry holds each run's rank eigenvalues and
-three numbers per run, at most runs x (N + 3) doubles: about 11 KB at
+three numbers per run, at most runs x (N + 19) doubles: about 11 KB at
 beta = 10 under the reference protocol (N = 1000, 10 runs), and at most
 1.3 MB for 16 keys of that protocol.  A single CLI command gains nothing
 from it, since at its default flags it computes each key once; the gain
@@ -106,7 +112,7 @@ _FACTOR_BLOCK = 64
 _FEATURE_ROWS = 19
 _INV_SQRT_K = 1.0 / np.sqrt(np.arange(1.0, _FEATURE_ROWS))
 _EPS = float(np.finfo(np.float64).eps)
-# Below this |x| the polynomial 1 + x + x^2/2 of the kernel is finite.
+# Below this |y - y_p| the square in the kernel's direct form is finite.
 _SQRT_MAX = math.sqrt(float(np.finfo(np.float64).max))
 
 
@@ -122,7 +128,8 @@ class SpectrumResult:
     their difference is the residual trace of the factorisation.
     n_clipped counts the negative eigenvalues of R R^T among the top_m of
     each run, summed over runs; padding zeros do not count.
-    per_run_rank is the rank at which each run's factorisation stopped.
+    per_run_rank is the rank at which each run's factorisation stopped:
+    the seeded feature rows plus the pivot steps.
     """
 
     beta: float
@@ -229,9 +236,10 @@ def _feature_table(y: np.ndarray) -> np.ndarray:
     of the rank-one expansion K(s, t) = sum over k >= 3 of f_k(s) f_k(t);
     the terms k = 3..18 are the ones _bracket_series sums, so where
     |s t| < _SERIES_CUTOFF their sum is K to full relative accuracy.
-    Each row is the one above times y / sqrt(k), so no entry overflows:
-    where damp underflows to 0 the whole column is 0, and where y^2
-    overflows to inf damp is 0 either way.
+    Each row is the one above times y / sqrt(k), one running product
+    down the columns, so no entry overflows: where damp underflows to 0
+    the whole column is 0, and where y^2 overflows to inf damp is 0
+    either way.
     """
     table = np.empty((_FEATURE_ROWS, y.size))
     with np.errstate(over="ignore"):
@@ -242,50 +250,58 @@ def _feature_table(y: np.ndarray) -> np.ndarray:
     return table
 
 
-def _kernel_column(
-    y: np.ndarray, magnitude: np.ndarray, table: np.ndarray, p: int, out: np.ndarray
-) -> None:
-    """out = K(y, y[p]) on nodes y sorted by ascending magnitude = |y|,
-    from their _feature_table.
+def _prefix_cuts(magnitude: np.ndarray) -> np.ndarray:
+    """cuts[p] = the number of nodes i with magnitude[i] < _SERIES_CUTOFF
+    / magnitude[p], for magnitude = |y| sorted ascending: the prefix of
+    column p on which |y_i y_p| < _SERIES_CUTOFF (all N at |y_p| = 0)."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.searchsorted(magnitude, _SERIES_CUTOFF / magnitude)
 
-    The nodes with |y_i y_p| < _SERIES_CUTOFF form a prefix [:cut], on
-    which the column is one matrix-vector product of feature rows; on
-    the suffix the direct form exp(-(y-y_p)^2/2) - (1 + x + x^2/2)
-    damp damp_p (x = y y_p) loses at most about 12 ulp to cancellation,
-    as in backend.kernel.
+
+def _kernel_column(
+    y: np.ndarray, table: np.ndarray, p: int, cut: int, out: np.ndarray
+) -> None:
+    """out = K(y, y[p]) on nodes y sorted by ascending |y|, from their
+    _feature_table, with cut = _prefix_cuts(|y|)[p].
+
+    On the prefix [:cut], where |y_i y_p| < _SERIES_CUTOFF, the column is
+    one matrix-vector product of feature rows 3..18.  On the suffix it is
+    the direct form exp(-(y-y_p)^2/2) - (1 + x + x^2/2) damp damp_p
+    (x = y y_p), which loses at most about 12 ulp to cancellation, as in
+    backend.kernel; the subtracted product is sum over k = 0..2 of
+    f_k(y) f_k(y_p), one matrix-vector product of table rows 0..2.  The
+    table holds no inf, so that product never forms inf * 0.
     """
-    yp = float(y[p])
-    a = abs(yp)
-    cut = y.size if a == 0.0 else int(np.searchsorted(magnitude, _SERIES_CUTOFF / a))
     features = table[3:]
     np.matmul(features[:, p], features[:, :cut], out=out[:cut])
     if cut < y.size:
         tail = out[cut:]
-        rest = y[cut:]
-        # x and (y - y_p)^2 overflow to inf only beyond |y| of
-        # sqrt(max float) / 2, and only where a damp factor or the
-        # Gaussian term is 0 either way
-        largest = float(magnitude[-1])
-        huge = largest >= 0.5 * _SQRT_MAX
+        # (y - y_p)^2 overflows to inf only beyond |y| of sqrt(max
+        # float) / 2, and only where the Gaussian term is 0 either way
+        huge = abs(float(y[-1])) >= 0.5 * _SQRT_MAX
         with np.errstate(over="ignore") if huge else contextlib.nullcontext():
-            x = rest * yp
-            np.subtract(rest, yp, out=tail)
+            np.subtract(y[cut:], y[p], out=tail)
             np.square(tail, out=tail)
-        if a * largest >= _SQRT_MAX:
-            # x^2 may overflow, but only where a damp factor underflows
-            # to 0, and there the exact product below is under the
-            # smallest subnormal: take x = 0 rather than form inf * 0
-            x[(table[0, cut:] == 0.0) | (table[0, p] == 0.0)] = 0.0
         tail *= -0.5
         np.exp(tail, out=tail)
-        poly = (0.5 * x + 1.0) * x + 1.0
-        poly *= table[0, cut:]
-        poly *= table[0, p]
-        tail -= poly
+        tail -= table[:3, p] @ table[:3, cut:]
+
+
+def _grown(factor: np.ndarray, rank: int, rows: int, limit: int) -> np.ndarray:
+    """factor if it has at least rows rows, else a buffer of whole
+    _FACTOR_BLOCK rows more (at most limit) that starts with its first
+    rank rows."""
+    if rows <= factor.shape[0]:
+        return factor
+    blocks = -(-(rows - factor.shape[0]) // _FACTOR_BLOCK)
+    grown = np.empty((min(limit, factor.shape[0] + blocks * _FACTOR_BLOCK), factor.shape[1]))
+    grown[:rank] = factor[:rank]
+    return grown
 
 
 def _pivoted_cholesky(y: np.ndarray, factor: np.ndarray) -> tuple[np.ndarray, int, float]:
-    """Pivoted Cholesky factor of G = (K(y_i, y_j)/N), stored transposed.
+    """Cholesky factor of G = (K(y_i, y_j)/N), seeded with the kernel's
+    feature rows and completed by pivoting, stored transposed.
 
     factor is a work buffer of N columns; it is returned, grown by
     _FACTOR_BLOCK rows whenever the rank outgrows it, together with the
@@ -296,15 +312,23 @@ def _pivoted_cholesky(y: np.ndarray, factor: np.ndarray) -> tuple[np.ndarray, in
     eigenvalues of R^T R.  The trace is the diagonal sum in the order
     the nodes were drawn.
 
-    Each step pivots on the largest entry of the residual diagonal d and
-    computes one kernel column (see _kernel_column); it stops once
-    sum(d) <= RTOL * trace / 2 or at rank N.  The residual is positive
-    semi-definite with trace sum(d), so by Weyl's inequality every
+    G is exactly the sum over k >= 3 of f_k f_k^T / N (see
+    _feature_table).  Unless the trace is already at or below the
+    threshold stop = RTOL * trace / 2, the rows f_k / sqrt(N) for
+    k = 3..18 whose squared norm exceeds stop are written into the
+    factor first, and their squares leave the residual diagonal d.  The
+    residual, the tail k > 18 plus the unseeded rows, is positive
+    semi-definite.  Each further step pivots on the largest entry of d
+    and computes one kernel column (see _kernel_column), at most N
+    steps; they stop once sum(d) <= stop.  By Weyl's inequality every
     eigenvalue of R R^T is within sum(d) of the matching eigenvalue of G
     (Harbrecht, Peters & Schneider, Appl. Numer. Math. 62, 2012).  The
     halved threshold leaves a margin for the roundoff of sum(d) and of
     the eigenvalue sum, so that trace minus the eigenvalue sum of R R^T
-    stays below RTOL * trace.  Memory is O(N * rank).
+    stays below RTOL * trace.  At beta = 0.25 and N = 1000, where
+    |y_i y_j| rarely reaches _SERIES_CUTOFF, the seeded rows alone meet
+    the threshold and no kernel column is computed.  Memory is
+    O(N * rank).
     """
     n = y.size
     d = kernel(y, y) / n
@@ -314,20 +338,28 @@ def _pivoted_cholesky(y: np.ndarray, factor: np.ndarray) -> tuple[np.ndarray, in
     y, magnitude, d = y[order], magnitude[order], d[order]
     table = _feature_table(y)
     stop = 0.5 * RTOL * trace
+    square = np.empty(n)
     rank = 0
-    while rank < n and float(d.sum()) > stop:
+    if float(d.sum()) > stop:
+        features = table[3:]
+        seeded = np.flatnonzero(np.einsum("ij,ij->i", features, features) > n * stop)
+        rank = seeded.size
+        factor = _grown(factor, 0, rank, rank + n)
+        rows = np.take(features, seeded, axis=0, out=factor[:rank], mode="clip")
+        rows /= math.sqrt(n)
+        d -= np.einsum("ij,ij->j", rows, rows, out=square)
+    limit = rank + n
+    cuts = _prefix_cuts(magnitude)
+    while rank < limit and float(d.sum()) > stop:
         p = int(d.argmax())
         pivot = float(d[p])
-        if rank == factor.shape[0]:
-            grown = np.empty((min(n, rank + _FACTOR_BLOCK), n))
-            grown[:rank] = factor
-            factor = grown
+        factor = _grown(factor, rank, rank + 1, limit)
         row = factor[rank]
-        _kernel_column(y, magnitude, table, p, row)
+        _kernel_column(y, table, p, int(cuts[p]), row)
         row /= n
-        row -= factor[:rank, p] @ factor[:rank]
+        row -= np.matmul(factor[:rank, p], factor[:rank], out=square)
         row /= math.sqrt(pivot)
-        d -= np.square(row)
+        d -= np.square(row, out=square)
         d[p] = 0.0
         rank += 1
     return factor, rank, trace

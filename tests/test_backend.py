@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from eppspulley import backend
+from eppspulley.statistic import Sample, TuningParam, epps_pulley_statistic
 
 TILE = 1024
 
@@ -129,6 +130,20 @@ class TestPairwiseSum:
     def test_repeat_calls_bit_identical(self):
         y = np.round(np.random.default_rng(7).standard_t(3, 5000), 1)
         assert backend.pairwise_gauss_sum(y, 2.0) == backend.pairwise_gauss_sum(y, 2.0)
+
+    def test_interaction_matrices_built_once_and_read_only(self, monkeypatch):
+        backend._interaction_matrices.cache_clear()
+        sample = Sample(np.round(np.random.default_rng(11).standard_t(3, 3000), 1))
+        kept = [epps_pulley_statistic(sample, TuningParam(beta)) for beta in (0.25, 1.0, 10.0)]
+        info = backend._interaction_matrices.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        matrices = backend._interaction_matrices()
+        assert len(matrices) == backend.REACH + 1
+        assert not any(m_o.flags.writeable for m_o in matrices)
+        # a fresh build on every call gives the same statistic, bit for bit
+        monkeypatch.setattr(backend, "_interaction_matrices", backend._interaction_matrices.__wrapped__)
+        fresh = [epps_pulley_statistic(sample, TuningParam(beta)) for beta in (0.25, 1.0, 10.0)]
+        assert fresh == kept
 
     @pytest.mark.parametrize("y", [[0.0, 1e300], [0.0, np.inf], [0.0, np.nan]])
     def test_spread_beyond_box_grid_rejected(self, y):

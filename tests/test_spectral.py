@@ -22,6 +22,7 @@ from eppspulley.spectral import (
     _kept_draws,
     _kernel_column,
     _pivoted_cholesky,
+    _prefix_cuts,
     _sampled_runs,
     kernel,
     lambda1,
@@ -329,13 +330,14 @@ class TestKernelColumn:
         y = self._sorted(_run_nodes(beta, 1000, seed=29))
         magnitude = np.abs(y)
         table = _feature_table(y)
+        cuts = _prefix_cuts(magnitude)
         # smallest |y|, the nodes either side of |y| = 1, where the prefix
         # |y_i y_p| < 1 ends near the pivot itself, and the largest |y|
         near_one = int(np.searchsorted(magnitude, 1.0))
         pivots = {0, max(near_one - 1, 0), min(near_one, y.size - 1), y.size - 1}
         out = np.empty(y.size)
         for p in sorted(pivots):
-            _kernel_column(y, magnitude, table, p, out)
+            _kernel_column(y, table, p, int(cuts[p]), out)
             exact = kernel(y, y[p])
             assert np.max(np.abs(out - exact)) <= 4 * np.finfo(float).eps
             prefix = magnitude * abs(y[p]) < 1.0
@@ -345,7 +347,7 @@ class TestKernelColumn:
         y = self._sorted(np.append(_run_nodes(1.0, 200, seed=3), 0.0))
         assert y[0] == 0.0
         out = np.full(y.size, np.nan)
-        _kernel_column(y, np.abs(y), _feature_table(y), 0, out)
+        _kernel_column(y, _feature_table(y), 0, int(_prefix_cuts(np.abs(y))[0]), out)
         assert np.array_equal(out, kernel(y, 0.0))
 
     @pytest.mark.parametrize("beta", [1e-200, 1e-100, 1e-10, 1e-3, 1.0, 100.0, 1e3, 1e160, 1e300])
@@ -374,6 +376,79 @@ class TestKernelColumn:
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(ArithmeticError, match="not finite at beta=1e\\+308"):
                 nystrom_spectrum(TuningParam(1e308), 100, 1, seed=6)
+
+
+def _unseeded_rank(y: np.ndarray) -> int:
+    """Steps of a plain pivoted Cholesky factorisation of the dense
+    G = K(y_i, y_j)/N, with no seeded rows and the library's stopping
+    rule: sum of the residual diagonal <= RTOL * trace / 2."""
+    n = y.size
+    gram = backend.kernel_gram(y) / n
+    d = np.diag(gram).copy()
+    stop = 0.5 * RTOL * float(np.sum(d))
+    rows = np.empty((0, n))
+    while rows.shape[0] < n and float(d.sum()) > stop:
+        p = int(d.argmax())
+        row = (gram[p] - rows[:, p] @ rows) / math.sqrt(d[p])
+        d -= np.square(row)
+        d[p] = 0.0
+        rows = np.vstack((rows, row))
+    return rows.shape[0]
+
+
+class TestSeededFactor:
+    @staticmethod
+    def _factorise(monkeypatch, y):
+        """The rank of one run on nodes y and the kernel columns it computed."""
+        columns = []
+
+        def counting(*args):
+            columns.append(args[2])
+            _kernel_column(*args)
+
+        monkeypatch.setattr(spectral, "_kernel_column", counting)
+        _, rank, _ = _pivoted_cholesky(y, np.empty((1, y.size)))
+        return rank, len(columns)
+
+    def test_small_beta_needs_no_kernel_column(self, monkeypatch):
+        # at beta = 0.25 the tail k > 18 of the kernel's expansion leaves a
+        # residual trace below the threshold in every run of the reference
+        # protocol, even where a node reaches |y| = 1.02
+        columns = []
+        monkeypatch.setattr(spectral, "_kernel_column", lambda *args: columns.append(args[2]))
+        sp = nystrom_spectrum(TuningParam(0.25), 1000, 10, seed=42, top_m=10)
+        assert columns == []
+        assert np.all((sp.per_run_rank >= 1) & (sp.per_run_rank <= 16))
+        gram = backend.kernel_gram(_run_nodes(0.25, 1000, seed=42)) / 1000
+        dense = np.linalg.eigvalsh(gram)[::-1][:10]
+        trace = float(np.trace(gram))
+        assert np.max(np.abs(sp.per_run[0] - np.maximum(dense, 0.0))) <= 1e-12 * trace
+
+    def test_huge_beta_seeds_nothing(self, monkeypatch):
+        # the nodes lie far apart: every feature row is 0 and G = I/N
+        rank, columns = self._factorise(monkeypatch, _run_nodes(1e10, 100, seed=6))
+        assert rank == columns == 100
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+    def test_seeding_saves_kernel_columns(self, monkeypatch, beta):
+        y = _run_nodes(beta, 1000, seed=42)
+        rank, columns = self._factorise(monkeypatch, y)
+        assert columns < _unseeded_rank(y)
+        assert 1 <= rank - columns <= 16
+
+    @pytest.mark.parametrize("beta", [1e-200, 1e-3, 1.0, 10.0, 100.0, 1e300])
+    def test_feature_table_is_the_running_product(self, beta):
+        y = _run_nodes(beta, 500, seed=13)
+        start = np.empty((19, y.size))
+        with np.errstate(over="ignore"):
+            start[0] = np.exp(-0.5 * np.square(y))
+        start[1:] = np.multiply.outer(1.0 / np.sqrt(np.arange(1.0, 19.0)), y)
+        table = _feature_table(y)
+        assert np.array_equal(table, np.cumprod(start, axis=0))
+        if beta <= 10.0:
+            k = np.arange(19.0)[:, None]
+            exact = y**k * np.exp(-0.5 * np.square(y)) / np.sqrt([math.factorial(int(j)) for j in k[:, 0]])[:, None]
+            assert np.allclose(table, exact, rtol=1e-13, atol=1e-300)
 
 
 class TestOperatorTrace:
