@@ -288,13 +288,13 @@ def _kernel_column(
 
 
 def _grown(factor: np.ndarray, rank: int, rows: int, limit: int) -> np.ndarray:
-    """factor if it has at least rows rows, else a buffer of whole
-    _FACTOR_BLOCK rows more (at most limit) that starts with its first
-    rank rows."""
+    """factor if it has at least rows rows, else a buffer _FACTOR_BLOCK
+    rows longer (at most limit) that starts with its first rank rows.
+    Callers ask for at most 16 rows beyond the buffer, so one block is
+    enough."""
     if rows <= factor.shape[0]:
         return factor
-    blocks = -(-(rows - factor.shape[0]) // _FACTOR_BLOCK)
-    grown = np.empty((min(limit, factor.shape[0] + blocks * _FACTOR_BLOCK), factor.shape[1]))
+    grown = np.empty((min(limit, factor.shape[0] + _FACTOR_BLOCK), factor.shape[1]))
     grown[:rank] = factor[:rank]
     return grown
 
