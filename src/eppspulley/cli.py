@@ -11,10 +11,13 @@ Subcommands:
 
 Data files hold one observation per line; blank lines and lines starting
 with '#' are skipped, and a single non-numeric first line is treated as
-a header.  The sampling commands (eigen, table1, slope, table2, pvalue)
-take --seed (default 42), and their output is byte-reproducible for fixed
-flags and seed.  Exit codes: 0 success, 2 input or usage error, 3
-degenerate data, 4 numerical failure.
+a header.  A data file is read in fixed blocks of characters, so reading
+it takes memory for one block plus twice the values, whatever its size,
+and its errors are reported in file order, block by block.  The sampling
+commands (eigen, table1, slope, table2, pvalue) take --seed (default 42),
+and their output is byte-reproducible for fixed flags and seed.  Exit
+codes: 0 success, 2 input or usage error, 3 degenerate data, 4 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -46,24 +49,50 @@ class InputFileError(ValueError):
 EXIT_CODES = {DegenerateSampleError: 3, ValueError: 2, ArithmeticError: 4, RuntimeError: 4}
 
 
-def read_sample_file(path: str) -> np.ndarray:
-    """Parse one float per line into a float64 array, naming the
-    offending line on failure.
+# characters read from a data file per block
+_READ_BLOCK = 1 << 16
 
-    The kept lines are parsed in one numpy call, which accepts exactly
-    the strings float() accepts; only when it fails, or a value is not
-    finite, are the lines walked again to name the first bad one.
-    Lines are split on "\\n" alone (str.splitlines would also split on
-    \\x0b, \\x0c and \\u2028 and shift the line numbers).  A leading UTF-8
-    byte-order mark is dropped."""
+
+def _line_blocks(fh):
+    """The lines of a text file, split on "\\n", as one list per block of
+    _READ_BLOCK characters: the lines that end in that block.  The last
+    list holds the unended last line ("" after a final newline).  A line
+    longer than a block is kept as pieces and joined once it ends."""
+    carry = []
+    while block := fh.read(_READ_BLOCK):
+        lines = block.split("\n")
+        if len(lines) > 1:
+            carry.append(lines[0])
+            lines[0] = "".join(carry)
+            carry = [lines.pop()]
+            yield lines
+        else:
+            carry.append(block)
+    yield ["".join(carry)]
+
+
+def _block_values(lines, offset, header_open, path):
+    """The values of a block of lines, and whether a header may still
+    follow.  `offset` is the number of lines before the block;
+    `header_open` is true while no kept line has been seen.
+
+    The lines are parsed in one numpy call, which accepts exactly the
+    strings float() accepts.  A block it takes holds no blank line,
+    comment or header, so its values are the kept ones.  Otherwise the
+    kept lines are stripped into one list, a non-numeric first kept line
+    of the file is dropped as a header, and the rest are parsed in one
+    numpy call; on failure the block is walked again to name the first
+    bad line."""
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            lines = fh.read().split("\n")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputFileError(f"cannot read {path}: {exc}") from exc
+        values = np.array(lines, dtype=np.float64)
+        if np.all(np.isfinite(values)):
+            return values, False
+    except ValueError:
+        pass
     kept = [text for text in map(str.strip, lines) if text and not text.startswith("#")]
     header = 0
-    if kept:
+    if header_open and kept:
+        header_open = False
         try:
             float(kept[0])
         except ValueError:
@@ -72,11 +101,11 @@ def read_sample_file(path: str) -> np.ndarray:
     try:
         values = np.array(kept, dtype=np.float64)
         if np.all(np.isfinite(values)):
-            return values
+            return values, header_open
     except ValueError:
         pass
     # walk the kept lines again, past the header, to name the first bad one
-    numbered = enumerate(map(str.strip, lines), start=1)
+    numbered = enumerate(map(str.strip, lines), start=offset + 1)
     data = ((lineno, text) for lineno, text in numbered if text and not text.startswith("#"))
     for lineno, text in itertools.islice(data, header, None):
         try:
@@ -85,7 +114,32 @@ def read_sample_file(path: str) -> np.ndarray:
             raise InputFileError(f"{path}: line {lineno}: not a number: {text!r}") from None
         if not math.isfinite(value):
             raise InputFileError(f"{path}: line {lineno}: non-finite value: {text!r}")
-    raise AssertionError("numpy rejected a file that float() accepts")
+    raise AssertionError("numpy rejected a block that float() accepts")
+
+
+def read_sample_file(path: str) -> np.ndarray:
+    """Parse one float per line into a float64 array, naming the
+    offending line on failure.
+
+    The file is read in blocks of _READ_BLOCK characters, and the lines
+    that end in a block are parsed together (_block_values), so working
+    memory is one block plus twice the result, whatever the file's size.
+    Errors come in the order of the blocks: a bad line is reported before
+    an undecodable byte in a later block.  Lines are split on "\\n" alone
+    (str.splitlines would also split on \\x0b, \\x0c and \\u2028 and shift
+    the line numbers).  A leading UTF-8 byte-order mark is dropped."""
+    parts = []
+    lineno = 0  # lines before the current block
+    header_open = True
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            for lines in _line_blocks(fh):
+                values, header_open = _block_values(lines, lineno, header_open, path)
+                parts.append(values)
+                lineno += len(lines)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputFileError(f"cannot read {path}: {exc}") from exc
+    return np.concatenate(parts)
 
 
 def _positive_int(text: str) -> int:

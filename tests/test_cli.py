@@ -1,10 +1,15 @@
-"""CLI behavior: parsing, exit codes, output formats, reproducibility."""
+"""CLI behavior: parsing, exit codes, output formats, reproducibility;
+the streaming data-file reader against the whole-file reader it
+replaced."""
 
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -38,6 +43,81 @@ def fresh_cli_stdout(*argv):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", "eppspulley.cli", *argv], env=env,
                           capture_output=True, timeout=60, check=True).stdout
+
+
+def _whole_file_reader(path: str) -> np.ndarray:
+    """The slow oracle of read_sample_file: the whole file is read and
+    split, the kept lines are stripped into one list, a non-numeric first
+    kept line is dropped as a header, and the rest are parsed in one
+    numpy call; on failure the lines are walked again to name the first
+    bad one.  An undecodable byte anywhere wins over a bad line."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            lines = fh.read().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise cli.InputFileError(f"cannot read {path}: {exc}") from exc
+    kept = [text for text in map(str.strip, lines) if text and not text.startswith("#")]
+    header = 0
+    if kept:
+        try:
+            float(kept[0])
+        except ValueError:
+            del kept[0]
+            header = 1
+    try:
+        values = np.array(kept, dtype=np.float64)
+        if np.all(np.isfinite(values)):
+            return values
+    except ValueError:
+        pass
+    numbered = enumerate(map(str.strip, lines), start=1)
+    data = ((lineno, text) for lineno, text in numbered if text and not text.startswith("#"))
+    for lineno, text in itertools.islice(data, header, None):
+        try:
+            value = float(text)
+        except ValueError:
+            raise cli.InputFileError(f"{path}: line {lineno}: not a number: {text!r}") from None
+        if not math.isfinite(value):
+            raise cli.InputFileError(f"{path}: line {lineno}: non-finite value: {text!r}")
+    raise AssertionError("numpy rejected a file that float() accepts")
+
+
+# line tokens of the randomized files: numbers float() takes in unusual
+# spellings, lines the reader skips, and lines that are a header or an error
+_ODD_NUMBERS = ("1_0", "\u0661\u0662", "\x0c2\x0b", "+7")
+_SKIPPED = ("", "   ", "# c", " #x", " ")
+_BAD = ("value", "abc", "1 2", "0x10", "1d3", "nan", "infinity", "1e400")
+
+
+def _random_data_file(rng) -> bytes:
+    """A short data file of random tokens, with \\n, \\r\\n or \\r line
+    endings, with or without a byte-order mark and a final newline."""
+    bad_rate = (0.0, 0.02, 0.1)[rng.integers(3)]
+    tokens = ["value"] if rng.random() < 0.3 else []
+    for _ in range(rng.integers(0, 40)):
+        u = rng.random()
+        if u < bad_rate:
+            tokens.append(_BAD[rng.integers(len(_BAD))])
+        elif u < bad_rate + 0.15:
+            tokens.append(_SKIPPED[rng.integers(len(_SKIPPED))])
+        elif u < bad_rate + 0.25:
+            tokens.append(_ODD_NUMBERS[rng.integers(len(_ODD_NUMBERS))])
+        else:
+            tokens.append(repr(float(rng.standard_normal())))
+    newline = ("\n", "\r\n", "\r")[rng.integers(3)]
+    text = newline.join(tokens) + (newline if rng.random() < 0.5 else "")
+    bom = "\ufeff" if rng.random() < 0.3 else ""
+    return (bom + text).encode("utf-8")
+
+
+def _outcome(reader, path):
+    """The values a reader returns, or the type and message it raises."""
+    try:
+        values = reader(path)
+    except Exception as exc:  # noqa: BLE001 -- compared, not handled
+        return type(exc), str(exc)
+    assert values.dtype == np.float64
+    return values.tolist()
 
 
 class TestReadSampleFile:
@@ -111,6 +191,65 @@ class TestReadSampleFile:
         code, _, err = run_cli(capsys, "stat", str(path))
         assert code == 2
         assert str(path) in err
+
+    @pytest.mark.parametrize("block", [None, 1, 5, 13])
+    def test_matches_whole_file_reader(self, tmp_path, monkeypatch, block):
+        # blocks of 1, 5 and 13 characters end inside lines, inside the
+        # byte-order mark and between \r and \n
+        if block is not None:
+            monkeypatch.setattr(cli, "_READ_BLOCK", block)
+        rng = np.random.default_rng(2022)
+        path = tmp_path / "data.txt"
+        for _ in range(400):
+            path.write_bytes(_random_data_file(rng))
+            assert _outcome(read_sample_file, str(path)) == _outcome(_whole_file_reader, str(path))
+
+    def test_working_memory_is_bounded(self, datafile):
+        n = 200_000
+        values = np.random.default_rng(6).standard_normal(n).tolist()
+        path = datafile("\n".join(map(repr, values)) + "\n")
+        tracemalloc.start()
+        try:
+            result = read_sample_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.tolist() == values
+        # the blocks' arrays and their concatenation, plus one block
+        assert peak <= 2 * 8 * n + 2 * 2**20
+
+    def test_undecodable_byte_past_first_block(self, tmp_path, capsys, monkeypatch):
+        # the text layer decodes 8 KiB at a time, so the byte lies past the
+        # bytes the first blocks decode
+        monkeypatch.setattr(cli, "_READ_BLOCK", 16)
+        path = tmp_path / "late.txt"
+        path.write_bytes(b"1\n2\n" * 5000 + "# caf\u00e9\n".encode("latin-1"))
+        with pytest.raises(cli.InputFileError, match="late.txt"):
+            read_sample_file(str(path))
+        code, _, err = run_cli(capsys, "stat", str(path))
+        assert code == 2
+        assert str(path) in err
+
+    def test_bad_line_before_undecodable_byte_is_named(self, tmp_path, monkeypatch):
+        # the whole-file reader reported the undecodable byte instead; the
+        # byte lies past the first 8 KiB, which the text layer decodes at once
+        monkeypatch.setattr(cli, "_READ_BLOCK", 16)
+        path = tmp_path / "both.txt"
+        path.write_bytes(b"1\nabc\n" + b"2\n" * 5000 + "# caf\u00e9\n".encode("latin-1"))
+        with pytest.raises(cli.InputFileError, match="line 2: not a number: 'abc'"):
+            read_sample_file(str(path))
+        with pytest.raises(cli.InputFileError, match="cannot read"):
+            _whole_file_reader(str(path))
+
+    def test_line_longer_than_a_block_is_joined_once(self, datafile, monkeypatch):
+        # 62500 pieces of 16 characters; joining the carry at every piece
+        # would copy about 3e10 characters
+        monkeypatch.setattr(cli, "_READ_BLOCK", 16)
+        path = datafile("9" * 1_000_000 + "\n")
+        start = time.perf_counter()
+        with pytest.raises(cli.InputFileError, match="line 1: non-finite value"):
+            read_sample_file(path)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestStatCommand:
