@@ -6,21 +6,21 @@ that vanishes at 0 and grows quadratically:
 
     b(theta) = delta_beta * theta^2 + O(theta^3).
 
-The statistic is the phi_beta-weighted L2 distance between the
-empirical characteristic function of the standardized sample and
-exp(-t^2/2), so b(theta) is that distance for the standardized family,
-and delta_beta is one nonnegative integral in the frequency domain:
+The statistic is a V-statistic with the Gaussian kernel
+exp(-beta^2 (x-y)^2 / 2) on the standardized sample, so delta_beta is
+the same pair sum over the first-order perturbation of the standardized
+family, h = d1 + mu1 phi' - (sigma1/2) phi'', with mu1 and sigma1 the
+theta-derivatives at 0 of the family mean and variance:
 
-    delta_beta = integral of |H(t)|^2 phi_beta(t) dt,
-    H(t) = integral of B(itx) d1(x) dx + i t mu1 E - (sigma1/2) t^2 E,
+    delta_beta = double integral of h(x) h(y) exp(-beta^2 (x-y)^2 / 2).
 
-with H the theta-derivative at 0 of the characteristic function of the
-standardized family, B(z) = e^z - 1 - z - z^2/2, E = 1 - exp(-t^2/2),
-and phi_beta the N(0, beta^2) density.  Every term of H is O(t^3), so
-nothing cancels at any beta, and as beta -> 0 delta_beta tends to
+h integrates 1, x and x^2 to 0, and as beta -> 0 delta_beta tends to
 15 beta^6 kappa3'^2 / 36 with kappa3' the integral of (x^3 - 3x) d1, the
 theta-derivative of the third cumulant (Henze, Extreme smoothing and
 testing for multivariate normality, Statist. Probab. Lett. 35, 1997).
+local_index sums it as a quadratic form on the nodes of a K15 panel
+rule: the statistic's own fast Gauss transform, with weights, or at
+small beta a series of squares in which nothing cancels.
 
 The approximate slope is b(theta) divided by the largest eigenvalue of
 the limit-null covariance operator, so the local index is
@@ -31,20 +31,7 @@ regular family that curvature is the Fisher information of the score
 d1/phi minus its projection on the normal location and scale scores
 (Nikitin, Asymptotic Efficiency of Nonparametric Tests, 1995):
 
-    lrt = integral of d1^2/phi - mu1^2 - sigma1^2 / 2,
-
-with mu1 and sigma1 the first theta-derivatives at 0 of the family mean
-and variance.
-
-H is summed over the nodes of a symmetric K15 rule in x.  The real part
-of B(itx) is even in x and its imaginary part odd, so the sum is two
-real matrix-vector products over the nodes x > 0, against the sum and
-the difference of w d1 at x and -x: half the nodes and no complex
-arithmetic.  efficiency_table computes H once per family, x-rule and
-t-grid: above a beta the cutoff of the t-integral no longer depends on
-beta (see local_index), so the cells of a row integrate on the same
-t-nodes and share every value of H, and each cell still equals the
-local_index of its own call bit for bit.
+    lrt = integral of d1^2/phi - mu1^2 - sigma1^2 / 2.
 """
 
 from __future__ import annotations
@@ -55,8 +42,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import backend
 from .alternatives import AlternativeFamily, family_from_name
-from .backend import _SERIES_CUTOFF, _bracket_series
 from .quadrature import (
     QuadratureConfig,
     QuadratureError,
@@ -80,11 +67,9 @@ __all__ = [
 # Largest radius on which d1^2/phi is finite: phi underflows to zero
 # beyond |x| ~ 38.5.
 _SCORE_RADIUS = 37.0
-# Largest phase of e^{itx}, in radians, across one panel half-width of
-# the x-rule: it sets the cutoff in t that P panels resolve.
-_PHASE_PER_PANEL = 3.0
-# Entries per row block of the (t, x) matrix of B(itx).
-_BLOCK = 1 << 14
+# Largest beta at which the local index is summed as a series of
+# squares (see _series_form) rather than by the fast Gauss transform.
+_SERIES_BETA = 0.25
 
 
 @contextmanager
@@ -162,8 +147,8 @@ def stochastic_limit(
 
 
 def _weighted_score(family: AlternativeFamily, cfg: QuadratureConfig, panels: int):
-    """Abscissae x and products w * d1(x) of the engine's K15 rule with
-    the given number of panels on [-R, R].
+    """Abscissae x, weights w and products w * d1(x) of the engine's K15
+    rule with the given number of panels on [-R, R].
 
     d1 integrates to 0 over the line.  When its rule sum on [-R, R]
     exceeds max(abs_tol, rel_tol * the sum of |w d1|), part of the
@@ -181,52 +166,32 @@ def _weighted_score(family: AlternativeFamily, cfg: QuadratureConfig, panels: in
             estimate=mass,
             error_bound=abs(mass),
         )
-    return x, wd1
+    return x, w, wd1
 
 
-def _folded_score(family: AlternativeFamily, cfg: QuadratureConfig, panels: int):
-    """The rule (x, w d1) of _weighted_score folded onto its nodes x > 0:
-    those nodes, w d1(x) + w d1(-x) and w d1(x) - w d1(-x).
+def _series_form(a, v):
+    """v^T G v for G[i, j] = exp(-(a_i - a_j)^2 / 2), as the sum of the
+    squares m_k^2 of m_k = sum_i v_i f_k(a_i), f_k(a) = a^k e^{-a^2/2} /
+    sqrt(k!), since exp(-(a - b)^2 / 2) = sum_k f_k(a) f_k(b).
 
-    panel_rule's nodes are symmetric bit for bit, x == -x[::-1], and for
-    an even panel count (every count here is 4 times a power of 2) none
-    sits at 0, so the second half of the rule mirrors the first.
-    """
-    x, wd1 = _weighted_score(family, cfg, panels)
-    half = x.size // 2
-    mirror = wd1[half - 1::-1]
-    return x[half:], wd1[half:] + mirror, wd1[half:] - mirror
-
-
-def _score_transform(t, x, even, odd, mu1, sigma1):
-    """H(t) at the points t >= 0 of the 1-D array t, from the folded
-    rule (x, even, odd) of _folded_score:
-
-        H(t) = sum of B(i t x) w d1(x) + t E (i mu1 - sigma1 t / 2),
-
-    with B(z) = e^z - 1 - z - z^2/2 and E = 1 - exp(-t^2/2).  The real
-    part of B(i u) is cos u - 1 + u^2/2, even in u, and its imaginary
-    part sin u - u, odd in u, so the sum over the full rule is two real
-    matrix-vector products over the nodes x > 0, against even and odd.
-    B is summed as its series where t x < 1, so every term keeps its
-    relative accuracy as t -> 0.  The (t, x) matrices are built in row
-    blocks of at most _BLOCK entries.
-    """
-    re = np.empty(t.size)
-    im = np.empty(t.size)
-    rows = max(1, _BLOCK // x.size)
-    for start in range(0, t.size, rows):
-        u = np.multiply.outer(t[start:start + rows], x)
-        b_re = np.cos(u) - 1.0 + 0.5 * np.square(u)
-        b_im = np.sin(u) - u
-        small = u < _SERIES_CUTOFF
-        series = _bracket_series(1j * u[small])
-        b_re[small] = series.real
-        b_im[small] = series.imag
-        re[start:start + rows] = b_re @ even
-        im[start:start + rows] = b_im @ odd
-    te = t * -np.expm1(-0.5 * np.square(t))
-    return (re - 0.5 * sigma1 * t * te) + 1j * (im + mu1 * te)
+    v annihilates the polynomials of degree 2 or less, so for k <= 2 the
+    polynomial part of f_k is dropped: the terms keep their relative
+    accuracy as a -> 0, where the dense sum cancels.  The sum stops after
+    two consecutive terms at most 1e-18 of it: the odd terms of a
+    symmetric v are 0, so one small term does not end it."""
+    u = -0.5 * np.square(a)
+    e = np.expm1(u)
+    total = float(v @ (e - u)) ** 2 + float(v @ (a * e)) ** 2
+    total += float(v @ (np.square(a) * e)) ** 2 / 2.0
+    f = np.square(a) * a * np.exp(u) / math.sqrt(6.0)
+    k, small = 3, 0
+    while small < 2:
+        term = float(v @ f) ** 2
+        total += term
+        small = small + 1 if not term > 1e-18 * total else 0
+        k += 1
+        f *= a / math.sqrt(k)
+    return total
 
 
 def local_index(
@@ -234,28 +199,23 @@ def local_index(
     tp: TuningParam,
     cfg: QuadratureConfig | None = None,
 ) -> float:
-    """Quadratic coefficient delta_beta of the stochastic limit at 0,
+    """Quadratic coefficient delta_beta of the stochastic limit at 0, as
+    the quadratic form
 
-        delta_beta = integral of |H(t)|^2 phi_beta(t) dt,
+        delta_beta = v^T G v,  G[i, j] = exp(-beta^2 (x_i - x_j)^2 / 2),
+        v = w (d1 - mu1 x phi - (sigma1/2) (x^2 - 1) phi)(x),
 
-    with H the theta-derivative at 0 of the characteristic function of
-    the standardized family (see _score_transform).  The integrand is
-    nonnegative and O(t^6) at 0, so the value keeps its relative
-    accuracy at any beta; H is even in modulus, so t runs over [0, T],
-    mapped linearly onto the engine's [-R, R].
+    on the engine's K15 rule (x, w) with P panels on [-R, R].  P is the
+    panel count of the mu1 and sigma1 integrals, raised to
+    2 ceil(beta R / 3) so that beta times the panel half-width is at
+    most 1.5.  Above beta = _SERIES_BETA the form is the fast Gauss
+    transform backend.pairwise_gauss_sum, and at or below it, where that
+    sum cancels like beta^-6, the series of _series_form.
 
-    The x-rule is the engine's K15 rule with P panels on [-R, R], P
-    starting at the larger panel count of the mu1 and sigma1 integrals,
-    folded onto its nodes x > 0 (see _score_transform).
-    The cutoff is T = min(R beta, 3 P / R), so e^{itx} turns by at most 3
-    radians over a panel half-width.  While T < R beta and the edge term
-    |H(T)|^2 phi_beta(T) T exceeds rel_tol * delta_beta, P doubles: the
-    dropped tail is a fraction of delta_beta, whatever abs_tol is.
-    QuadratureError is raised, naming the cutoff, when doubling would
-    exceed max_subdivisions, and, naming [-R, R], when d1 does not
+    QuadratureError is raised, naming beta and the P needed, when P
+    would exceed max_subdivisions, and, naming [-R, R], when d1 does not
     integrate to 0 there (see _weighted_score); a failing integral's
-    message starts with the quantity it integrates.  No 2-D integral is
-    involved.
+    message starts with the quantity it integrates.
     """
     return _local_index(family, tp, cfg or QuadratureConfig(), {})
 
@@ -277,51 +237,27 @@ def _local_index(
     cfg: QuadratureConfig,
     memo: dict,
 ) -> float:
-    """local_index with a memo that belongs to one family and one cfg.
-
-    memo keeps the family's _score_moments, and maps a panel count P to
-    the folded x-rule (_folded_score) and (P, the bytes of a t array) to
-    |H(t)|^2 there.  For beta >= 3 P / R^2 the cutoff 3 P / R does not
-    depend on beta, so the betas of a table row integrate on the same
-    t-nodes at every refinement level and share every |H(t)|^2; each is
-    computed once per row, and the cells are the values that a fresh
-    memo gives, bit for bit.
-    """
+    """local_index with a memo that belongs to one family and one cfg:
+    it keeps the family's _score_moments, and maps a panel count P to the
+    rule's nodes x and weights v, which the cells of a table row with the
+    same P share.  Each cell is the value of a fresh memo, bit for bit."""
     mu1, sigma1, panels = _score_moments(family, cfg, memo)
     r, beta = cfg.truncation_radius, tp.beta
-    while True:
-        if panels not in memo:
-            memo[panels] = _folded_score(family, cfg, panels)
-        rule = memo[panels]
-        cutoff = min(r * beta, _PHASE_PER_PANEL * panels / r)
-        # dt = (T / 2R) du on [0, T], doubled for the mirror half t < 0
-        scale = cutoff / r
-
-        def weighted_square(u):
-            t = (u + r) * (0.5 * scale)
-            key = (panels, t.tobytes())
-            if key not in memo:
-                h = _score_transform(t, *rule, mu1, sigma1)
-                memo[key] = np.square(h.real) + np.square(h.imag)
-            return scale * memo[key] * normal_pdf(t / beta) / beta
-
-        with _naming(f"local index of {family.name} at beta={beta:g}"):
-            value = integrate_1d(weighted_square, cfg).value
-        if cutoff >= r * beta:
-            return value
-        edge = float(weighted_square(np.array([r]))[0]) * r
-        if edge <= cfg.rel_tol * value:
-            return value
-        if 2 * panels > cfg.max_subdivisions:
-            raise QuadratureError(
-                f"local index of {family.name} at beta={beta:g} is not resolved up to the "
-                f"cutoff t = {cutoff:.3g}: the edge term is {edge:.3g} with {panels} panels, "
-                f"and doubling them would exceed max_subdivisions={cfg.max_subdivisions} "
-                f"(estimate {value:.17g})",
-                estimate=value,
-                error_bound=edge,
-            )
-        panels *= 2
+    needed = 2.0 * np.ceil(beta * r / 3.0)
+    if needed > cfg.max_subdivisions:
+        raise QuadratureError(
+            f"local index of {family.name} at beta={beta:g} needs {needed:.0f} panels on "
+            f"[-{r:g}, {r:g}], beyond max_subdivisions={cfg.max_subdivisions}"
+        )
+    panels = max(panels, int(needed))
+    if panels not in memo:
+        x, w, wd1 = _weighted_score(family, cfg, panels)
+        wphi = w * normal_pdf(x)
+        memo[panels] = x, wd1 - wphi * (mu1 * x + 0.5 * sigma1 * (np.square(x) - 1.0))
+    x, v = memo[panels]
+    if beta > _SERIES_BETA:
+        return backend.pairwise_gauss_sum(x, tp.gamma, weights=v)
+    return _series_form(beta * x, v)
 
 
 def lrt_local_index(
@@ -405,10 +341,9 @@ def efficiency_table(
     Every name is resolved before any computation.  The LRT index is
     computed once per family and lambda1 once per beta, the moments mu1
     and sigma1 once per family for both indices when the LRT radius
-    min(R, 37) is R (the default), and every |H(t)|^2 once per family,
-    x-rule and t-grid (see _local_index), which keeps a full table
-    affordable.  ArithmeticError is raised, naming the factor,
-    when one of them is not positive.
+    min(R, 37) is R (the default), and the weights of the local index
+    once per family and panel count (see _local_index).  ArithmeticError
+    is raised, naming the factor, when one of them is not positive.
     """
     families = [family_from_name(name) for name in family_names]
     cfg = cfg or QuadratureConfig()

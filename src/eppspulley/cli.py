@@ -55,9 +55,10 @@ _READ_BLOCK = 1 << 16
 
 def _line_blocks(fh):
     """The lines of a text file, split on "\\n", as one list per block of
-    _READ_BLOCK characters: the lines that end in that block.  The last
-    list holds the unended last line ("" after a final newline).  A line
-    longer than a block is kept as pieces and joined once it ends."""
+    _READ_BLOCK characters: the lines that end in that block, each with
+    whether the block's text may hold a "#".  The last list holds the
+    unended last line ("" after a final newline).  A line longer than a
+    block is kept as pieces and joined once it ends."""
     carry = []
     while block := fh.read(_READ_BLOCK):
         lines = block.split("\n")
@@ -65,30 +66,31 @@ def _line_blocks(fh):
             carry.append(lines[0])
             lines[0] = "".join(carry)
             carry = [lines.pop()]
-            yield lines
+            yield lines, "#" in block
         else:
             carry.append(block)
-    yield ["".join(carry)]
+    yield ["".join(carry)], True
 
 
-def _block_values(lines, offset, header_open, path):
+def _block_values(lines, hashed, offset, header_open, path):
     """The values of a block of lines, and whether a header may still
     follow.  `offset` is the number of lines before the block;
     `header_open` is true while no kept line has been seen.
 
-    The lines are parsed in one numpy call, which accepts exactly the
-    strings float() accepts.  A block it takes holds no blank line,
-    comment or header, so its values are the kept ones.  Otherwise the
-    kept lines are stripped into one list, a non-numeric first kept line
-    of the file is dropped as a header, and the rest are parsed in one
-    numpy call; on failure the block is walked again to name the first
-    bad line."""
-    try:
-        values = np.array(lines, dtype=np.float64)
-        if np.all(np.isfinite(values)):
-            return values, False
-    except ValueError:
-        pass
+    Unless a line is empty or `hashed` says a "#" may occur, the lines
+    are parsed in one numpy call, which accepts exactly the strings
+    float() accepts: a block it takes holds no blank line, comment or
+    header.  Otherwise, or when it fails, the kept lines are stripped
+    into one list, a non-numeric first kept line of the file is dropped
+    as a header, and the rest are parsed in one numpy call; on failure
+    the block is walked again to name the first bad line."""
+    if all(lines) and not hashed:
+        try:
+            values = np.array(lines, dtype=np.float64)
+            if np.all(np.isfinite(values)):
+                return values, False
+        except ValueError:
+            pass
     kept = [text for text in map(str.strip, lines) if text and not text.startswith("#")]
     header = 0
     if header_open and kept:
@@ -133,8 +135,8 @@ def read_sample_file(path: str) -> np.ndarray:
     header_open = True
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
-            for lines in _line_blocks(fh):
-                values, header_open = _block_values(lines, lineno, header_open, path)
+            for lines, hashed in _line_blocks(fh):
+                values, header_open = _block_values(lines, hashed, lineno, header_open, path)
                 parts.append(values)
                 lineno += len(lines)
     except (OSError, UnicodeDecodeError) as exc:

@@ -8,8 +8,10 @@ Oracles used here:
     contamination (all integrals are Gaussian);
   * the local index vs the brute-force ratio b(theta)/theta^2, vs a
     40-digit mpmath quadrature of the closed-form |H(t)|^2 phi_beta(t)
-    for contamination, and vs its small-beta asymptote
-    15 beta^6 kappa3'^2 / 36;
+    for contamination, vs its small-beta asymptote
+    15 beta^6 kappa3'^2 / 36, vs the same integral of |H(t)|^2 on the
+    quadrature engine for every table cell, vs the dense pair sum, and
+    vs itself on the rule with every panel halved;
   * the LRT index vs its closed form for contamination, vs the same
     projection formula on a fixed Gauss-Hermite rule for every table
     family, and vs the curvature of twice the minimal Kullback-Leibler
@@ -23,9 +25,8 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from eppspulley import bahadur
+from eppspulley import backend, bahadur
 from eppspulley.alternatives import TABLE_FAMILIES, contamination, family_from_name, lehmann
-from eppspulley.backend import _SERIES_CUTOFF, _bracket_series
 from eppspulley.cli import DEFAULT_BETAS
 from eppspulley.bahadur import (
     _moments,
@@ -326,12 +327,12 @@ class TestLocalIndex:
         with pytest.raises(QuadratureError, match=r"\[-12, 12\]"):
             lrt_local_index(fam)
 
-    def test_cutoff_budget_exhausted_raises(self):
-        # a narrow bump keeps |H| large out to t ~ 30, beyond the cutoff
-        # that the panel budget allows
-        cfg = QuadratureConfig(max_subdivisions=128)
-        with pytest.raises(QuadratureError, match="cutoff"):
-            local_index(contamination(0.0, 0.01), TuningParam(10.0), cfg)
+    def test_panel_budget_exhausted_raises(self):
+        # beta times the panel half-width 12 / P is at most 1.5 at P = 80
+        cfg = QuadratureConfig(max_subdivisions=64)
+        with pytest.raises(QuadratureError, match="beta=10 needs 80 panels"):
+            local_index(lehmann(), TuningParam(10.0), cfg)
+        assert local_index(lehmann(), TuningParam(10.0), QuadratureConfig(max_subdivisions=80)) > 0
 
     def test_matches_brute_force_ratio(self):
         fam = lehmann()
@@ -427,19 +428,27 @@ class TestEfficiencyTable:
                     cell = local_index(family_from_name(name), TuningParam(beta))
                     assert table.delta_beta[i, j] == cell, (name, beta)
 
-    def test_each_transform_is_computed_once_per_row(self, monkeypatch):
-        # evaluated cell by cell, H takes 164 calls on the paper grid, on
-        # 43 distinct (family, t) pairs
+    def test_weights_are_built_once_per_family_and_panel_count(self, monkeypatch):
+        # the LRT index checks the rule at P0 once per family, and the
+        # local index builds v at P = max(P0, 2 ceil(4 beta)) once per
+        # family and P: 6 + 20 rules on the paper grid, against 6 + 48
+        # built cell by cell
         calls = []
 
-        def recording(t, x, even, odd, mu1, sigma1):
-            calls.append((mu1, sigma1, x.size, t.tobytes()))
-            return score_transform(t, x, even, odd, mu1, sigma1)
+        def recording(family, cfg, panels):
+            calls.append((family.name, panels))
+            return weighted_score(family, cfg, panels)
 
-        score_transform = bahadur._score_transform
-        monkeypatch.setattr(bahadur, "_score_transform", recording)
+        expected = []
+        for name in TABLE_FAMILIES:
+            first = bahadur._score_moments(family_from_name(name), CFG)[2]
+            expected.append((name, first))
+            expected += {(name, max(first, 2 * math.ceil(4.0 * b))) for b in DEFAULT_BETAS}
+        weighted_score = bahadur._weighted_score
+        monkeypatch.setattr(bahadur, "_weighted_score", recording)
         efficiency_table(TABLE_FAMILIES, DEFAULT_BETAS, n_points=100, runs=1)
-        assert len(set(calls)) == len(calls) == 43
+        assert sorted(calls) == sorted(expected)
+        assert len(calls) == 26
 
     @pytest.mark.parametrize("radius, per_family", [(12.0, 1), (37.0, 1), (40.0, 2)])
     def test_moments_are_integrated_once_per_family(self, monkeypatch, radius, per_family):
@@ -462,30 +471,120 @@ class TestEfficiencyTable:
         assert table.lrt_index.tolist() == plain
 
 
-def full_rule_score_transform(t, x, wd1, mu1, sigma1):
-    """H(t) summed in complex arithmetic over the whole rule (x, wd1),
-    as bahadur computed it before folding the rule onto x > 0, and the
-    sums of the magnitudes of the terms of its real and imaginary parts.
+def bracket_of_iu(u):
+    """B(iu) = e^{iu} - 1 - iu + u^2/2 for real u: its Taylor series
+    sum of (iu)^n / n!, n = 3..18, for |u| < 1, where the direct form
+    cancels, and the direct form elsewhere."""
+    z = 1j * u
+    series = np.full(u.shape, 1.0 / math.factorial(18), dtype=complex)
+    for n in range(17, 2, -1):
+        series = series * z + 1.0 / math.factorial(n)
+    return np.where(np.abs(u) < 1.0, series * z**3, np.exp(z) - 1.0 - z + 0.5 * np.square(u))
 
-    H cancels terms of size (t x)^2 w d1 down to the decay of the
-    characteristic function of d1, so two orders of summation agree
-    within a few eps times those sums, not times |H|."""
-    u = np.multiply.outer(t, x).ravel()
-    b = np.exp(1j * u) - 1.0 - 1j * u + 0.5 * np.square(u)
-    small = np.abs(u) < _SERIES_CUTOFF
-    b[small] = _bracket_series(1j * u[small])
-    b = b.reshape(-1, x.size)
-    te = t * -np.expm1(-0.5 * np.square(t))
-    h = b @ wd1 + te * (1j * mu1 - 0.5 * sigma1 * t)
-    magnitude = np.abs(wd1)
-    return (
-        h,
-        np.abs(b.real) @ magnitude + 0.5 * abs(sigma1) * t * te,
-        np.abs(b.imag) @ magnitude + abs(mu1) * te,
-    )
+
+def full_rule_score_transform(t, x, wd1, mu1, sigma1):
+    """H(t) = sum of B(itx) w d1(x) + t E (i mu1 - sigma1 t / 2) over the
+    whole rule (x, wd1), with E = 1 - exp(-t^2/2), in complex arithmetic
+    and row blocks of the (t, x) matrix."""
+    blocks = np.array_split(t, max(1, t.size * x.size // 2**18))
+    h = np.concatenate([bracket_of_iu(np.multiply.outer(rows, x)) @ wd1 for rows in blocks])
+    return h + t * -np.expm1(-0.5 * np.square(t)) * (1j * mu1 - 0.5 * sigma1 * t)
+
+
+def fourier_local_index(family, beta, cfg=CFG):
+    """delta_beta as the frequency-domain integral of |H(t)|^2 phi_beta(t),
+    with H summed over the engine's K15 x-rule with P panels
+    (full_rule_score_transform), and integrated by integrate_1d over
+    [0, T] and doubled for t < 0.  T = min(R beta, 3P/R), so e^{itx}
+    turns by at most 3 radians over a panel half-width; while T < R beta
+    and the edge term |H(T)|^2 phi_beta(T) T exceeds rel_tol *
+    delta_beta, P doubles.  Every term of H is O(t^3), so nothing
+    cancels at any beta."""
+    mu1, sigma1, panels = bahadur._score_moments(family, cfg)
+    r = cfg.truncation_radius
+    while True:
+        x, _, wd1 = bahadur._weighted_score(family, cfg, panels)
+        cutoff = min(r * beta, 3.0 * panels / r)
+        scale = cutoff / r
+
+        def weighted_square(u):
+            t = (u + r) * (0.5 * scale)
+            h = full_rule_score_transform(t, x, wd1, mu1, sigma1)
+            return scale * np.abs(h) ** 2 * normal_pdf(t / beta) / beta
+
+        value = integrate_1d(weighted_square, cfg).value
+        if cutoff >= r * beta:
+            return value
+        if float(weighted_square(np.array([r]))[0]) * r <= cfg.rel_tol * value:
+            return value
+        panels *= 2
+        assert panels <= cfg.max_subdivisions, (family.name, beta)
+
+
+TABLE_CELLS = [(name, beta) for name in TABLE_FAMILIES for beta in DEFAULT_BETAS]
+
+
+class TestQuadraticForm:
+    @pytest.mark.parametrize("name, beta", TABLE_CELLS)
+    def test_matches_fourier_route_on_table(self, name, beta):
+        fam = family_from_name(name)
+        got = local_index(fam, TuningParam(beta))
+        assert got == pytest.approx(fourier_local_index(fam, beta), rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize("beta,mu,s2", CONTAM_ORACLE_CASES)
+    def test_matches_fourier_route_on_contamination(self, beta, mu, s2):
+        fam = contamination(mu, s2)
+        got = local_index(fam, TuningParam(beta))
+        assert got == pytest.approx(fourier_local_index(fam, beta), rel=1e-11, abs=0.0)
+
+    def test_halving_every_panel(self, monkeypatch):
+        cells = [local_index(family_from_name(n), TuningParam(b)) for n, b in TABLE_CELLS]
+        monkeypatch.setattr(bahadur, "panel_rule", lambda r, panels: panel_rule(r, 2 * panels))
+        for (name, beta), cell in zip(TABLE_CELLS, cells):
+            fine = local_index(family_from_name(name), TuningParam(beta))
+            assert fine == pytest.approx(cell, rel=1e-13, abs=0.0), (name, beta)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="no extended precision")
+    def test_matches_dense_pair_sum_at_twice_the_panels(self, monkeypatch):
+        # v^T G v accumulated in extended precision: in float64 the sum
+        # cancels to about 1e-10 relative at beta = 0.25
+        rules = []
+
+        def recording(r, panels):
+            rules.append(panel_rule(r, 2 * panels))
+            return panel_rule(r, panels)
+
+        for name, beta in TABLE_CELLS:
+            fam = family_from_name(name)
+            mu1, sigma1, _ = bahadur._score_moments(fam, CFG)
+            monkeypatch.setattr(bahadur, "panel_rule", recording)
+            cell = local_index(fam, TuningParam(beta))
+            monkeypatch.undo()
+            x, w = rules.pop()
+            v = w * (fam.d1(x) - normal_pdf(x) * (mu1 * x + 0.5 * sigma1 * (x * x - 1.0)))
+            gauss = np.exp(-0.5 * beta * beta * np.square(x[:, None] - x[None, :]))
+            v = v.astype(np.longdouble)
+            dense = float(v @ (gauss.astype(np.longdouble) @ v))
+            assert cell == pytest.approx(dense, rel=1e-13, abs=0.0), (name, beta)
+
+    @pytest.mark.parametrize("radius", [12.0, 37.0])
+    def test_series_and_fast_gauss_transform_agree_at_the_split(self, radius):
+        # just above the split the pair sum cancels like beta^-6
+        cfg = QuadratureConfig(truncation_radius=radius)
+        for name in TABLE_FAMILIES:
+            fam = family_from_name(name)
+            memo = {}
+            below = bahadur._local_index(fam, TuningParam(bahadur._SERIES_BETA), cfg, memo)
+            x, v = memo[max(memo.keys() - {"moments"})]
+            above = backend.pairwise_gauss_sum(x, 0.5 * bahadur._SERIES_BETA**2, weights=v)
+            assert above == pytest.approx(below, rel=1e-11, abs=0.0), name
 
 
 class TestScoreTransform:
+    """H(t) is the Fourier transform of the perturbation h whose pair sum
+    the local index takes, so the transform of the weights v = w h(x) of
+    the quadratic form is H summed over the rule."""
+
     @pytest.mark.parametrize("radius", [12.0, 37.0])
     def test_panel_rule_is_symmetric(self, radius):
         for panels in range(4, 1025):
@@ -499,23 +598,19 @@ class TestScoreTransform:
     def test_matches_full_rule_oracle(self, name, panels):
         fam = family_from_name(name)
         mu1, sigma1, _ = bahadur._score_moments(fam, CFG)
-        x, wd1 = bahadur._weighted_score(fam, CFG, panels)
-        top = 3.0 * panels / CFG.truncation_radius
+        memo = {"moments": (mu1, sigma1, panels)}
+        bahadur._local_index(fam, TuningParam(0.25), CFG, memo)
+        x, v = memo[panels]
+        _, _, wd1 = bahadur._weighted_score(fam, CFG, panels)
         # t x = 1 at t = 1/x, where B switches between series and direct form
-        crossing = 1.0 / x[x > 1.0 / top][::23]
+        crossing = 1.0 / x[x > 0.25][::23]
         t = np.sort(np.concatenate([
-            np.geomspace(1e-8, top, 200),
+            np.geomspace(1e-8, 4.0, 200),
             crossing,
             np.nextafter(crossing, 0.0),
             np.nextafter(crossing, np.inf),
         ]))
-        oracle, real_scale, imag_scale = full_rule_score_transform(t, x, wd1, mu1, sigma1)
-        got = bahadur._score_transform(t, *bahadur._folded_score(fam, CFG, panels), mu1, sigma1)
-        assert np.all(np.abs(got.real - oracle.real) <= 1e-13 * real_scale)
-        assert np.all(np.abs(got.imag - oracle.imag) <= 1e-13 * imag_scale)
-        # where the terms add up to at most 40 |H|, the bound holds
-        # relative to |H| as well: most t < 1 here, but only about 30
-        # points for contam:0:0.5, whose odd terms cancel to 0
-        plain = real_scale + imag_scale <= 40.0 * np.abs(oracle)
-        assert np.count_nonzero(plain) >= 30
-        assert got[plain] == pytest.approx(oracle[plain], rel=1e-13, abs=0.0)
+        oracle = full_rule_score_transform(t, x, wd1, mu1, sigma1)
+        got = np.exp(1j * np.multiply.outer(t, x)) @ v
+        # the transform of v cancels terms of size |v| down to |H|
+        assert np.all(np.abs(got - oracle) <= 1e-13 * np.sum(np.abs(v)))

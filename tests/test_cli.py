@@ -204,6 +204,29 @@ class TestReadSampleFile:
             path.write_bytes(_random_data_file(rng))
             assert _outcome(read_sample_file, str(path)) == _outcome(_whole_file_reader, str(path))
 
+    @pytest.mark.parametrize("text, values, parsed", [
+        ("1\n2\n\n3\n# c\n4\n", [1.0, 2.0, 3.0, 4.0], [4, 0]),
+        ("1\n2\n3\n", [1.0, 2.0, 3.0], [3, 0]),
+    ])
+    def test_each_block_is_parsed_once(self, datafile, monkeypatch, text, values, parsed):
+        # a block with a blank or "#" line goes straight to the filtered
+        # parse; the last block is the empty line after the final newline
+        class CountingNumpy:
+            def __init__(self):
+                self.parsed = []
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def array(self, lines, *args, **kwargs):
+                self.parsed.append(len(lines))
+                return np.array(lines, *args, **kwargs)
+
+        counting = CountingNumpy()
+        monkeypatch.setattr(cli, "np", counting)
+        assert read_sample_file(datafile(text)).tolist() == values
+        assert counting.parsed == parsed
+
     def test_working_memory_is_bounded(self, datafile):
         n = 200_000
         values = np.random.default_rng(6).standard_normal(n).tolist()
@@ -595,6 +618,21 @@ def test_slope_infinite_fisher_information_exit_code(capsys):
     assert code == 4
     assert captured.out == ""
     assert "[-12, 12]" in captured.err
+
+
+def test_slope_large_beta_needs_a_larger_panel_budget(capsys):
+    # beta times the panel half-width 12 / P is at most 1.5, so beta = 1000
+    # needs P = 8000, beyond the default budget of 2000
+    argv = ["slope", "--alt", "lehmann", "--beta", "1000", "--n-points", "100", "--runs", "1",
+            "--format", "json"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert "beta=1000 needs 8000 panels" in err
+    code, out, _ = run_cli(capsys, *argv, "--max-subdivisions", "8000")
+    assert code == 0
+    # the frequency-domain integral of |H(t)|^2 phi_beta(t), which the
+    # default budget resolved
+    assert json.loads(out)["delta_beta"] == pytest.approx(1.6342993987686285e-06, rel=1e-11)
 
 
 @pytest.mark.parametrize("name", ["contam:40:1", "contam:-30:2"])
