@@ -176,12 +176,17 @@ def _series_form(a, v):
 
     v annihilates the polynomials of degree 2 or less, so for k <= 2 the
     polynomial part of f_k is dropped: the terms keep their relative
-    accuracy as a -> 0, where the dense sum cancels.  The sum stops after
-    two consecutive terms at most 1e-18 of it: the odd terms of a
-    symmetric v are 0, so one small term does not end it."""
+    accuracy as a -> 0, where the dense sum cancels.  f_0's part
+    e^u - 1 - u, u = -a^2/2, is the bracket series plus u^2/2 where
+    |u| < _SERIES_CUTOFF, since expm1(u) - u cancels to u^2/2 there.
+    The sum stops after two consecutive terms at most 1e-18 of it: the
+    odd terms of a symmetric v are 0, so one small term does not end it."""
     u = -0.5 * np.square(a)
     e = np.expm1(u)
-    total = float(v @ (e - u)) ** 2 + float(v @ (a * e)) ** 2
+    f0 = e - u
+    near = np.abs(u) < backend._SERIES_CUTOFF
+    f0[near] = backend._bracket_series(u[near]) + 0.5 * np.square(u[near])
+    total = float(v @ f0) ** 2 + float(v @ (a * e)) ** 2
     total += float(v @ (np.square(a) * e)) ** 2 / 2.0
     f = np.square(a) * a * np.exp(u) / math.sqrt(6.0)
     k, small = 3, 0
@@ -192,6 +197,43 @@ def _series_form(a, v):
         k += 1
         f *= a / math.sqrt(k)
     return total
+
+
+def _score_moments(family: AlternativeFamily, cfg: QuadratureConfig):
+    """mu1 and sigma1, the integrals of x*d1 and x^2*d1, and the larger
+    P0 of their panel counts; none depends on beta."""
+    with _naming(f"mu1 and sigma1 of {family.name}"):
+        return _two_moments(family.d1, cfg)
+
+
+def _panel_count(family: AlternativeFamily, beta: float, cfg: QuadratureConfig, first: int):
+    """P = max(first, 2 ceil(beta R / 3)) of local_index, or
+    QuadratureError naming beta and P when P exceeds max_subdivisions."""
+    r = cfg.truncation_radius
+    needed = 2.0 * np.ceil(beta * r / 3.0)
+    if needed > cfg.max_subdivisions:
+        raise QuadratureError(
+            f"local index of {family.name} at beta={beta:g} needs {needed:.0f} panels on "
+            f"[-{r:g}, {r:g}], beyond max_subdivisions={cfg.max_subdivisions}"
+        )
+    return max(first, int(needed))
+
+
+def _score_weights(family: AlternativeFamily, cfg: QuadratureConfig, moments, panels: int):
+    """Nodes x and weights v of local_index on the rule with the given
+    panels, for the moments of _score_moments (see _weighted_score)."""
+    mu1, sigma1, _ = moments
+    x, w, wd1 = _weighted_score(family, cfg, panels)
+    wphi = w * normal_pdf(x)
+    return x, wd1 - wphi * (mu1 * x + 0.5 * sigma1 * (np.square(x) - 1.0))
+
+
+def _quadratic_form(x, v, tp: TuningParam) -> float:
+    """v^T G v of local_index: the fast Gauss transform above
+    _SERIES_BETA, and the series of _series_form at or below it."""
+    if tp.beta > _SERIES_BETA:
+        return backend.pairwise_gauss_sum(x, tp.gamma, weights=v)
+    return _series_form(tp.beta * x, v)
 
 
 def local_index(
@@ -217,54 +259,13 @@ def local_index(
     integrate to 0 there (see _weighted_score); a failing integral's
     message starts with the quantity it integrates.
     """
-    return _local_index(family, tp, cfg or QuadratureConfig(), {})
+    cfg = cfg or QuadratureConfig()
+    moments = _score_moments(family, cfg)
+    panels = _panel_count(family, tp.beta, cfg, moments[2])
+    return _quadratic_form(*_score_weights(family, cfg, moments, panels), tp)
 
 
-def _score_moments(family: AlternativeFamily, cfg: QuadratureConfig, memo: dict | None = None):
-    """mu1 and sigma1, the integrals of x*d1 and x^2*d1, and the larger
-    of their panel counts; none depends on beta.  memo, when given,
-    belongs to one family and one cfg, and keeps them under "moments"."""
-    memo = {} if memo is None else memo
-    if "moments" not in memo:
-        with _naming(f"mu1 and sigma1 of {family.name}"):
-            memo["moments"] = _two_moments(family.d1, cfg)
-    return memo["moments"]
-
-
-def _local_index(
-    family: AlternativeFamily,
-    tp: TuningParam,
-    cfg: QuadratureConfig,
-    memo: dict,
-) -> float:
-    """local_index with a memo that belongs to one family and one cfg:
-    it keeps the family's _score_moments, and maps a panel count P to the
-    rule's nodes x and weights v, which the cells of a table row with the
-    same P share.  Each cell is the value of a fresh memo, bit for bit."""
-    mu1, sigma1, panels = _score_moments(family, cfg, memo)
-    r, beta = cfg.truncation_radius, tp.beta
-    needed = 2.0 * np.ceil(beta * r / 3.0)
-    if needed > cfg.max_subdivisions:
-        raise QuadratureError(
-            f"local index of {family.name} at beta={beta:g} needs {needed:.0f} panels on "
-            f"[-{r:g}, {r:g}], beyond max_subdivisions={cfg.max_subdivisions}"
-        )
-    panels = max(panels, int(needed))
-    if panels not in memo:
-        x, w, wd1 = _weighted_score(family, cfg, panels)
-        wphi = w * normal_pdf(x)
-        memo[panels] = x, wd1 - wphi * (mu1 * x + 0.5 * sigma1 * (np.square(x) - 1.0))
-    x, v = memo[panels]
-    if beta > _SERIES_BETA:
-        return backend.pairwise_gauss_sum(x, tp.gamma, weights=v)
-    return _series_form(beta * x, v)
-
-
-def lrt_local_index(
-    family: AlternativeFamily,
-    cfg: QuadratureConfig | None = None,
-    memo: dict | None = None,
-) -> float:
+def lrt_local_index(family: AlternativeFamily, cfg: QuadratureConfig | None = None) -> float:
     """Local index of the likelihood ratio test benchmark:
     fisher - mu1^2 - sigma1^2 / 2, with fisher the integral of d1^2/phi
     and mu1, sigma1 the integrals of x*d1 and x^2*d1.
@@ -279,14 +280,14 @@ def lrt_local_index(
     negligible, and when d1 does not integrate to 0 on [-R', R'] (see
     _weighted_score); a failing integral's message starts with the
     quantity it integrates.
-
-    memo, when given, belongs to one family and cfg, as the memo of
-    efficiency_table's local index does: when R' is the truncation
-    radius, mu1 and sigma1 are read from it or kept in it, so that the
-    two indices integrate them once.
     """
-    given = cfg or QuadratureConfig()
-    cfg = replace(given, truncation_radius=min(given.truncation_radius, _SCORE_RADIUS))
+    return _lrt_index(family, cfg or QuadratureConfig())[0]
+
+
+def _lrt_index(family: AlternativeFamily, cfg: QuadratureConfig):
+    """lrt_local_index, and the moments (mu1, sigma1, P0) of
+    _score_moments that it integrated on [-R', R']."""
+    cfg = replace(cfg, truncation_radius=min(cfg.truncation_radius, _SCORE_RADIUS))
     d1 = family.d1
 
     def score_square(x):
@@ -303,9 +304,10 @@ def lrt_local_index(
             estimate=fisher,
             error_bound=edge,
         )
-    mu1, sigma1, panels = _score_moments(family, cfg, memo if cfg == given else None)
+    moments = _score_moments(family, cfg)
+    mu1, sigma1, panels = moments
     _weighted_score(family, cfg, panels)
-    return fisher - mu1 * mu1 - 0.5 * sigma1 * sigma1
+    return fisher - mu1 * mu1 - 0.5 * sigma1 * sigma1, moments
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,27 +341,34 @@ def efficiency_table(
     an efficiency; a single cell is the 1 x 1 table.
 
     Every name is resolved before any computation.  The LRT index is
-    computed once per family and lambda1 once per beta, the moments mu1
-    and sigma1 once per family for both indices when the LRT radius
-    min(R, 37) is R (the default), and the weights of the local index
-    once per family and panel count (see _local_index).  ArithmeticError
-    is raised, naming the factor, when one of them is not positive.
+    computed once per family and lambda1 once per beta.  The moments mu1
+    and sigma1 are integrated once per family for both indices when the
+    LRT radius min(R, 37) is R (the default), and each row builds the
+    weights of its local index once per panel count, so each cell is
+    the local_index of its own call, bit for bit.  ArithmeticError is
+    raised, naming the factor, when one of them is not positive.
     """
     families = [family_from_name(name) for name in family_names]
     cfg = cfg or QuadratureConfig()
-    memos = [{} for _ in families]
-    lrt = np.array([lrt_local_index(f, cfg, memo) for f, memo in zip(families, memos)])
-    lam = np.array([lambda1(TuningParam(b), n_points=n_points, runs=runs, seed=seed)
-                    for b in betas])
+    lrt_moments = [_lrt_index(f, cfg) for f in families]
+    lrt = np.array([index for index, _ in lrt_moments])
+    tps = [TuningParam(b) for b in betas]
+    lam = np.array([lambda1(tp, n_points=n_points, runs=runs, seed=seed) for tp in tps])
     names = [f"the LRT index of {f.name}" for f in families]
     names += [f"lambda1 at beta={b:g}" for b in betas]
     for name, value in zip(names, [*lrt, *lam]):
         if not value > 0.0:
             raise ArithmeticError(f"{name} is {value:g}, not positive: no efficiency is defined")
     delta = np.empty((len(families), len(betas)))
-    for row, f, memo in zip(delta, families, memos):
-        row[:] = [_local_index(f, TuningParam(b), cfg, memo) for b in betas]
-        memo.clear()  # the row is done
+    for row, f, (_, moments) in zip(delta, families, lrt_moments):
+        if cfg.truncation_radius > _SCORE_RADIUS:
+            moments = _score_moments(f, cfg)
+        weights = {}
+        for j, tp in enumerate(tps):
+            panels = _panel_count(f, tp.beta, cfg, moments[2])
+            if panels not in weights:
+                weights[panels] = _score_weights(f, cfg, moments, panels)
+            row[j] = _quadratic_form(*weights[panels], tp)
     index = delta / lam
     return EfficiencyTable(
         families=tuple(f.name for f in families),

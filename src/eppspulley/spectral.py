@@ -77,7 +77,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import _SERIES_CUTOFF, kernel
+from .backend import _SERIES_COEFFS, _SERIES_CUTOFF, kernel
 from .statistic import TuningParam
 
 __all__ = [
@@ -108,8 +108,9 @@ RTOL = 1e-14
 # Rows by which the Cholesky factor grows.
 _FACTOR_BLOCK = 64
 # Rows k = 0..18 of the feature table and the factors 1/sqrt(k),
-# k = 1..18, whose running products give y^k / sqrt(k!).
-_FEATURE_ROWS = 19
+# k = 1..18, whose running products give y^k / sqrt(k!): rows 3..18 are
+# the terms that backend._bracket_series sums.
+_FEATURE_ROWS = 3 + _SERIES_COEFFS.size
 _INV_SQRT_K = 1.0 / np.sqrt(np.arange(1.0, _FEATURE_ROWS))
 _EPS = float(np.finfo(np.float64).eps)
 # Below this |y - y_p| the square in the kernel's direct form is finite.
@@ -208,18 +209,17 @@ def _sampled_runs(
     traces = np.empty(runs)
     sums = np.empty(runs)
     ranks = np.empty(runs, dtype=np.int64)
-    factor = np.empty((min(n_points, _FACTOR_BLOCK), n_points))
     for r in range(runs):
         rng = np.random.default_rng(children[r])
-        y = beta * rng.standard_normal(n_points)
-        factor, ranks[r], traces[r] = _pivoted_cholesky(y, factor)
+        rows, traces[r] = _pivoted_cholesky(beta * rng.standard_normal(n_points))
+        ranks[r] = len(rows)
         if not math.isfinite(traces[r]):
             raise ArithmeticError(f"kernel trace is not finite at beta={beta:g} in run {r}")
-        top_rows = factor[:ranks[r]]
         try:
-            eig = np.linalg.eigvalsh(top_rows @ top_rows.T)
+            eig = np.linalg.eigvalsh(rows @ rows.T)
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(f"eigensolver failed in run {r}") from exc
+        del rows  # frees this run's factor before the next run allocates one
         sums[r] = float(np.sum(eig))
         eig = eig[::-1].copy()
         eig.flags.writeable = False
@@ -287,30 +287,17 @@ def _kernel_column(
         tail -= table[:3, p] @ table[:3, cut:]
 
 
-def _grown(factor: np.ndarray, rank: int, rows: int, limit: int) -> np.ndarray:
-    """factor if it has at least rows rows, else a buffer _FACTOR_BLOCK
-    rows longer (at most limit) that starts with its first rank rows.
-    Callers ask for at most 16 rows beyond the buffer, so one block is
-    enough."""
-    if rows <= factor.shape[0]:
-        return factor
-    grown = np.empty((min(limit, factor.shape[0] + _FACTOR_BLOCK), factor.shape[1]))
-    grown[:rank] = factor[:rank]
-    return grown
-
-
-def _pivoted_cholesky(y: np.ndarray, factor: np.ndarray) -> tuple[np.ndarray, int, float]:
+def _pivoted_cholesky(y: np.ndarray) -> tuple[np.ndarray, float]:
     """Cholesky factor of G = (K(y_i, y_j)/N), seeded with the kernel's
     feature rows and completed by pivoting, stored transposed.
 
-    factor is a work buffer of N columns; it is returned, grown by
-    _FACTOR_BLOCK rows whenever the rank outgrows it, together with the
-    rank and the exact trace of G, so the caller can pass it to the next
-    run.  Its first rank rows hold R with G ~= P^T R^T R P for the
-    permutation P that sorts the nodes by |y|.  The order of the nodes
-    does not change the eigenvalues of G, and R R^T has the nonzero
-    eigenvalues of R^T R.  The trace is the diagonal sum in the order
-    the nodes were drawn.
+    Returns R, of shape rank x N, with G ~= P^T R^T R P for the
+    permutation P that sorts the nodes by |y|, and the exact trace of G,
+    the diagonal sum in the order the nodes were drawn.  The order of the
+    nodes does not change the eigenvalues of G, and R R^T has the nonzero
+    eigenvalues of R^T R.  R is a view of a buffer allocated with
+    _FACTOR_BLOCK rows beyond the seeded rows, grown by as many whenever
+    the pivoting outgrows it.
 
     G is exactly the sum over k >= 3 of f_k f_k^T / N (see
     _feature_table).  Unless the trace is already at or below the
@@ -325,10 +312,7 @@ def _pivoted_cholesky(y: np.ndarray, factor: np.ndarray) -> tuple[np.ndarray, in
     (Harbrecht, Peters & Schneider, Appl. Numer. Math. 62, 2012).  The
     halved threshold leaves a margin for the roundoff of sum(d) and of
     the eigenvalue sum, so that trace minus the eigenvalue sum of R R^T
-    stays below RTOL * trace.  At beta = 0.25 and N = 1000, where
-    |y_i y_j| rarely reaches _SERIES_CUTOFF, the seeded rows alone meet
-    the threshold and no kernel column is computed.  Memory is
-    O(N * rank).
+    stays below RTOL * trace.  Memory is O(N * rank).
     """
     n = y.size
     d = kernel(y, y) / n
@@ -340,11 +324,12 @@ def _pivoted_cholesky(y: np.ndarray, factor: np.ndarray) -> tuple[np.ndarray, in
     stop = 0.5 * RTOL * trace
     square = np.empty(n)
     rank = 0
+    factor = np.empty((0, n))
     if float(d.sum()) > stop:
         features = table[3:]
         seeded = np.flatnonzero(np.einsum("ij,ij->i", features, features) > n * stop)
         rank = seeded.size
-        factor = _grown(factor, 0, rank, rank + n)
+        factor = np.empty((rank + min(n, _FACTOR_BLOCK), n))
         rows = np.take(features, seeded, axis=0, out=factor[:rank], mode="clip")
         rows /= math.sqrt(n)
         d -= np.einsum("ij,ij->j", rows, rows, out=square)
@@ -353,7 +338,10 @@ def _pivoted_cholesky(y: np.ndarray, factor: np.ndarray) -> tuple[np.ndarray, in
     while rank < limit and float(d.sum()) > stop:
         p = int(d.argmax())
         pivot = float(d[p])
-        factor = _grown(factor, rank, rank + 1, limit)
+        if rank == len(factor):
+            grown = np.empty((min(limit, rank + _FACTOR_BLOCK), n))
+            grown[:rank] = factor
+            factor = grown
         row = factor[rank]
         _kernel_column(y, table, p, int(cuts[p]), row)
         row /= n
@@ -362,7 +350,7 @@ def _pivoted_cholesky(y: np.ndarray, factor: np.ndarray) -> tuple[np.ndarray, in
         d -= np.square(row, out=square)
         d[p] = 0.0
         rank += 1
-    return factor, rank, trace
+    return factor[:rank], trace
 
 
 def lambda1(tp: TuningParam, n_points: int = 1000, runs: int = 10, seed: int = 42) -> float:

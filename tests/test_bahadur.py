@@ -295,6 +295,14 @@ class TestLocalIndex:
         oracle = contam_local_index_oracle(mu, s2, beta)
         assert got == pytest.approx(oracle, rel=1e-10, abs=0.0)
 
+    @pytest.mark.parametrize("beta,mu,s2", [case for case in CONTAM_ORACLE_CASES if case[0] <= 0.25])
+    def test_series_keeps_full_accuracy(self, beta, mu, s2):
+        # contam:0:0.5 has kappa3' = 0, so its series starts from the
+        # k = 0 term, where e^u - 1 - u cancels to u^2/2 at small beta
+        got = local_index(contamination(mu, s2), TuningParam(beta))
+        oracle = contam_local_index_oracle(mu, s2, beta)
+        assert got == pytest.approx(oracle, rel=1e-14, abs=0.0)
+
     @pytest.mark.parametrize("name", ["lehmann", "lp1", "lp2", "contam:1:1", "contam:0.5:1"])
     def test_small_beta_asymptote(self, name):
         # as beta -> 0, H(t) ~ -i t^3 kappa3' / 6 and the integral of
@@ -573,9 +581,11 @@ class TestQuadraticForm:
         cfg = QuadratureConfig(truncation_radius=radius)
         for name in TABLE_FAMILIES:
             fam = family_from_name(name)
-            memo = {}
-            below = bahadur._local_index(fam, TuningParam(bahadur._SERIES_BETA), cfg, memo)
-            x, v = memo[max(memo.keys() - {"moments"})]
+            tp = TuningParam(bahadur._SERIES_BETA)
+            below = local_index(fam, tp, cfg)
+            moments = bahadur._score_moments(fam, cfg)
+            panels = bahadur._panel_count(fam, tp.beta, cfg, moments[2])
+            x, v = bahadur._score_weights(fam, cfg, moments, panels)
             above = backend.pairwise_gauss_sum(x, 0.5 * bahadur._SERIES_BETA**2, weights=v)
             assert above == pytest.approx(below, rel=1e-11, abs=0.0), name
 
@@ -597,10 +607,9 @@ class TestScoreTransform:
     @pytest.mark.parametrize("name", ["lehmann", "lp2", "contam:1:1", "contam:0:0.5"])
     def test_matches_full_rule_oracle(self, name, panels):
         fam = family_from_name(name)
-        mu1, sigma1, _ = bahadur._score_moments(fam, CFG)
-        memo = {"moments": (mu1, sigma1, panels)}
-        bahadur._local_index(fam, TuningParam(0.25), CFG, memo)
-        x, v = memo[panels]
+        moments = bahadur._score_moments(fam, CFG)
+        mu1, sigma1, _ = moments
+        x, v = bahadur._score_weights(fam, CFG, moments, panels)
         _, _, wd1 = bahadur._weighted_score(fam, CFG, panels)
         # t x = 1 at t = 1/x, where B switches between series and direct form
         crossing = 1.0 / x[x > 0.25][::23]

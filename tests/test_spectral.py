@@ -13,7 +13,6 @@ from eppspulley import backend, cli, spectral
 from eppspulley.bahadur import efficiency_table
 from eppspulley.quadrature import QuadratureConfig, integrate_1d, normal_pdf
 from eppspulley.spectral import (
-    _FACTOR_BLOCK,
     _MC_CACHE_SIZE,
     _MC_CHUNK,
     _MC_KEEP_LIMIT,
@@ -192,15 +191,6 @@ class TestNystromSpectrum:
                 worst = max(worst, float(np.max(residual / (RTOL * sp.per_run_trace))))
         assert worst <= 1.0
 
-    def test_factor_buffer_is_reused_and_grown_by_blocks(self):
-        y = _run_nodes(10.0, 300, seed=4)
-        small = np.empty((1, 300))
-        factor, rank, _ = _pivoted_cholesky(y, small)
-        assert rank > _FACTOR_BLOCK
-        assert factor.shape == (1 + _FACTOR_BLOCK * math.ceil((rank - 1) / _FACTOR_BLOCK), 300)
-        again, same_rank, _ = _pivoted_cholesky(y, factor)
-        assert again is factor and same_rank == rank
-
     def test_top_m_beyond_rank_is_zero_padded(self):
         sp = nystrom_spectrum(TuningParam(0.25), 200, 3, seed=2, top_m=40)
         assert np.all(sp.per_run_rank < 40)
@@ -257,9 +247,9 @@ class TestSpectrumCache:
     def _count_factorisations(monkeypatch):
         calls = []
 
-        def counting(y, factor):
+        def counting(y):
             calls.append(y.size)
-            return _pivoted_cholesky(y, factor)
+            return _pivoted_cholesky(y)
 
         monkeypatch.setattr(spectral, "_pivoted_cholesky", counting)
         return calls
@@ -407,8 +397,8 @@ class TestSeededFactor:
             _kernel_column(*args)
 
         monkeypatch.setattr(spectral, "_kernel_column", counting)
-        _, rank, _ = _pivoted_cholesky(y, np.empty((1, y.size)))
-        return rank, len(columns)
+        rows, _ = _pivoted_cholesky(y)
+        return len(rows), len(columns)
 
     def test_small_beta_needs_no_kernel_column(self, monkeypatch):
         # at beta = 0.25 the tail k > 18 of the kernel's expansion leaves a
