@@ -11,13 +11,13 @@ Subcommands:
 
 Data files hold one observation per line; blank lines and lines starting
 with '#' are skipped, and a single non-numeric first line is treated as
-a header.  A data file is read in fixed blocks of characters, so reading
-it takes memory for one block plus twice the values, whatever its size,
-and its errors are reported in file order, block by block.  The sampling
-commands (eigen, table1, slope, table2, pvalue) take --seed (default 42),
-and their output is byte-reproducible for fixed flags and seed.  Exit
-codes: 0 success, 2 input or usage error, 3 degenerate data, 4 numerical
-failure.
+a header.  A data file is read in fixed blocks of characters, each
+completed to the end of its last line, so reading it takes memory for
+one block plus twice the values, whatever its size, and its errors are
+reported in file order, block by block.  The sampling commands (eigen,
+table1, slope, table2, pvalue) take --seed (default 42), and their output
+is byte-reproducible for fixed flags and seed.  Exit codes: 0 success,
+2 input or usage error, 3 degenerate data, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -51,25 +51,6 @@ EXIT_CODES = {DegenerateSampleError: 3, ValueError: 2, ArithmeticError: 4, Runti
 
 # characters read from a data file per block
 _READ_BLOCK = 1 << 16
-
-
-def _line_blocks(fh):
-    """The lines of a text file, split on "\\n", as one list per block of
-    _READ_BLOCK characters: the lines that end in that block, each with
-    whether the block's text may hold a "#".  The last list holds the
-    unended last line ("" after a final newline).  A line longer than a
-    block is kept as pieces and joined once it ends."""
-    carry = []
-    while block := fh.read(_READ_BLOCK):
-        lines = block.split("\n")
-        if len(lines) > 1:
-            carry.append(lines[0])
-            lines[0] = "".join(carry)
-            carry = [lines.pop()]
-            yield lines, "#" in block
-        else:
-            carry.append(block)
-    yield ["".join(carry)], True
 
 
 def _block_values(lines, hashed, offset, header_open, path):
@@ -123,20 +104,23 @@ def read_sample_file(path: str) -> np.ndarray:
     """Parse one float per line into a float64 array, naming the
     offending line on failure.
 
-    The file is read in blocks of _READ_BLOCK characters, and the lines
-    that end in a block are parsed together (_block_values), so working
-    memory is one block plus twice the result, whatever the file's size.
+    The file is read in blocks of _READ_BLOCK characters, each completed
+    to the end of its last line, and the lines of a block are parsed
+    together (_block_values), so working memory is one block plus twice
+    the result, whatever the file's size.
     Errors come in the order of the blocks: a bad line is reported before
     an undecodable byte in a later block.  Lines are split on "\\n" alone
     (str.splitlines would also split on \\x0b, \\x0c and \\u2028 and shift
     the line numbers).  A leading UTF-8 byte-order mark is dropped."""
-    parts = []
+    parts = [np.empty(0)]  # so that an empty file concatenates
     lineno = 0  # lines before the current block
     header_open = True
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
-            for lines, hashed in _line_blocks(fh):
-                values, header_open = _block_values(lines, hashed, lineno, header_open, path)
+            while text := fh.read(_READ_BLOCK):
+                text += fh.readline()
+                lines = text.removesuffix("\n").split("\n")
+                values, header_open = _block_values(lines, "#" in text, lineno, header_open, path)
                 parts.append(values)
                 lineno += len(lines)
     except (OSError, UnicodeDecodeError) as exc:

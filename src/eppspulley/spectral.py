@@ -90,8 +90,7 @@ __all__ = [
 ]
 
 # Monte-Carlo rows per chunk in null_pvalue: bounds the transient
-# normals to _MC_CHUNK x top_m doubles.  A power of 2, so that the chunk
-# boundaries fall on the row blocks of the matrix-vector product.
+# normals to _MC_CHUNK x top_m doubles.
 _MC_CHUNK = 1 << 14
 # Largest mc_samples whose draws null_pvalue keeps, and the number of
 # keys it keeps: at most 4 x 2^18 doubles, 8 MiB, in all.
@@ -442,9 +441,9 @@ def _draw_chunks(lam: np.ndarray, shift: float, mc_samples: int, seed: int):
 
     standard_normal(out=...) continues one stream whatever the chunk
     size, so the normals are those of a single (mc_samples, top_m) draw,
-    and at top_m = 5 so are the draws, bit for bit.  At other top_m the
-    BLAS kernel may round a chunk's last rows differently from the same
-    rows inside one long product, in the last bit.
+    and each draw sums its terms in the order of j, so the draws are
+    those of a single draw too, bit for bit, whatever the chunk size or
+    the BLAS library.
     """
     # entropy [seed, 1] keeps this stream disjoint from the spawned
     # per-run streams of nystrom_spectrum under the same master seed
@@ -455,6 +454,10 @@ def _draw_chunks(lam: np.ndarray, shift: float, mc_samples: int, seed: int):
     for start in range(0, mc_samples, rows):
         k = min(rows, mc_samples - start)
         z = rng.standard_normal(out=normals[:k])
-        np.matmul(np.square(z, out=z), lam, out=draws[:k])
-        draws[:k] += shift
-        yield draws[:k]
+        np.square(z, out=z)
+        out = draws[:k]
+        out.fill(0.0)
+        for j, lam_j in enumerate(lam):
+            out += lam_j * z[:, j]
+        out += shift
+        yield out

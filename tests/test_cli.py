@@ -204,28 +204,37 @@ class TestReadSampleFile:
             path.write_bytes(_random_data_file(rng))
             assert _outcome(read_sample_file, str(path)) == _outcome(_whole_file_reader, str(path))
 
-    @pytest.mark.parametrize("text, values, parsed", [
-        ("1\n2\n\n3\n# c\n4\n", [1.0, 2.0, 3.0, 4.0], [4, 0]),
-        ("1\n2\n3\n", [1.0, 2.0, 3.0], [3, 0]),
-    ])
-    def test_each_block_is_parsed_once(self, datafile, monkeypatch, text, values, parsed):
-        # a block with a blank or "#" line goes straight to the filtered
-        # parse; the last block is the empty line after the final newline
-        class CountingNumpy:
-            def __init__(self):
-                self.parsed = []
+    @pytest.fixture()
+    def numpy_parses(self, monkeypatch):
+        """The number of lines in each numpy parse the reader makes."""
+        parses = []
 
+        class CountingNumpy:
             def __getattr__(self, name):
                 return getattr(np, name)
 
             def array(self, lines, *args, **kwargs):
-                self.parsed.append(len(lines))
+                parses.append(len(lines))
                 return np.array(lines, *args, **kwargs)
 
-        counting = CountingNumpy()
-        monkeypatch.setattr(cli, "np", counting)
+        monkeypatch.setattr(cli, "np", CountingNumpy())
+        return parses
+
+    @pytest.mark.parametrize("text, values, parsed", [
+        ("1\n2\n\n3\n# c\n4\n", [1.0, 2.0, 3.0, 4.0], [4]),
+        ("1\n2\n3\n", [1.0, 2.0, 3.0], [3]),
+    ])
+    def test_each_block_is_parsed_once(self, datafile, numpy_parses, text, values, parsed):
+        # a block with a blank or "#" line goes straight to the filtered parse
         assert read_sample_file(datafile(text)).tolist() == values
-        assert counting.parsed == parsed
+        assert numpy_parses == parsed
+
+    def test_each_small_block_is_parsed_once(self, datafile, numpy_parses, monkeypatch):
+        # blocks of 3 characters completed to their line ends: "1\n# c\n",
+        # "2\n3\n" and "4\n"
+        monkeypatch.setattr(cli, "_READ_BLOCK", 3)
+        assert read_sample_file(datafile("1\n# c\n2\n3\n4\n")).tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert numpy_parses == [1, 2, 1]
 
     def test_working_memory_is_bounded(self, datafile):
         n = 200_000
@@ -300,6 +309,12 @@ class TestStatCommand:
         code, _, err = run_cli(capsys, "stat", datafile("7\n"))
         assert code == 3
         assert "degenerate" in err
+
+    @pytest.mark.parametrize("text", ["", "\n", "# c\n\n"], ids=["empty", "newline", "comment"])
+    def test_no_values_is_degenerate(self, capsys, datafile, text):
+        code, _, err = run_cli(capsys, "stat", datafile(text))
+        assert code == 3
+        assert "degenerate sample" in err
 
     def test_constant_sample_is_degenerate(self, capsys, datafile):
         code, _, _ = run_cli(capsys, "stat", datafile("5\n5\n5\n"))

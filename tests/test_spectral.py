@@ -527,6 +527,16 @@ class TestNullPvalue:
         kept = _kept_draws(lam.tobytes(), shift, mc, seed)
         assert np.array_equal(kept, _one_chunk_draws(spectrum, mc, seed))
 
+    def test_draws_do_not_depend_on_the_chunk_size(self, monkeypatch):
+        # at top_m = 12 a BLAS matrix-vector product rounded the last row
+        # of a chunk differently from the same row in one long product
+        lam, shift = _law(nystrom_spectrum(TuningParam(10.0), 1000, 2, seed=1, top_m=12))
+        key = (lam.tobytes(), shift, _MC_CHUNK + 1, 42)
+        chunked = _kept_draws(*key)
+        _kept_draws.cache_clear()
+        monkeypatch.setattr(spectral, "_MC_CHUNK", _MC_CHUNK + 1)
+        assert np.array_equal(chunked, _kept_draws(*key))
+
     def test_validation(self, spectrum):
         with pytest.raises(ValueError):
             null_pvalue(0.3, spectrum, 0)
@@ -550,10 +560,15 @@ def _law(spectrum):
 
 
 def _one_chunk_draws(spectrum, mc, seed):
-    """The mc draws of null_pvalue from a single (mc, top_m) normal draw."""
+    """The mc draws of null_pvalue from a single (mc, top_m) normal draw,
+    each summing its terms in the order of j."""
     lam, shift = _law(spectrum)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-    return np.square(rng.standard_normal((mc, lam.size))) @ lam + shift
+    z = np.square(rng.standard_normal((mc, lam.size)))
+    draws = np.zeros(mc)
+    for j, lam_j in enumerate(lam):
+        draws += lam_j * z[:, j]
+    return draws + shift
 
 
 class TestNullPvalueMemo:
