@@ -22,17 +22,13 @@ from .bahadur import (
     efficiency_table,
     local_index,
     lrt_local_index,
-    stochastic_limit,
 )
 from .quadrature import (
     QuadratureConfig,
     QuadratureError,
     QuadratureResult,
-    gaussian_pair_moment,
     integrate_1d,
     integrate_2d,
-    smoothed_density_identity,
-    smoothed_second_moment_identity,
 )
 from .spectral import (
     SpectrumResult,
@@ -68,7 +64,6 @@ __all__ = [
     "efficiency_table",
     "epps_pulley_statistic",
     "family_from_name",
-    "gaussian_pair_moment",
     "integrate_1d",
     "integrate_2d",
     "kernel",
@@ -82,8 +77,5 @@ __all__ = [
     "nystrom_spectrum",
     "operator_trace",
     "scaled_residuals",
-    "smoothed_density_identity",
-    "smoothed_second_moment_identity",
-    "stochastic_limit",
     "__version__",
 ]

@@ -31,7 +31,7 @@ import sys
 
 import numpy as np
 
-from .alternatives import TABLE_FAMILIES, family_from_name  # noqa: F401 (perfbench hooks it)
+from .alternatives import TABLE_FAMILIES
 from .bahadur import efficiency_table
 from .quadrature import QuadratureConfig
 from .spectral import null_pvalue, nystrom_spectrum

@@ -12,10 +12,9 @@ instead of refining to the panel budget.  Sums run with math.fsum in panel order
 bit-identical.  panel_rule exposes the nodes and weights of one level,
 for callers that sum many integrands against the same rule.
 
-The module also provides the closed-form Gaussian smoothing identities
-that the tests use as cross-checks of the engine, and the standard
-normal density, distribution function and log-distribution function,
-built on the C library's erfc alone (numpy and the standard library).
+The module also provides the standard normal density, distribution
+function and log-distribution function, built on the C library's erfc
+alone (numpy and the standard library).
 """
 
 from __future__ import annotations
@@ -30,15 +29,12 @@ __all__ = [
     "QuadratureConfig",
     "QuadratureError",
     "QuadratureResult",
-    "gaussian_pair_moment",
     "integrate_1d",
     "integrate_2d",
     "log_normal_cdf",
     "normal_cdf",
     "normal_pdf",
     "panel_rule",
-    "smoothed_density_identity",
-    "smoothed_second_moment_identity",
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -272,39 +268,3 @@ def log_normal_cdf(x):
 def _log_normal_cdf_tail(t):
     r = 1.0 / np.square(t)
     return -0.5 * np.square(t) - np.log(-t * _SQRT_2PI) + np.log1p(r * (-1.0 + r * (3.0 + r * (-15.0 + 105.0 * r))))
-
-
-def gaussian_pair_moment(k: int, gamma: float) -> float:
-    """Closed form of the double integral of
-    exp(-gamma*(x-y)^2) * (x-y)^(2k) * phi(x) * phi(y)
-    over the plane: 4^k Gamma(k+1/2) / (sqrt(pi) (4 gamma + 1)^(k+1/2)).
-    """
-    if k not in (0, 1, 2):
-        raise ValueError(f"k must be 0, 1 or 2, got {k!r}")
-    if not gamma > 0.0:
-        raise ValueError("gamma must be positive")
-    return 4.0**k * math.gamma(k + 0.5) / (math.sqrt(math.pi) * (4.0 * gamma + 1.0) ** (k + 0.5))
-
-
-def smoothed_density_identity(y, gamma: float):
-    """Closed form of the Gaussian-smoothed normal density
-    integral of exp(-gamma*(x-y)^2) * phi(x) over x, which equals
-    (1+beta^2)^(-1/2) * exp(-delta*y^2) with beta^2 = 2*gamma and
-    delta = gamma/(1+2*gamma)."""
-    if not gamma > 0.0:
-        raise ValueError("gamma must be positive")
-    delta = gamma / (1.0 + 2.0 * gamma)
-    return np.exp(-delta * np.square(y)) / math.sqrt(1.0 + 2.0 * gamma)
-
-
-def smoothed_second_moment_identity(x, gamma: float):
-    """Closed form of the second-moment smoothing integral of
-    exp(-gamma*(x-y)^2) * (x-y)^2 * phi(y) over y, which equals
-    exp(-delta*x^2) * (x^2 + beta^2 + 1) / (1+beta^2)^(5/2) with
-    beta^2 = 2*gamma and delta = gamma/(1+2*gamma)."""
-    if not gamma > 0.0:
-        raise ValueError("gamma must be positive")
-    beta2 = 2.0 * gamma
-    delta = gamma / (1.0 + beta2)
-    x = np.asarray(x, dtype=np.float64)
-    return np.exp(-delta * np.square(x)) * (np.square(x) + beta2 + 1.0) / (1.0 + beta2) ** 2.5

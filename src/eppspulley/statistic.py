@@ -58,7 +58,8 @@ class TuningParam:
         beta2 = beta * beta
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "gamma", 0.5 * beta2)
-        object.__setattr__(self, "delta", 0.5 * beta2 / (1.0 + beta2))
+        # once beta^2 overflows (beta above about 1e154) delta is its limit 1/2
+        object.__setattr__(self, "delta", 0.5 * beta2 / (1.0 + beta2) if beta2 < math.inf else 0.5)
 
 
 @dataclass(frozen=True, eq=False)

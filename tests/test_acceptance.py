@@ -24,17 +24,10 @@ import pytest
 
 from eppspulley.alternatives import TABLE_FAMILIES, family_from_name
 from eppspulley.bahadur import local_index, lrt_local_index, stochastic_limit
-from eppspulley.quadrature import (
-    QuadratureConfig,
-    gaussian_pair_moment,
-    integrate_1d,
-    integrate_2d,
-    normal_pdf,
-    smoothed_density_identity,
-    smoothed_second_moment_identity,
-)
+from eppspulley.quadrature import QuadratureConfig, integrate_1d, integrate_2d, normal_pdf
 from eppspulley.spectral import null_pvalue, nystrom_spectrum, operator_trace
 from eppspulley.statistic import Sample, TuningParam, epps_pulley_statistic, scaled_residuals
+from oracles import gaussian_pair_moment, smoothed_density_identity, smoothed_second_moment_identity
 
 BETAS = (0.25, 0.5, 0.75, 1.0, 2.0, 3.0, 5.0, 10.0)
 
@@ -212,7 +205,7 @@ def test_criterion_4_local_index_oracle():
 
 
 def test_criterion_5_statistic_oracle():
-    from test_statistic import ecf_distance_oracle
+    from oracles import ecf_distance_oracle
 
     rng = np.random.default_rng(8675309)
     worst = 0.0

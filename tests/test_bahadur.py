@@ -420,6 +420,16 @@ class TestEfficiencyTable:
         assert table.delta_beta[0, 0] >= 0.0
         assert 0.0 < table.efficiencies[0, 0] <= 1.05
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="CHANGES.md FOUND 10: the sampled lambda1 at beta 1e-3 is 2.232e-18 against "
+        "the converged 2.49998e-18, so lehmann and contam:0.5:1 exceed the LRT bound; "
+        "ROADMAP direction 2b's closed-form lambda1 mends it, and then this marker goes",
+    )
+    def test_efficiencies_at_small_beta_respect_the_lrt_bound(self):
+        table = efficiency_table(TABLE_FAMILIES, [1e-3])
+        assert np.all(table.efficiencies <= 1.0), table.efficiencies.ravel()
+
     def test_cells_equal_local_index_exactly(self):
         # the lp2 and contam:1:1 rows share the cutoff 3P/R across their
         # betas, and lp2 at beta >= 3 and contam:1:1 at beta >= 0.75 double

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from eppspulley import backend
-from eppspulley.quadrature import QuadratureConfig, integrate_1d
 from eppspulley.statistic import (
     DegenerateSampleError,
     Sample,
@@ -15,27 +14,7 @@ from eppspulley.statistic import (
     epps_pulley_statistic,
     scaled_residuals,
 )
-
-SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-def ecf_distance_oracle(values, beta, radius=40.0):
-    """n times the weighted squared L2 distance between the empirical
-    characteristic function of the scaled residuals and exp(-t^2/2),
-    by direct numerical integration of the defining integrand."""
-    y = scaled_residuals(Sample(values))
-    n = y.size
-    cfg = QuadratureConfig(truncation_radius=radius, abs_tol=1e-12, rel_tol=1e-12,
-                           max_subdivisions=4000)
-
-    def integrand(t):
-        ty = np.outer(t, y)
-        real = np.cos(ty).mean(axis=1) - np.exp(-0.5 * np.square(t))
-        imag = np.sin(ty).mean(axis=1)
-        weight = np.exp(-0.5 * np.square(t / beta)) / (beta * SQRT_2PI)
-        return n * (np.square(real) + np.square(imag)) * weight
-
-    return integrate_1d(integrand, cfg).value
+from oracles import ecf_distance_oracle
 
 
 class TestTuningParam:
@@ -50,6 +29,12 @@ class TestTuningParam:
         tp = TuningParam(beta)
         assert tp.gamma == pytest.approx(beta**2 / 2.0, abs=1e-15)
         assert tp.delta == pytest.approx(beta**2 / (2.0 * (1.0 + beta**2)), abs=1e-15)
+
+    @pytest.mark.parametrize("beta", [1e155, 1e200, 1e300])
+    def test_delta_at_its_limit_once_beta_squared_overflows(self, beta):
+        tp = TuningParam(beta)
+        assert tp.gamma == math.inf
+        assert tp.delta == 0.5
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_bad_beta(self, bad):
