@@ -148,25 +148,9 @@ def stochastic_limit(
 
 def _weighted_score(family: AlternativeFamily, cfg: QuadratureConfig, panels: int):
     """Abscissae x, weights w and products w * d1(x) of the engine's K15
-    rule with the given number of panels on [-R, R].
-
-    d1 integrates to 0 over the line.  When its rule sum on [-R, R]
-    exceeds max(abs_tol, rel_tol * the sum of |w d1|), part of the
-    perturbation lies beyond the radius, where no integral of d1 sees
-    it, and QuadratureError is raised naming [-R, R].
-    """
-    r = cfg.truncation_radius
-    x, w = panel_rule(r, panels)
-    wd1 = w * family.d1(x)
-    mass = float(np.sum(wd1))
-    if abs(mass) > max(cfg.abs_tol, cfg.rel_tol * float(np.sum(np.abs(wd1)))):
-        raise QuadratureError(
-            f"d1 of {family.name} integrates to {mass:.3g} on [-{r:g}, {r:g}], not 0: "
-            f"the alternative reaches beyond the truncation radius",
-            estimate=mass,
-            error_bound=abs(mass),
-        )
-    return x, w, wd1
+    rule with the given number of panels on [-R, R]."""
+    x, w = panel_rule(cfg.truncation_radius, panels)
+    return x, w, w * family.d1(x)
 
 
 def _series_form(a, v):
@@ -200,17 +184,32 @@ def _series_form(a, v):
 
 
 def _score_moments(family: AlternativeFamily, cfg: QuadratureConfig):
-    """mu1 and sigma1, the integrals of x*d1 and x^2*d1, and the larger
-    P0 of their panel counts; none depends on beta."""
+    """mu1 and sigma1, the integrals of x*d1 and x^2*d1 on [-R, R], and
+    the larger P0 of their panel counts; none depends on beta.
+
+    d1 integrates to 0 over the line.  When its sum on the P0-panel rule
+    exceeds max(abs_tol, rel_tol * the sum of |w d1|), part of the
+    perturbation lies beyond the radius, where no integral of d1 sees
+    it, and QuadratureError is raised naming [-R, R]."""
     with _naming(f"mu1 and sigma1 of {family.name}"):
-        return _two_moments(family.d1, cfg)
+        mu1, sigma1, panels = _two_moments(family.d1, cfg)
+    r = cfg.truncation_radius
+    wd1 = _weighted_score(family, cfg, panels)[2]
+    mass = float(np.sum(wd1))
+    if abs(mass) > max(cfg.abs_tol, cfg.rel_tol * float(np.sum(np.abs(wd1)))):
+        raise QuadratureError(
+            f"d1 of {family.name} integrates to {mass:.3g} on [-{r:g}, {r:g}], not 0: "
+            f"the alternative reaches beyond the truncation radius", mass, abs(mass)
+        )
+    return mu1, sigma1, panels
 
 
 def _panel_count(family: AlternativeFamily, beta: float, cfg: QuadratureConfig, first: int):
-    """P = max(first, 2 ceil(beta R / 3)) of local_index, or
-    QuadratureError naming beta and P when P exceeds max_subdivisions."""
+    """P = max(first, ceil(beta R / 3)) of local_index, so that beta
+    times the panel half-width R / P is at most 3, or QuadratureError
+    naming beta and P when P exceeds max_subdivisions."""
     r = cfg.truncation_radius
-    needed = 2.0 * np.ceil(beta * r / 3.0)
+    needed = np.ceil(beta * r / 3.0)
     if needed > cfg.max_subdivisions:
         raise QuadratureError(
             f"local index of {family.name} at beta={beta:g} needs {needed:.0f} panels on "
@@ -221,7 +220,7 @@ def _panel_count(family: AlternativeFamily, beta: float, cfg: QuadratureConfig, 
 
 def _score_weights(family: AlternativeFamily, cfg: QuadratureConfig, moments, panels: int):
     """Nodes x and weights v of local_index on the rule with the given
-    panels, for the moments of _score_moments (see _weighted_score)."""
+    panels, for the moments of _score_moments."""
     mu1, sigma1, _ = moments
     x, w, wd1 = _weighted_score(family, cfg, panels)
     wphi = w * normal_pdf(x)
@@ -248,16 +247,16 @@ def local_index(
         v = w (d1 - mu1 x phi - (sigma1/2) (x^2 - 1) phi)(x),
 
     on the engine's K15 rule (x, w) with P panels on [-R, R].  P is the
-    panel count of the mu1 and sigma1 integrals, raised to
-    2 ceil(beta R / 3) so that beta times the panel half-width is at
-    most 1.5.  Above beta = _SERIES_BETA the form is the fast Gauss
+    panel count P0 of the mu1 and sigma1 integrals, raised to
+    ceil(beta R / 3) so that beta times the panel half-width is at
+    most 3.  Above beta = _SERIES_BETA the form is the fast Gauss
     transform backend.pairwise_gauss_sum, and at or below it, where that
     sum cancels like beta^-6, the series of _series_form.
 
-    QuadratureError is raised, naming beta and the P needed, when P
-    would exceed max_subdivisions, and, naming [-R, R], when d1 does not
-    integrate to 0 there (see _weighted_score); a failing integral's
-    message starts with the quantity it integrates.
+    QuadratureError is raised, naming [-R, R], when d1 does not
+    integrate to 0 there (see _score_moments), and then, naming beta
+    and the P needed, when P would exceed max_subdivisions; a failing
+    integral's message starts with the quantity it integrates.
     """
     cfg = cfg or QuadratureConfig()
     moments = _score_moments(family, cfg)
@@ -273,40 +272,34 @@ def lrt_local_index(family: AlternativeFamily, cfg: QuadratureConfig | None = No
     d1^2/phi is the one integrand here without a Gaussian factor: for a
     normal contamination of variance 2 or more it does not decay at all
     (the Fisher information is infinite), and beyond |x| ~ 38.5 phi
-    underflows and the ratio becomes 0/0.  The integrals therefore run
-    over [-R', R'] with R' = min(truncation_radius, 37), and
-    QuadratureError is raised when d1^2/phi summed at -R' and R' exceeds
-    max(abs_tol, rel_tol * fisher), since the truncated tail is then not
-    negligible, and when d1 does not integrate to 0 on [-R', R'] (see
-    _weighted_score); a failing integral's message starts with the
-    quantity it integrates.
+    underflows and the ratio becomes 0/0.  The Fisher integral alone
+    therefore runs over [-R', R'] with R' = min(truncation_radius, 37);
+    mu1 and sigma1 run over [-R, R].  QuadratureError is raised when
+    d1^2/phi summed at -R' and R' exceeds max(abs_tol, rel_tol * fisher),
+    since the truncated tail is then not negligible, and when d1 does
+    not integrate to 0 on [-R, R] (see _score_moments); a failing
+    integral's message starts with the quantity it integrates.
     """
     return _lrt_index(family, cfg or QuadratureConfig())[0]
 
 
 def _lrt_index(family: AlternativeFamily, cfg: QuadratureConfig):
     """lrt_local_index, and the moments (mu1, sigma1, P0) of
-    _score_moments that it integrated on [-R', R']."""
-    cfg = replace(cfg, truncation_radius=min(cfg.truncation_radius, _SCORE_RADIUS))
-    d1 = family.d1
+    _score_moments on [-R, R], which the local index shares."""
+    r = min(cfg.truncation_radius, _SCORE_RADIUS)
 
     def score_square(x):
-        return np.square(d1(x)) / normal_pdf(x)
+        return np.square(family.d1(x)) / normal_pdf(x)
 
-    r = cfg.truncation_radius
     with _naming(f"Fisher information of {family.name}"):
-        fisher = integrate_1d(score_square, cfg).value
+        fisher = integrate_1d(score_square, replace(cfg, truncation_radius=r)).value
     edge = float(np.sum(score_square(np.array([-r, r]))))
     if edge > max(cfg.abs_tol, cfg.rel_tol * fisher):
         raise QuadratureError(
             f"Fisher information of {family.name} is not resolved on [-{r:g}, {r:g}]: "
-            f"d1^2/phi sums to {edge:.3g} at the radius (estimate {fisher:.17g})",
-            estimate=fisher,
-            error_bound=edge,
+            f"d1^2/phi sums to {edge:.3g} at the radius (estimate {fisher:.17g})", fisher, edge
         )
-    moments = _score_moments(family, cfg)
-    mu1, sigma1, panels = moments
-    _weighted_score(family, cfg, panels)
+    mu1, sigma1, _ = moments = _score_moments(family, cfg)
     return fisher - mu1 * mu1 - 0.5 * sigma1 * sigma1, moments
 
 
@@ -342,11 +335,11 @@ def efficiency_table(
 
     Every name is resolved before any computation.  The LRT index is
     computed once per family and lambda1 once per beta.  The moments mu1
-    and sigma1 are integrated once per family for both indices when the
-    LRT radius min(R, 37) is R (the default), and each row builds the
-    weights of its local index once per panel count, so each cell is
-    the local_index of its own call, bit for bit.  ArithmeticError is
-    raised, naming the factor, when one of them is not positive.
+    and sigma1, with the check that d1 integrates to 0, are taken once
+    per family for both indices, and each row builds the weights of its
+    local index once per panel count, so each cell is the local_index
+    of its own call, bit for bit.  ArithmeticError is raised, naming
+    the factor, when one of them is not positive.
     """
     families = [family_from_name(name) for name in family_names]
     cfg = cfg or QuadratureConfig()
@@ -361,8 +354,6 @@ def efficiency_table(
             raise ArithmeticError(f"{name} is {value:g}, not positive: no efficiency is defined")
     delta = np.empty((len(families), len(betas)))
     for row, f, (_, moments) in zip(delta, families, lrt_moments):
-        if cfg.truncation_radius > _SCORE_RADIUS:
-            moments = _score_moments(f, cfg)
         weights = {}
         for j, tp in enumerate(tps):
             panels = _panel_count(f, tp.beta, cfg, moments[2])

@@ -106,11 +106,19 @@ def epps_pulley_statistic(sample: Sample, tp: TuningParam) -> float:
         T = (1/n) sum_{j,k} exp(-gamma (Y_j - Y_k)^2)
             - 2 (1+b)^(-1/2) sum_j exp(-delta Y_j^2)
             + n (1+2b)^(-1/2)
+
+    Beyond the pair sum's box grid, ValueError names beta and the largest
+    beta the sample allows, sqrt(2) * backend.MAX_SPREAD / (max Y - min Y).
     """
     y = scaled_residuals(sample)
     n = y.size
     beta2 = tp.beta * tp.beta
-    pair = backend.pairwise_gauss_sum(y, tp.gamma)
+    try:
+        pair = backend.pairwise_gauss_sum(y, tp.gamma)
+    except ValueError as exc:
+        largest = math.sqrt(2.0) * backend.MAX_SPREAD / (float(np.max(y)) - float(np.min(y)))
+        raise ValueError(f"beta={tp.beta:g} is beyond the pair sum's box grid: this sample "
+                         f"allows beta up to {largest:.4g}") from exc
     single = float(np.sum(np.exp(-tp.delta * np.square(y))))
     value = pair / n - 2.0 / math.sqrt(1.0 + beta2) * single + n / math.sqrt(1.0 + 2.0 * beta2)
     if value < 0.0:

@@ -336,11 +336,11 @@ class TestLocalIndex:
             lrt_local_index(fam)
 
     def test_panel_budget_exhausted_raises(self):
-        # beta times the panel half-width 12 / P is at most 1.5 at P = 80
-        cfg = QuadratureConfig(max_subdivisions=64)
-        with pytest.raises(QuadratureError, match="beta=10 needs 80 panels"):
+        # beta times the panel half-width 12 / P is at most 3 at P = 40
+        cfg = QuadratureConfig(max_subdivisions=39)
+        with pytest.raises(QuadratureError, match="beta=10 needs 40 panels"):
             local_index(lehmann(), TuningParam(10.0), cfg)
-        assert local_index(lehmann(), TuningParam(10.0), QuadratureConfig(max_subdivisions=80)) > 0
+        assert local_index(lehmann(), TuningParam(10.0), QuadratureConfig(max_subdivisions=40)) > 0
 
     def test_matches_brute_force_ratio(self):
         fam = lehmann()
@@ -446,10 +446,21 @@ class TestEfficiencyTable:
                     cell = local_index(family_from_name(name), TuningParam(beta))
                     assert table.delta_beta[i, j] == cell, (name, beta)
 
+    def test_cells_equal_local_index_exactly_beyond_the_fisher_radius(self):
+        # at R = 40 the Fisher integral runs on [-37, 37], and both
+        # indices share the moments on [-40, 40]
+        cfg = QuadratureConfig(truncation_radius=40.0)
+        betas = [0.25, 1.0, 10.0]
+        table = efficiency_table(TABLE_FAMILIES, betas, n_points=100, runs=1, cfg=cfg)
+        for i, name in enumerate(TABLE_FAMILIES):
+            for j, beta in enumerate(betas):
+                cell = local_index(family_from_name(name), TuningParam(beta), cfg)
+                assert table.delta_beta[i, j] == cell, (name, beta)
+
     def test_weights_are_built_once_per_family_and_panel_count(self, monkeypatch):
-        # the LRT index checks the rule at P0 once per family, and the
-        # local index builds v at P = max(P0, 2 ceil(4 beta)) once per
-        # family and P: 6 + 20 rules on the paper grid, against 6 + 48
+        # the moments check the rule at P0 once per family, and the
+        # local index builds v at P = max(P0, ceil(4 beta)) once per
+        # family and P: 6 + 14 rules on the paper grid, against 6 + 48
         # built cell by cell
         calls = []
 
@@ -461,17 +472,17 @@ class TestEfficiencyTable:
         for name in TABLE_FAMILIES:
             first = bahadur._score_moments(family_from_name(name), CFG)[2]
             expected.append((name, first))
-            expected += {(name, max(first, 2 * math.ceil(4.0 * b))) for b in DEFAULT_BETAS}
+            expected += {(name, max(first, math.ceil(4.0 * b))) for b in DEFAULT_BETAS}
         weighted_score = bahadur._weighted_score
         monkeypatch.setattr(bahadur, "_weighted_score", recording)
         efficiency_table(TABLE_FAMILIES, DEFAULT_BETAS, n_points=100, runs=1)
         assert sorted(calls) == sorted(expected)
-        assert len(calls) == 26
+        assert len(calls) == 20
 
-    @pytest.mark.parametrize("radius, per_family", [(12.0, 1), (37.0, 1), (40.0, 2)])
+    @pytest.mark.parametrize("radius, per_family", [(12.0, 1), (37.0, 1), (40.0, 1)])
     def test_moments_are_integrated_once_per_family(self, monkeypatch, radius, per_family):
-        # the LRT index runs on min(R, 37): at R <= 37 it shares mu1 and
-        # sigma1 with the local index, beyond it both integrate their own
+        # only the Fisher integral runs on min(R, 37): at every R the LRT
+        # index shares mu1 and sigma1 on [-R, R] with the local index
         calls = []
 
         def counting(f, cfg):
@@ -485,7 +496,7 @@ class TestEfficiencyTable:
         monkeypatch.setattr(bahadur, "_two_moments", counting)
         table = efficiency_table(names, [0.5, 3.0], n_points=100, runs=1, cfg=cfg)
         assert len(calls) == per_family * len(names)
-        assert set(calls) == {min(radius, 37.0), radius}
+        assert set(calls) == {radius}
         assert table.lrt_index.tolist() == plain
 
 

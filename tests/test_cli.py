@@ -18,7 +18,7 @@ import pytest
 import eppspulley
 from eppspulley import cli
 from eppspulley.cli import main, read_sample_file
-from eppspulley.statistic import Sample, TuningParam, epps_pulley_statistic
+from eppspulley.statistic import Sample, TuningParam, epps_pulley_statistic, scaled_residuals
 
 
 @pytest.fixture()
@@ -335,6 +335,19 @@ class TestStatCommand:
         assert excinfo.value.code == 2
         assert "--beta" in capsys.readouterr().err
 
+    def test_beta_beyond_the_box_grid_is_named(self, capsys, datafile):
+        values = np.random.default_rng(7).standard_normal(200)
+        path = datafile("\n".join(map(repr, values.tolist())) + "\n")
+        y = scaled_residuals(Sample(values))
+        largest = math.sqrt(2.0) * eppspulley.backend.MAX_SPREAD / (y.max() - y.min())
+        assert 1e12 < largest < 1e15
+        assert run_cli(capsys, "stat", path, "--beta", "1e12")[0] == 0
+        for command in ("stat", "pvalue"):
+            code, out, err = run_cli(capsys, command, path, "--beta", "1e15")
+            assert (code, out) == (2, "")
+            assert "beta=1e+15" in err
+            assert f"{largest:.4g}" in err
+
     def test_negative_statistic_is_numerical_failure(self, capsys, datafile, monkeypatch):
         monkeypatch.setattr(eppspulley.backend, "pairwise_gauss_sum", lambda y, gamma: 0.0)
         code, out, err = run_cli(capsys, "stat", datafile("1\n2\n4\n"))
@@ -636,18 +649,26 @@ def test_slope_infinite_fisher_information_exit_code(capsys):
 
 
 def test_slope_large_beta_needs_a_larger_panel_budget(capsys):
-    # beta times the panel half-width 12 / P is at most 1.5, so beta = 1000
-    # needs P = 8000, beyond the default budget of 2000
+    # beta times the panel half-width 12 / P is at most 3, so beta = 1000
+    # needs P = 4000, beyond the default budget of 2000
     argv = ["slope", "--alt", "lehmann", "--beta", "1000", "--n-points", "100", "--runs", "1",
             "--format", "json"]
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (4, "")
-    assert "beta=1000 needs 8000 panels" in err
-    code, out, _ = run_cli(capsys, *argv, "--max-subdivisions", "8000")
+    assert "beta=1000 needs 4000 panels" in err
+    code, out, _ = run_cli(capsys, *argv, "--max-subdivisions", "4000")
     assert code == 0
     # the frequency-domain integral of |H(t)|^2 phi_beta(t), which the
     # default budget resolved
     assert json.loads(out)["delta_beta"] == pytest.approx(1.6342993987686285e-06, rel=1e-11)
+
+
+def test_slope_at_beta_300_fits_the_default_panel_budget(capsys):
+    # beta = 300 needs P = 1200 panels on [-12, 12], within the default 2000
+    code, out, err = run_cli(capsys, "slope", "--alt", "lehmann", "--beta", "300",
+                             "--n-points", "100", "--runs", "1", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["delta_beta"] > 0.0
 
 
 @pytest.mark.parametrize("name", ["contam:40:1", "contam:-30:2"])
