@@ -112,13 +112,17 @@ def contamination(mu: float, sigma2: float) -> AlternativeFamily:
         )
     sigma = math.sqrt(sigma2)
 
+    def standardized(x):  # overflows only where its density is 0 either way
+        with np.errstate(over="ignore"):
+            return (x - mu) / sigma
+
     def density(x, theta):
         x = np.asarray(x, dtype=np.float64)
-        return (1.0 - theta) * normal_pdf(x) + (theta / sigma) * normal_pdf((x - mu) / sigma)
+        return (1.0 - theta) * normal_pdf(x) + (theta / sigma) * normal_pdf(standardized(x))
 
     def d1(x):
         x = np.asarray(x, dtype=np.float64)
-        return normal_pdf((x - mu) / sigma) / sigma - normal_pdf(x)
+        return normal_pdf(standardized(x)) / sigma - normal_pdf(x)
 
     name = f"contam:{mu:g}:{sigma2:g}"
     return AlternativeFamily(name, density, d1, (-0.5, 1.0))

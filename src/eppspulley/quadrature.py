@@ -242,8 +242,9 @@ def integrate_2d(f: Callable, cfg: QuadratureConfig | None = None) -> Quadrature
 
 
 def normal_pdf(x):
-    """Standard normal density, elementwise."""
-    return np.exp(-0.5 * np.square(x)) / _SQRT_2PI
+    """Standard normal density, elementwise; x^2 overflows only where it is 0."""
+    with np.errstate(over="ignore"):
+        return np.exp(-0.5 * np.square(x)) / _SQRT_2PI
 
 
 def normal_cdf(x):

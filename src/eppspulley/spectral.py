@@ -70,7 +70,6 @@ doubles (0.66 MB at top_m = 5).
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -112,8 +111,6 @@ _FACTOR_BLOCK = 64
 _FEATURE_ROWS = 3 + _SERIES_COEFFS.size
 _INV_SQRT_K = 1.0 / np.sqrt(np.arange(1.0, _FEATURE_ROWS))
 _EPS = float(np.finfo(np.float64).eps)
-# Below this |y - y_p| the square in the kernel's direct form is finite.
-_SQRT_MAX = math.sqrt(float(np.finfo(np.float64).max))
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,21 +266,18 @@ def _kernel_column(
     (x = y y_p), which loses at most about 12 ulp to cancellation, as in
     backend.kernel; the subtracted product is sum over k = 0..2 of
     f_k(y) f_k(y_p), one matrix-vector product of table rows 0..2.  The
-    table holds no inf, so that product never forms inf * 0.
+    table holds no inf, so that product never forms inf * 0.  The suffix
+    is empty where cut = N.  Its square overflows only where the Gaussian
+    term is 0 either way, and _pivoted_cholesky ignores that overflow.
     """
     features = table[3:]
     np.matmul(features[:, p], features[:, :cut], out=out[:cut])
-    if cut < y.size:
-        tail = out[cut:]
-        # (y - y_p)^2 overflows to inf only beyond |y| of sqrt(max
-        # float) / 2, and only where the Gaussian term is 0 either way
-        huge = abs(float(y[-1])) >= 0.5 * _SQRT_MAX
-        with np.errstate(over="ignore") if huge else contextlib.nullcontext():
-            np.subtract(y[cut:], y[p], out=tail)
-            np.square(tail, out=tail)
-        tail *= -0.5
-        np.exp(tail, out=tail)
-        tail -= table[:3, p] @ table[:3, cut:]
+    tail = out[cut:]
+    np.subtract(y[cut:], y[p], out=tail)
+    np.square(tail, out=tail)
+    tail *= -0.5
+    np.exp(tail, out=tail)
+    tail -= table[:3, p] @ table[:3, cut:]
 
 
 def _pivoted_cholesky(y: np.ndarray) -> tuple[np.ndarray, float]:
@@ -299,10 +293,10 @@ def _pivoted_cholesky(y: np.ndarray) -> tuple[np.ndarray, float]:
     the pivoting outgrows it.
 
     G is exactly the sum over k >= 3 of f_k f_k^T / N (see
-    _feature_table).  Unless the trace is already at or below the
-    threshold stop = RTOL * trace / 2, the rows f_k / sqrt(N) for
-    k = 3..18 whose squared norm exceeds stop are written into the
-    factor first, and their squares leave the residual diagonal d.  The
+    _feature_table).  The rows f_k / sqrt(N) for k = 3..18 whose squared
+    norm exceeds the threshold stop = RTOL * trace / 2 are written into
+    the factor first, and their squares leave the residual diagonal d;
+    a zero or NaN trace seeds no row and runs no step.  The
     residual, the tail k > 18 plus the unseeded rows, is positive
     semi-definite.  Each further step pivots on the largest entry of d
     and computes one kernel column (see _kernel_column), at most N
@@ -322,33 +316,32 @@ def _pivoted_cholesky(y: np.ndarray) -> tuple[np.ndarray, float]:
     table = _feature_table(y)
     stop = 0.5 * RTOL * trace
     square = np.empty(n)
-    rank = 0
-    factor = np.empty((0, n))
-    if float(d.sum()) > stop:
-        features = table[3:]
-        seeded = np.flatnonzero(np.einsum("ij,ij->i", features, features) > n * stop)
-        rank = seeded.size
-        factor = np.empty((rank + min(n, _FACTOR_BLOCK), n))
-        rows = np.take(features, seeded, axis=0, out=factor[:rank], mode="clip")
-        rows /= math.sqrt(n)
-        d -= np.einsum("ij,ij->j", rows, rows, out=square)
+    features = table[3:]
+    # at a trace that underflowed to 0 (beta near 1e-54) a row can keep a subnormal norm
+    seeded = np.flatnonzero((np.einsum("ij,ij->i", features, features) > n * stop) & (trace > 0.0))
+    rank = seeded.size
+    factor = np.empty((rank + min(n, _FACTOR_BLOCK), n))
+    rows = np.take(features, seeded, axis=0, out=factor[:rank], mode="clip")
+    rows /= math.sqrt(n)
+    d -= np.einsum("ij,ij->j", rows, rows, out=square)
     limit = rank + n
     cuts = _prefix_cuts(magnitude)
-    while rank < limit and float(d.sum()) > stop:
-        p = int(d.argmax())
-        pivot = float(d[p])
-        if rank == len(factor):
-            grown = np.empty((min(limit, rank + _FACTOR_BLOCK), n))
-            grown[:rank] = factor
-            factor = grown
-        row = factor[rank]
-        _kernel_column(y, table, p, int(cuts[p]), row)
-        row /= n
-        row -= np.matmul(factor[:rank, p], factor[:rank], out=square)
-        row /= math.sqrt(pivot)
-        d -= np.square(row, out=square)
-        d[p] = 0.0
-        rank += 1
+    with np.errstate(over="ignore"):
+        while rank < limit and float(d.sum()) > stop:
+            p = int(d.argmax())
+            pivot = float(d[p])
+            if rank == len(factor):
+                grown = np.empty((min(limit, rank + _FACTOR_BLOCK), n))
+                grown[:rank] = factor
+                factor = grown
+            row = factor[rank]
+            _kernel_column(y, table, p, int(cuts[p]), row)
+            row /= n
+            row -= np.matmul(factor[:rank, p], factor[:rank], out=square)
+            row /= math.sqrt(pivot)
+            d -= np.square(row, out=square)
+            d[p] = 0.0
+            rank += 1
     return factor[:rank], trace
 
 

@@ -2,14 +2,16 @@
 
 The three Gaussian smoothing identities are the closed forms that the
 quadrature engine is checked against; ecf_distance_oracle is the
-statistic's defining integral, evaluated by that engine.
+statistic's defining integral, evaluated by that engine; grid_spectrum
+is the operator's spectrum on a deterministic grid.
 """
 
 import math
 
 import numpy as np
 
-from eppspulley.quadrature import QuadratureConfig, integrate_1d
+from eppspulley.backend import kernel
+from eppspulley.quadrature import QuadratureConfig, integrate_1d, panel_rule
 from eppspulley.statistic import Sample, scaled_residuals
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -60,3 +62,14 @@ def ecf_distance_oracle(values, beta, radius=40.0):
         return n * (np.square(real) + np.square(imag)) * weight
 
     return integrate_1d(integrand, cfg).value
+
+
+def grid_spectrum(beta, panels):
+    """Eigenvalues, in descending order, of the limit-null covariance
+    operator discretized on the K15 rule of panels equal panels on
+    [-9 beta, 9 beta], its weights times the N(0, beta^2) density: one
+    dense eigvalsh of sqrt(w) K sqrt(w).  At panels = max(8, ceil(6 beta))
+    the eigenvalue sum is within 2e-12 relative of operator_trace."""
+    x, w = panel_rule(9.0 * beta, panels)
+    root = np.sqrt(w * np.exp(-0.5 * np.square(x / beta)) / (beta * SQRT_2PI))
+    return np.linalg.eigvalsh(root[:, None] * kernel(x[:, None], x) * root)[::-1]

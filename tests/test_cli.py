@@ -681,6 +681,19 @@ def test_slope_alternative_beyond_radius_exit_code(capsys, name):
     assert "[-12, 12]" in captured.err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["table2", "--alt", "contam:1e300:1", "--beta", "1"], "contam:1e+300:1"),
+    (["slope", "--alt", "contam:1e200:1e-300", "--beta", "1"], "contam:1e+200:1e-300"),
+], ids=["huge_mean", "tiny_variance"])
+def test_extreme_contamination_reports_one_line(capsys, argv, name):
+    # (x - mu) / sigma and its square overflow only where the bump's
+    # density is 0, so the d1 mass check is all that reaches stderr
+    code, out, err = run_cli(capsys, *argv, "--n-points", "100", "--runs", "1")
+    assert (code, out) == (4, "")
+    assert err == (f"error: d1 of {name} integrates to -1 on [-12, 12], not 0: "
+                   "the alternative reaches beyond the truncation radius\n")
+
+
 @pytest.mark.parametrize("argv, factor", [
     (["slope", "--alt", "contam:1e-300:1"], "LRT index of contam:1e-300:1"),
     (["table2", "--alt", "lehmann", "--beta", "1e-200"], "lambda1 at beta=1e-200"),

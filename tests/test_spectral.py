@@ -30,6 +30,7 @@ from eppspulley.spectral import (
     operator_trace,
 )
 from eppspulley.statistic import TuningParam
+from oracles import grid_spectrum
 
 
 def _kernel_decimal(s: float, t: float) -> float:
@@ -205,6 +206,14 @@ class TestNystromSpectrum:
         assert np.all(sp.per_run == 0.0)
         assert np.all(sp.per_run_eigen_sum == 0.0)
         assert sp.n_clipped == 0
+
+    def test_rank_zero_where_the_trace_underflows(self):
+        # at beta = 1e-54 every kernel diagonal entry underflows to 0, while
+        # some feature rows keep a subnormal norm: none may be seeded
+        sp = nystrom_spectrum(TuningParam(1e-54), 1000, 4, seed=42, top_m=3)
+        assert np.all(sp.per_run_trace == 0.0)
+        assert np.array_equal(sp.per_run_rank, [0, 0, 0, 0])
+        assert np.all(sp.per_run == 0.0)
 
     def test_rank_bounded_and_grows_with_beta(self):
         mean_rank = []
@@ -489,6 +498,40 @@ class TestLambda1:
         coarse = lambda1(tp, 1000, 10, seed=42)
         fine = lambda1(tp, 2000, 10, seed=42)
         assert abs(fine - coarse) / coarse < 0.02
+
+
+def _grid_panels(beta: float) -> int:
+    return max(8, math.ceil(6.0 * beta))
+
+
+class TestGridOracle:
+    """The operator's converged spectrum, from the deterministic grid of
+    oracles.grid_spectrum."""
+
+    # lambda1 to 6 significant digits at the table's betas and at 1e-3
+    CONVERGED = {0.25: 0.000407235, 0.5: 0.0101443, 0.75: 0.0385276, 1.0: 0.0742748,
+                 2.0: 0.154164, 3.0: 0.159960, 5.0: 0.132994, 10.0: 0.0829125,
+                 1e-3: 2.49998e-18}
+
+    @pytest.mark.parametrize("beta", sorted(CONVERGED))
+    def test_converged_lambda1(self, beta):
+        lam = grid_spectrum(beta, _grid_panels(beta))
+        assert float(f"{lam[0]:.6g}") == self.CONVERGED[beta]
+        # the eigenvalue sum is the operator's trace
+        exact = operator_trace(TuningParam(beta))
+        assert abs(float(np.sum(lam)) - exact) <= 1e-10 * exact
+
+    @pytest.mark.parametrize("beta", [0.25, 1.0, 3.0])
+    def test_doubling_the_panels_moves_lambda1_by_1e_10(self, beta):
+        coarse = grid_spectrum(beta, _grid_panels(beta))[0]
+        fine = grid_spectrum(beta, 2 * _grid_panels(beta))[0]
+        assert abs(fine - coarse) <= 1e-10 * coarse
+
+    def test_sampled_mean_is_unbiased_at_beta_1(self):
+        sp = nystrom_spectrum(TuningParam(1.0), 1000, 40, seed=7, top_m=1)
+        runs = sp.per_run[:, 0]
+        se = float(np.std(runs, ddof=1)) / math.sqrt(runs.size)
+        assert abs(float(np.mean(runs)) - grid_spectrum(1.0, _grid_panels(1.0))[0]) <= 3.0 * se
 
 
 @pytest.fixture(scope="module")
