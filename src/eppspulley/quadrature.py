@@ -131,8 +131,8 @@ class QuadratureConfig:
     def __post_init__(self):
         if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
             raise ValueError("tolerances must be positive and finite")
-        if not 8.0 <= self.truncation_radius < math.inf:
-            raise ValueError("truncation_radius must be finite and at least 8")
+        if not (8.0 <= self.truncation_radius and self.truncation_radius * self.truncation_radius < math.inf):
+            raise ValueError("truncation_radius must be at least 8, with a finite square")
         if int(self.max_subdivisions) < 1:
             raise ValueError("max_subdivisions must be at least 1")
 

@@ -295,17 +295,19 @@ def _pivoted_cholesky(y: np.ndarray) -> tuple[np.ndarray, float]:
     G is exactly the sum over k >= 3 of f_k f_k^T / N (see
     _feature_table).  The rows f_k / sqrt(N) for k = 3..18 whose squared
     norm exceeds the threshold stop = RTOL * trace / 2 are written into
-    the factor first, and their squares leave the residual diagonal d;
-    a zero or NaN trace seeds no row and runs no step.  The
-    residual, the tail k > 18 plus the unseeded rows, is positive
-    semi-definite.  Each further step pivots on the largest entry of d
-    and computes one kernel column (see _kernel_column), at most N
-    steps; they stop once sum(d) <= stop.  By Weyl's inequality every
-    eigenvalue of R R^T is within sum(d) of the matching eigenvalue of G
-    (Harbrecht, Peters & Schneider, Appl. Numer. Math. 62, 2012).  The
-    halved threshold leaves a margin for the roundoff of sum(d) and of
-    the eigenvalue sum, so that trace minus the eigenvalue sum of R R^T
-    stays below RTOL * trace.  Memory is O(N * rank).
+    the factor first, and their squares leave the residual diagonal d; a
+    zero or NaN trace seeds no row and runs no step.  The residual, the
+    tail k > 18 plus the unseeded rows, is positive semi-definite.  Each
+    further step pivots on the largest entry of d and computes one
+    kernel column (see _kernel_column) until sum(d) <= stop.  That takes
+    at most N steps with no cap: while sum(d) exceeds stop >= 0 the
+    pivot is positive, the step zeroes it, and no entry of d grows.  By
+    Weyl's inequality every eigenvalue of R R^T is within sum(d) of the
+    matching eigenvalue of G (Harbrecht, Peters & Schneider, Appl.
+    Numer. Math. 62, 2012).  The halved threshold leaves a margin for
+    the roundoff of sum(d) and of the eigenvalue sum, so that trace
+    minus the eigenvalue sum of R R^T stays below RTOL * trace.  Memory
+    is O(N * rank).
     """
     n = y.size
     d = kernel(y, y) / n
@@ -320,25 +322,23 @@ def _pivoted_cholesky(y: np.ndarray) -> tuple[np.ndarray, float]:
     # at a trace that underflowed to 0 (beta near 1e-54) a row can keep a subnormal norm
     seeded = np.flatnonzero((np.einsum("ij,ij->i", features, features) > n * stop) & (trace > 0.0))
     rank = seeded.size
-    factor = np.empty((rank + min(n, _FACTOR_BLOCK), n))
+    factor = np.empty((rank + _FACTOR_BLOCK, n))
     rows = np.take(features, seeded, axis=0, out=factor[:rank], mode="clip")
     rows /= math.sqrt(n)
     d -= np.einsum("ij,ij->j", rows, rows, out=square)
-    limit = rank + n
     cuts = _prefix_cuts(magnitude)
     with np.errstate(over="ignore"):
-        while rank < limit and float(d.sum()) > stop:
+        while float(d.sum()) > stop:
             p = int(d.argmax())
-            pivot = float(d[p])
             if rank == len(factor):
-                grown = np.empty((min(limit, rank + _FACTOR_BLOCK), n))
+                grown = np.empty((rank + _FACTOR_BLOCK, n))
                 grown[:rank] = factor
                 factor = grown
             row = factor[rank]
             _kernel_column(y, table, p, int(cuts[p]), row)
             row /= n
             row -= np.matmul(factor[:rank, p], factor[:rank], out=square)
-            row /= math.sqrt(pivot)
+            row /= math.sqrt(d[p])
             d -= np.square(row, out=square)
             d[p] = 0.0
             rank += 1

@@ -7,7 +7,7 @@ function of the standard normal law.  It is evaluated through a closed
 form whose only expensive part is the pair sum
 sum_{j,k} exp(-gamma (Y_j - Y_k)^2).  The backend computes it as a fast
 Gauss transform in O(n) time and bounded memory, exact up to roundoff
-(at most 2.4e-21 truncation error per pair).
+(at most 7.6e-18 truncation error per pair).
 
 The closed form cancels O(n) terms to an O(1) value, so the relative
 rounding error of the pair sum comes back multiplied by n: a 1e-15

@@ -716,7 +716,9 @@ def test_zero_efficiency_denominator_exit_code(capsys, argv, factor):
     ["--alt", "lehmann", "--rel-tol", "inf"],
     ["--alt", "contam:nan:1"],
     ["--alt", "contam:1:inf"],
-], ids=["radius", "abs_tol", "rel_tol", "mu", "sigma2"])
+    ["--alt", "lehmann", "--radius", "1e300"],
+    ["--alt", "lp1", "--radius", "1e300"],
+], ids=["radius", "abs_tol", "rel_tol", "mu", "sigma2", "radius_squared_lehmann", "radius_squared_lp1"])
 def test_slope_nonfinite_input_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, "slope", *argv, "--n-points", "150", "--runs", "1")
     assert code == 2

@@ -217,6 +217,8 @@ class TestConfig:
         for field in ("truncation_radius", "abs_tol", "rel_tol"):
             with pytest.raises(ValueError, match="finite"):
                 QuadratureConfig(**{field: math.inf})
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureConfig(truncation_radius=1e155)
 
 
 # the junctions of log_normal_cdf's three pieces, and their neighbours

@@ -428,6 +428,17 @@ class TestSeededFactor:
         rank, columns = self._factorise(monkeypatch, _run_nodes(1e10, 100, seed=6))
         assert rank == columns == 100
 
+    def test_pivot_loop_computes_at_most_n_columns(self, monkeypatch):
+        # the loop has no step cap: each step zeroes a positive entry of a
+        # residual diagonal that never grows, so it stops within N steps,
+        # on spread, clustered and tied nodes alike
+        for beta in (1e-3, 0.25, 1.0, 10.0, 100.0, 1e4, 1e10):
+            for n in (2, 3, 17, 300):
+                y = _run_nodes(beta, n, seed=n)
+                for nodes in (y, np.repeat(y[:2], (n + 1) // 2)[:n]):
+                    _, columns = self._factorise(monkeypatch, nodes)
+                    assert columns <= n
+
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
     def test_seeding_saves_kernel_columns(self, monkeypatch, beta):
         y = _run_nodes(beta, 1000, seed=42)
