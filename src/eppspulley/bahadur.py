@@ -188,15 +188,15 @@ def _score_moments(family: AlternativeFamily, cfg: QuadratureConfig):
     the larger P0 of their panel counts; none depends on beta.
 
     d1 integrates to 0 over the line.  When its sum on the P0-panel rule
-    exceeds max(abs_tol, rel_tol * the sum of |w d1|), part of the
-    perturbation lies beyond the radius, where no integral of d1 sees
-    it, and QuadratureError is raised naming [-R, R]."""
+    exceeds cfg.allowed(the sum of |w d1|), part of the perturbation
+    lies beyond the radius, where no integral of d1 sees it, and
+    QuadratureError is raised naming [-R, R]."""
     with _naming(f"mu1 and sigma1 of {family.name}"):
         mu1, sigma1, panels = _two_moments(family.d1, cfg)
     r = cfg.truncation_radius
     wd1 = _weighted_score(family, cfg, panels)[2]
     mass = float(np.sum(wd1))
-    if abs(mass) > max(cfg.abs_tol, cfg.rel_tol * float(np.sum(np.abs(wd1)))):
+    if abs(mass) > cfg.allowed(float(np.sum(np.abs(wd1)))):
         raise QuadratureError(
             f"d1 of {family.name} integrates to {mass:.3g} on [-{r:g}, {r:g}], not 0: "
             f"the alternative reaches beyond the truncation radius", mass, abs(mass)
@@ -275,7 +275,7 @@ def lrt_local_index(family: AlternativeFamily, cfg: QuadratureConfig | None = No
     underflows and the ratio becomes 0/0.  The Fisher integral alone
     therefore runs over [-R', R'] with R' = min(truncation_radius, 37);
     mu1 and sigma1 run over [-R, R].  QuadratureError is raised when
-    d1^2/phi summed at -R' and R' exceeds max(abs_tol, rel_tol * fisher),
+    d1^2/phi summed at -R' and R' exceeds cfg.allowed(fisher),
     since the truncated tail is then not negligible, and when d1 does
     not integrate to 0 on [-R, R] (see _score_moments); a failing
     integral's message starts with the quantity it integrates.
@@ -294,7 +294,7 @@ def _lrt_index(family: AlternativeFamily, cfg: QuadratureConfig):
     with _naming(f"Fisher information of {family.name}"):
         fisher = integrate_1d(score_square, replace(cfg, truncation_radius=r)).value
     edge = float(np.sum(score_square(np.array([-r, r]))))
-    if edge > max(cfg.abs_tol, cfg.rel_tol * fisher):
+    if edge > cfg.allowed(fisher):
         raise QuadratureError(
             f"Fisher information of {family.name} is not resolved on [-{r:g}, {r:g}]: "
             f"d1^2/phi sums to {edge:.3g} at the radius (estimate {fisher:.17g})", fisher, edge

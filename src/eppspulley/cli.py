@@ -196,8 +196,8 @@ def cmd_eigen(args):
 
 def _efficiencies(args, families, betas):
     """efficiency_table at the protocol and quadrature flags in args."""
-    cfg = QuadratureConfig(truncation_radius=args.radius, abs_tol=args.abs_tol,
-                           rel_tol=args.rel_tol, max_subdivisions=args.max_subdivisions)
+    cfg = QuadratureConfig(truncation_radius=args.radius, tol=args.tol,
+                           max_subdivisions=args.max_subdivisions)
     return efficiency_table(families, betas, n_points=args.n_points, runs=args.runs,
                             seed=args.seed, cfg=cfg)
 
@@ -261,8 +261,8 @@ def _add_quadrature(parser) -> None:
     defaults = QuadratureConfig()
     parser.add_argument("--radius", type=_positive_float, default=defaults.truncation_radius,
                         help="truncation radius in Gaussian standard units")
-    parser.add_argument("--abs-tol", type=_positive_float, default=defaults.abs_tol)
-    parser.add_argument("--rel-tol", type=_positive_float, default=defaults.rel_tol)
+    parser.add_argument("--tol", type=_positive_float, default=defaults.tol,
+                        help="quadrature tolerance, relative where |value| > 1")
     parser.add_argument("--max-subdivisions", type=_positive_int,
                         default=defaults.max_subdivisions,
                         help="most panels per axis the quadrature may refine to")

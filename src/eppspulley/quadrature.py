@@ -4,7 +4,7 @@ Every integrand in this library carries a Gaussian factor, so integrals
 over the line and the plane are truncated to [-R, R] and [-R, R]^2.
 Both use one loop: [-R, R] starts as 4 equal K15 panels and every panel
 is halved until the summed |K15 - G7| estimate (per panel in 1-D, per
-K15 x K15 tile in 2-D) is at most max(abs_tol, rel_tol * |value|).
+K15 x K15 tile in 2-D) is at most tol * max(1, |value|).
 Each estimate is floored at 10 eps times the rule applied to |f|, a
 roundoff floor that refinement does not lower; a tolerance below it
 raises QuadratureError as soon as the floor dominates the estimate,
@@ -112,29 +112,32 @@ class QuadratureResult(NamedTuple):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Truncation, tolerances and panel budget of the quadrature rule.
+    """Truncation, tolerance and panel budget of the quadrature rule.
 
     truncation_radius is measured in standard units of the Gaussian
     factor carried by the integrand; beyond 12 such units the tail mass
     is far below every tolerance used here.  Refinement stops once the
-    summed error estimate is at most max(abs_tol, rel_tol * |value|).
+    summed error estimate is at most allowed(value).
     max_subdivisions caps the number of panels per axis: when halving
     every panel would exceed it, QuadratureError is raised instead (the
     first level of 4 panels always runs).
     """
 
     truncation_radius: float = 12.0
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
+    tol: float = 1e-10
     max_subdivisions: int = 2000
 
     def __post_init__(self):
-        if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
-            raise ValueError("tolerances must be positive and finite")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
         if not (8.0 <= self.truncation_radius and self.truncation_radius * self.truncation_radius < math.inf):
             raise ValueError("truncation_radius must be at least 8, with a finite square")
         if int(self.max_subdivisions) < 1:
             raise ValueError("max_subdivisions must be at least 1")
+
+    def allowed(self, value: float) -> float:
+        """Error allowed on a value: tol, relative where |value| > 1."""
+        return self.tol * max(1.0, abs(value))
 
 
 def _checked(fx, shape):
@@ -192,7 +195,7 @@ def _integrate(f, cfg, dims):
                 for rows in x.reshape(panels, 15)
             ]
         value, error, floor = (math.fsum(np.concatenate(col).tolist()) for col in zip(*sums))
-        tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))
+        tol = cfg.allowed(value)
         if error <= tol:
             return QuadratureResult(value, error, panels)
         # Once the floor is most of the estimate the integrand is resolved,

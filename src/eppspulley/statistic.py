@@ -38,7 +38,7 @@ __all__ = [
 
 
 class DegenerateSampleError(ValueError):
-    """Sample cannot be standardized: fewer than two values, or zero spread."""
+    """Sample cannot be standardized: fewer than two values, or all equal."""
 
 
 @dataclass(frozen=True)
@@ -64,11 +64,22 @@ class TuningParam:
 
 @dataclass(frozen=True, eq=False)
 class Sample:
-    """Ordered collection of observations with positive ML variance."""
+    """Ordered collection of at least two finite observations, not all
+    equal.
+
+    The moments are taken on values * 2^-exponent, with exponent the
+    binary exponent of max |value|.  That scaling is exact, and at it
+    neither the mean nor the squared deviations overflow or underflow,
+    so the scaled residuals are the same at every power-of-two scale.
+    mean and variance_ml (divisor n) are those moments scaled back:
+    variance_ml is inf or 0 where the sample's variance is not a finite
+    positive float.
+    """
 
     values: np.ndarray
     mean: float = field(init=False)
     variance_ml: float = field(init=False)
+    _scaled_moments: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         v = np.array(self.values, dtype=np.float64, copy=True)
@@ -76,16 +87,24 @@ class Sample:
             raise ValueError("sample must be one-dimensional")
         if v.size < 2:
             raise DegenerateSampleError("degenerate sample: need at least two observations")
-        if not np.all(np.isfinite(v)):
+        lo, hi = float(np.min(v)), float(np.max(v))
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("sample contains non-finite values")
-        mean = float(np.mean(v))
-        variance_ml = float(np.var(v))
-        if not variance_ml > 0.0:
-            raise DegenerateSampleError("degenerate sample: zero variance")
+        if lo == hi:
+            raise DegenerateSampleError("degenerate sample: all values are equal")
+        exponent = math.frexp(max(-lo, hi))[1]
+        # np.mean and np.var of the scaled values, with var's one
+        # temporary as the only copy
+        work = np.ldexp(v, -exponent)
+        mean = np.mean(work)
+        np.subtract(work, mean, out=work)
+        variance = np.mean(np.square(work, out=work))
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "variance_ml", variance_ml)
+        with np.errstate(over="ignore"):
+            object.__setattr__(self, "mean", float(np.ldexp(mean, exponent)))
+            object.__setattr__(self, "variance_ml", float(np.ldexp(variance, 2 * exponent)))
+        object.__setattr__(self, "_scaled_moments", (exponent, float(mean), math.sqrt(variance)))
 
     @property
     def n(self) -> int:
@@ -93,8 +112,13 @@ class Sample:
 
 
 def scaled_residuals(sample: Sample) -> np.ndarray:
-    """Standardize by the sample mean and ML standard deviation."""
-    return (sample.values - sample.mean) / math.sqrt(sample.variance_ml)
+    """Standardize by the sample mean and ML standard deviation, both
+    taken at the sample's power-of-two scale."""
+    exponent, mean, sd = sample._scaled_moments
+    y = np.ldexp(sample.values, -exponent)
+    y -= mean
+    y /= sd
+    return y
 
 
 def epps_pulley_statistic(sample: Sample, tp: TuningParam) -> float:

@@ -51,8 +51,7 @@ def ecf_distance_oracle(values, beta, radius=40.0):
     by direct numerical integration of the defining integrand."""
     y = scaled_residuals(Sample(values))
     n = y.size
-    cfg = QuadratureConfig(truncation_radius=radius, abs_tol=1e-12, rel_tol=1e-12,
-                           max_subdivisions=4000)
+    cfg = QuadratureConfig(truncation_radius=radius, tol=1e-12, max_subdivisions=4000)
 
     def integrand(t):
         ty = np.outer(t, y)

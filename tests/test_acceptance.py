@@ -185,7 +185,7 @@ def test_criterion_3_closed_form_identities():
 
 
 def test_criterion_4_local_index_oracle():
-    tight = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12)
+    tight = QuadratureConfig(tol=1e-12)
     ok = True
     detail = ""
     for name in TABLE_FAMILIES:

@@ -46,7 +46,7 @@ from eppspulley.quadrature import (
 from eppspulley.statistic import TuningParam
 
 CFG = QuadratureConfig()
-TIGHT = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12)
+TIGHT = QuadratureConfig(tol=1e-12)
 
 
 def crn_limit_estimate(y1_t, y2_t, y1_0, y2_0, beta):
@@ -390,7 +390,7 @@ class TestLrtLocalIndex:
         cfg = QuadratureConfig(truncation_radius=radius)
         with pytest.raises(QuadratureError, match=f"-{radius:g}, {radius:g}") as excinfo:
             lrt_local_index(contamination(0.0, 3.0), cfg)
-        assert excinfo.value.error_bound > excinfo.value.estimate * cfg.rel_tol
+        assert excinfo.value.error_bound > excinfo.value.estimate * cfg.tol
 
     def test_slowly_decaying_score_needs_a_wider_radius(self):
         # d1^2/phi decays like exp(-x^2/18) for variance 1.8
@@ -526,7 +526,7 @@ def fourier_local_index(family, beta, cfg=CFG):
     (full_rule_score_transform), and integrated by integrate_1d over
     [0, T] and doubled for t < 0.  T = min(R beta, 3P/R), so e^{itx}
     turns by at most 3 radians over a panel half-width; while T < R beta
-    and the edge term |H(T)|^2 phi_beta(T) T exceeds rel_tol *
+    and the edge term |H(T)|^2 phi_beta(T) T exceeds tol *
     delta_beta, P doubles.  Every term of H is O(t^3), so nothing
     cancels at any beta."""
     mu1, sigma1, panels = bahadur._score_moments(family, cfg)
@@ -544,7 +544,7 @@ def fourier_local_index(family, beta, cfg=CFG):
         value = integrate_1d(weighted_square, cfg).value
         if cutoff >= r * beta:
             return value
-        if float(weighted_square(np.array([r]))[0]) * r <= cfg.rel_tol * value:
+        if float(weighted_square(np.array([r]))[0]) * r <= cfg.tol * value:
             return value
         panels *= 2
         assert panels <= cfg.max_subdivisions, (family.name, beta)

@@ -317,8 +317,23 @@ class TestStatCommand:
         assert "degenerate sample" in err
 
     def test_constant_sample_is_degenerate(self, capsys, datafile):
-        code, _, _ = run_cli(capsys, "stat", datafile("5\n5\n5\n"))
-        assert code == 3
+        # the mean of three 0.1s rounds away from 0.1
+        for text in ("5\n5\n5\n", "0.1\n0.1\n0.1\n"):
+            code, _, _ = run_cli(capsys, "stat", datafile(text))
+            assert code == 3
+
+    @pytest.mark.parametrize("text, unit", [
+        ("1.7e308\n1.7e308\n-1.7e308\n", [1.0, 1.0, -1.0]),
+        ("1e200\n-1e200\n0\n", [1.0, -1.0, 0.0]),
+        ("1e-200\n-1e-200\n0\n", [1.0, -1.0, 0.0]),
+    ], ids=["mean_overflows", "variance_overflows", "variance_underflows"])
+    def test_extreme_magnitudes_match_unit_scale(self, capsys, datafile, text, unit):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli(capsys, "stat", datafile(text), "--format", "json")
+        assert code == 0
+        expected = epps_pulley_statistic(Sample(unit), TuningParam(1.0))
+        assert abs(json.loads(out)["statistic"] - expected) <= 1e-14 * len(unit)
 
     def test_parse_failure_reports_line(self, capsys, datafile):
         code, _, err = run_cli(capsys, "stat", datafile("1\n2\n3\nabc\n"))
@@ -712,13 +727,12 @@ def test_zero_efficiency_denominator_exit_code(capsys, argv, factor):
 
 @pytest.mark.parametrize("argv", [
     ["--alt", "lehmann", "--radius", "inf"],
-    ["--alt", "lehmann", "--abs-tol", "inf"],
-    ["--alt", "lehmann", "--rel-tol", "inf"],
+    ["--alt", "lehmann", "--tol", "inf"],
     ["--alt", "contam:nan:1"],
     ["--alt", "contam:1:inf"],
     ["--alt", "lehmann", "--radius", "1e300"],
     ["--alt", "lp1", "--radius", "1e300"],
-], ids=["radius", "abs_tol", "rel_tol", "mu", "sigma2", "radius_squared_lehmann", "radius_squared_lp1"])
+], ids=["radius", "tol", "mu", "sigma2", "radius_squared_lehmann", "radius_squared_lp1"])
 def test_slope_nonfinite_input_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, "slope", *argv, "--n-points", "150", "--runs", "1")
     assert code == 2
@@ -734,7 +748,7 @@ def test_slope_small_beta_asymptote(capsys):
 
     beta = 1e-3
     d1 = lehmann().d1
-    tight = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12)
+    tight = QuadratureConfig(tol=1e-12)
     kappa3 = integrate_1d(lambda x: (x**3 - 3.0 * x) * d1(x), tight).value
     code = main(["slope", "--alt", "lehmann", "--beta", str(beta), "--n-points", "150",
                  "--runs", "1", "--format", "json"])

@@ -56,7 +56,7 @@ class TestIntegrate1d:
         assert abs(base.value - wide.value) < 1e-12
 
     def test_nonconvergence_carries_best_estimate(self):
-        cfg = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=5)
+        cfg = QuadratureConfig(tol=1e-14, max_subdivisions=5)
         with pytest.raises(QuadratureError) as excinfo:
             integrate_1d(lambda x: np.cos(50.0 * x) ** 2 * normal_pdf(x), cfg)
         assert excinfo.value.estimate is not None
@@ -76,7 +76,7 @@ class TestIntegrate1d:
             return normal_pdf(x)
 
         with pytest.raises(QuadratureError, match="roundoff floor") as excinfo:
-            integrate_1d(f, QuadratureConfig(abs_tol=1e-17, rel_tol=1e-17))
+            integrate_1d(f, QuadratureConfig(tol=1e-17))
         assert sum(points) < 3066
         assert excinfo.value.estimate == pytest.approx(1.0, abs=1e-14)
         assert excinfo.value.error_bound < 1e-14
@@ -117,7 +117,7 @@ class TestIntegrate2d:
         assert abs(res.value - gaussian_pair_moment(0, 2.0)) <= max(res.error, 1e-15)
 
     def test_nonconvergence_carries_best_estimate(self):
-        cfg = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=5)
+        cfg = QuadratureConfig(tol=1e-14, max_subdivisions=5)
         with pytest.raises(QuadratureError) as excinfo:
             integrate_2d(
                 lambda x, y: np.cos(50.0 * (x - y)) ** 2 * normal_pdf(x) * normal_pdf(y), cfg
@@ -139,7 +139,7 @@ class TestIntegrate2d:
             return normal_pdf(x) * normal_pdf(y)
 
         with pytest.raises(QuadratureError, match="roundoff floor") as excinfo:
-            integrate_2d(f, QuadratureConfig(abs_tol=1e-17, rel_tol=1e-17))
+            integrate_2d(f, QuadratureConfig(tol=1e-17))
         assert sum(points) < 31457160
         assert excinfo.value.estimate == pytest.approx(1.0, abs=1e-14)
 
@@ -209,12 +209,12 @@ class TestClosedForms:
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            QuadratureConfig(abs_tol=0.0)
+            QuadratureConfig(tol=0.0)
         with pytest.raises(ValueError):
             QuadratureConfig(truncation_radius=4.0)
         with pytest.raises(ValueError):
             QuadratureConfig(max_subdivisions=0)
-        for field in ("truncation_radius", "abs_tol", "rel_tol"):
+        for field in ("truncation_radius", "tol"):
             with pytest.raises(ValueError, match="finite"):
                 QuadratureConfig(**{field: math.inf})
         with pytest.raises(ValueError, match="finite"):

@@ -476,7 +476,7 @@ class TestOperatorTrace:
 
     @pytest.mark.parametrize("beta", [0.25, 1.0, 10.0, 100.0])
     def test_closed_form_matches_quadrature(self, beta):
-        cfg = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=8192)
+        cfg = QuadratureConfig(tol=1e-13, max_subdivisions=8192)
         exact = operator_trace(TuningParam(beta))
         assert exact == pytest.approx(_trace_quadrature(beta, cfg), rel=1e-12)
 

@@ -89,6 +89,13 @@ class TestStatistic:
     def test_triple_matches_defining_integral(self):
         closed = epps_pulley_statistic(Sample([-1.0, 0.0, 1.0]), TuningParam(1.0))
         assert closed == pytest.approx(ecf_distance_oracle([-1.0, 0.0, 1.0], 1.0), abs=1e-8)
+        # a pair standardizes to -1, 1: with b = beta^2 and
+        # delta = b / (2 (1 + b)), T = 1 + e^(-2b) - 4 e^(-delta) / sqrt(1 + b)
+        # + 2 / sqrt(1 + 2b), here to 40 digits
+        for beta, exact in [(1e-3, 1.4583272083501313e-24), (1.0, 0.08725456200312923),
+                            (100.0, 0.9898805557557377)]:
+            closed = epps_pulley_statistic(Sample([-3.0, 5.0]), TuningParam(beta))
+            assert abs(closed - exact) <= 1e-14 * 2
 
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
     def test_random_samples_match_defining_integral(self, beta):
@@ -109,6 +116,11 @@ class TestStatistic:
             assert epps_pulley_statistic(Sample(a * values + b), tp) == pytest.approx(
                 base, abs=1e-10
             )
+        # scales at which the mean or the squared deviations leave float64
+        for a in (2.0**1000, 2.0**-1000):
+            assert epps_pulley_statistic(Sample(a * values), tp) == base
+        for a in (1e200, 1e-200, 1e300, 1e-300):
+            assert abs(epps_pulley_statistic(Sample(a * values), tp) - base) <= 1e-14 * values.size
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(7)
