@@ -1,10 +1,11 @@
 """Epps-Pulley test for univariate normality.
 
-The package computes the test statistic from data, approximates the
-spectrum of the limit-null covariance operator by stochastic
-discretization, and evaluates local approximate Bahadur slopes and
-efficiencies against the likelihood ratio benchmark for a set of
-parametric alternatives to normality.
+The package computes the test statistic from data, computes the
+spectrum of the limit-null covariance operator in a closed-form basis
+(and estimates it by stochastic discretization for the p-values), and
+evaluates local approximate Bahadur slopes and efficiencies against the
+likelihood ratio benchmark for a set of parametric alternatives to
+normality.
 """
 
 from .alternatives import (
@@ -31,12 +32,16 @@ from .quadrature import (
     integrate_2d,
 )
 from .spectral import (
+    OperatorSpectrum,
     SpectrumResult,
+    Truncation,
     kernel,
     lambda1,
     null_pvalue,
     nystrom_spectrum,
+    operator_spectrum,
     operator_trace,
+    truncation,
 )
 from .statistic import (
     DegenerateSampleError,
@@ -54,10 +59,12 @@ __all__ = [
     "EfficiencyTable",
     "QuadratureConfig",
     "QuadratureError",
+    "OperatorSpectrum",
     "QuadratureResult",
     "Sample",
     "SpectrumResult",
     "TABLE_FAMILIES",
+    "Truncation",
     "TuningParam",
     "backend_name",
     "contamination",
@@ -75,7 +82,9 @@ __all__ = [
     "lrt_local_index",
     "null_pvalue",
     "nystrom_spectrum",
+    "operator_spectrum",
     "operator_trace",
     "scaled_residuals",
+    "truncation",
     "__version__",
 ]

@@ -52,7 +52,7 @@ from .quadrature import (
     normal_pdf,
     panel_rule,
 )
-from .spectral import lambda1
+from .spectral import Truncation, lambda1, truncation
 from .statistic import TuningParam
 
 __all__ = [
@@ -308,7 +308,8 @@ class EfficiencyTable:
     """Efficiency grid, one row per family and one column per beta,
     with the factors of every cell: local_index is
     delta_beta / lambda1, and efficiencies is
-    local_index / lrt_index[:, None]."""
+    local_index / lrt_index[:, None].  truncations holds, per beta, the
+    route, basis size and error bound of lambda1 (spectral.truncation)."""
 
     families: tuple[str, ...]
     betas: tuple[float, ...]
@@ -317,17 +318,12 @@ class EfficiencyTable:
     lambda1: np.ndarray
     local_index: np.ndarray
     lrt_index: np.ndarray
-    n_points: int
-    runs: int
-    seed: int
+    truncations: tuple[Truncation, ...]
 
 
 def efficiency_table(
     family_names,
     betas,
-    n_points: int = 1000,
-    runs: int = 10,
-    seed: int = 42,
     cfg: QuadratureConfig | None = None,
 ) -> EfficiencyTable:
     """Efficiency grid over families x betas, the one place that forms
@@ -346,7 +342,7 @@ def efficiency_table(
     lrt_moments = [_lrt_index(f, cfg) for f in families]
     lrt = np.array([index for index, _ in lrt_moments])
     tps = [TuningParam(b) for b in betas]
-    lam = np.array([lambda1(tp, n_points=n_points, runs=runs, seed=seed) for tp in tps])
+    lam = np.array([lambda1(tp) for tp in tps])
     names = [f"the LRT index of {f.name}" for f in families]
     names += [f"lambda1 at beta={b:g}" for b in betas]
     for name, value in zip(names, [*lrt, *lam]):
@@ -369,7 +365,5 @@ def efficiency_table(
         lambda1=lam,
         local_index=index,
         lrt_index=lrt,
-        n_points=int(n_points),
-        runs=int(runs),
-        seed=int(seed),
+        truncations=tuple(truncation(tp) for tp in tps),
     )

@@ -3,8 +3,8 @@
 Subcommands:
 
   stat    statistic for a data file
-  eigen   spectrum estimates for a list of betas
-  table1  eigen with the reference protocol and beta grid
+  eigen   the operator's top eigenvalues for a list of betas
+  table1  eigen at the paper's beta grid
   slope   slope report for one alternative and one beta
   table2  efficiency grid over the six alternatives and the beta grid
   pvalue  statistic plus Monte-Carlo p-value from the truncated limit law
@@ -14,10 +14,14 @@ with '#' are skipped, and a single non-numeric first line is treated as
 a header.  A data file is read in fixed blocks of characters, each
 completed to the end of its last line, so reading it takes memory for
 one block plus twice the values, whatever its size, and its errors are
-reported in file order, block by block.  The sampling commands (eigen,
-table1, slope, table2, pvalue) take --seed (default 42), and their output
-is byte-reproducible for fixed flags and seed.  Exit codes: 0 success,
-2 input or usage error, 3 degenerate data, 4 numerical failure.
+reported in file order, block by block.  pvalue is the one sampling
+command: it takes the spectral sampling protocol --n-points, --runs and
+--seed (default 42), and its output is byte-reproducible for fixed flags
+and seed.  eigen, table1, slope and table2 compute the operator's
+spectrum in closed form and sample nothing; they still accept those
+three flags, hidden from --help, and ignore them with one line on
+stderr.  Exit codes: 0 success, 2 input or usage error, 3 degenerate
+data, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import numpy as np
 from .alternatives import TABLE_FAMILIES
 from .bahadur import efficiency_table
 from .quadrature import QuadratureConfig
-from .spectral import null_pvalue, nystrom_spectrum
+from .spectral import null_pvalue, nystrom_spectrum, operator_spectrum
 from .statistic import DegenerateSampleError, Sample, TuningParam, epps_pulley_statistic
 
 DEFAULT_BETAS = (0.25, 0.5, 0.75, 1.0, 2.0, 3.0, 5.0, 10.0)
@@ -179,31 +183,34 @@ def cmd_stat(args):
 
 
 def cmd_eigen(args):
-    spectra = [nystrom_spectrum(TuningParam(b), args.n_points, args.runs, args.seed, args.top_m)
-               for b in args.beta]
+    spectra = [operator_spectrum(TuningParam(b), args.top_m) for b in args.beta]
     record = {
         "betas": list(args.beta),
-        "n_points": args.n_points,
-        "runs": args.runs,
-        "seed": args.seed,
         "top_m": args.top_m,
         "eigenvalues": [list(map(float, sp.eigenvalues)) for sp in spectra],
-        "trace_estimates": [sp.trace_estimate for sp in spectra],
+        "spectrum_method": [sp.method for sp in spectra],
+        "basis_size": [sp.basis_size for sp in spectra],
+        "spectrum_bound": [sp.bound for sp in spectra],
+        "trace": [sp.trace for sp in spectra],
     }
     ranks = enumerate(zip(*record["eigenvalues"]), start=1)
     return record, [["rank", *record["betas"]], *([rank, *row] for rank, row in ranks)]
 
 
 def _efficiencies(args, families, betas):
-    """efficiency_table at the protocol and quadrature flags in args."""
+    """efficiency_table at the quadrature flags in args, and its
+    spectrum fields for the record: per beta, the route, basis size and
+    bound of lambda1."""
     cfg = QuadratureConfig(truncation_radius=args.radius, tol=args.tol,
                            max_subdivisions=args.max_subdivisions)
-    return efficiency_table(families, betas, n_points=args.n_points, runs=args.runs,
-                            seed=args.seed, cfg=cfg)
+    table = efficiency_table(families, betas, cfg=cfg)
+    methods, sizes, bounds = zip(*table.truncations)
+    return table, {"spectrum_method": list(methods), "basis_size": list(sizes),
+                   "spectrum_bound": list(bounds)}
 
 
 def cmd_slope(args):
-    table = _efficiencies(args, [args.alt], [args.beta])
+    table, spectrum = _efficiencies(args, [args.alt], [args.beta])
     record = {
         "family": table.families[0],
         "beta": table.betas[0],
@@ -212,23 +219,19 @@ def cmd_slope(args):
         "local_index": float(table.local_index[0, 0]),
         "lrt_index": float(table.lrt_index[0]),
         "efficiency": float(table.efficiencies[0, 0]),
-        "n_points": table.n_points,
-        "runs": table.runs,
-        "seed": table.seed,
+        **{key: values[0] for key, values in spectrum.items()},
     }
     return record, None
 
 
 def cmd_table2(args):
     families = [args.alt] if args.alt else list(TABLE_FAMILIES)
-    table = _efficiencies(args, families, args.beta or DEFAULT_BETAS)
+    table, spectrum = _efficiencies(args, families, args.beta or DEFAULT_BETAS)
     record = {
         "families": list(table.families),
         "betas": list(table.betas),
         "efficiency": [list(map(float, row)) for row in table.efficiencies],
-        "n_points": table.n_points,
-        "runs": table.runs,
-        "seed": table.seed,
+        **spectrum,
     }
     cells = zip(record["families"], record["efficiency"])
     return record, [["alternative", *record["betas"]], *([name, *row] for name, row in cells)]
@@ -257,6 +260,22 @@ def _add_protocol(parser) -> None:
     parser.add_argument("--seed", type=int, default=42)
 
 
+class _Ignored(argparse.Action):
+    """Accept a flag of the sampling protocol, whatever its value, and
+    record its name in args.ignored."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        namespace.ignored = (*namespace.ignored, option_string)
+
+
+def _add_ignored_protocol(parser) -> None:
+    """--n-points, --runs and --seed, hidden from --help, for commands
+    that no longer sample; main names the given ones on stderr."""
+    for flag in ("--n-points", "--runs", "--seed"):
+        parser.add_argument(flag, action=_Ignored, dest="ignored", default=(),
+                            help=argparse.SUPPRESS)
+
+
 def _add_quadrature(parser) -> None:
     defaults = QuadratureConfig()
     parser.add_argument("--radius", type=_positive_float, default=defaults.truncation_radius,
@@ -282,17 +301,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_stat)
 
-    p = sub.add_parser("eigen", help="spectrum estimates for a list of betas")
+    p = sub.add_parser("eigen", help="the operator's top eigenvalues for a list of betas")
     p.add_argument("--beta", type=_beta_list, default=DEFAULT_BETAS,
                    help="comma separated list of positive betas")
     p.add_argument("--top-m", type=_positive_int, default=5)
-    _add_protocol(p)
+    _add_ignored_protocol(p)
     _add_common(p)
     p.set_defaults(func=cmd_eigen)
 
-    p = sub.add_parser("table1", help="eigen at the reference protocol and beta grid")
+    p = sub.add_parser("table1", help="eigen at the paper's beta grid")
     p.add_argument("--top-m", type=_positive_int, default=5)
-    _add_protocol(p)
+    _add_ignored_protocol(p)
     _add_common(p)
     p.set_defaults(func=cmd_eigen, beta=DEFAULT_BETAS)
 
@@ -300,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alt", required=True,
                    help="lehmann, lp1, lp2 or contam:MU:SIGMA2")
     p.add_argument("--beta", type=_positive_float, default=1.0)
-    _add_protocol(p)
+    _add_ignored_protocol(p)
     _add_quadrature(p)
     _add_common(p)
     p.set_defaults(func=cmd_slope)
@@ -309,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alt", default=None, help="restrict to one alternative")
     p.add_argument("--beta", type=_beta_list, default=None,
                    help="comma separated list of positive betas")
-    _add_protocol(p)
+    _add_ignored_protocol(p)
     _add_quadrature(p)
     _add_common(p)
     p.set_defaults(func=cmd_table2)
@@ -328,6 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "ignored", ()):
+        flags = ", ".join(dict.fromkeys(args.ignored))
+        print(f"warning: {args.subcommand} ignores {flags}: it computes the operator's "
+              "spectrum in closed form and samples nothing", file=sys.stderr)
     try:
         record, rows = args.func(args)
         _emit(record, rows, args)

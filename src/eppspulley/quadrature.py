@@ -132,8 +132,8 @@ class QuadratureConfig:
             raise ValueError("tol must be positive and finite")
         if not (8.0 <= self.truncation_radius and self.truncation_radius * self.truncation_radius < math.inf):
             raise ValueError("truncation_radius must be at least 8, with a finite square")
-        if int(self.max_subdivisions) < 1:
-            raise ValueError("max_subdivisions must be at least 1")
+        if not (isinstance(self.max_subdivisions, (int, np.integer)) and self.max_subdivisions >= 1):
+            raise ValueError("max_subdivisions must be an integer of at least 1")
 
     def allowed(self, value: float) -> float:
         """Error allowed on a value: tol, relative where |value| > 1."""

@@ -6,10 +6,60 @@ of the integral operator with kernel
 
     K(s, t) = exp(-(s-t)^2/2) - (1 + s*t + (s*t)^2/2) * exp(-(s^2+t^2)/2)
 
-acting on L2 of the Gaussian weight with standard deviation beta.  The
-eigenvalues are approximated stochastically: sample N points from the
-weight, form the matrix G = (K(y_i, y_j)/N), and take its eigenvalues.
-Several independent runs are averaged.
+acting on L2 of the Gaussian weight phi_beta with standard deviation
+beta.
+
+operator_spectrum computes the operator's own top eigenvalues in a
+finite basis, with no sampling, by one of two routes.  Both are
+deterministic, and neither calls a BLAS routine whose result depends on
+the thread count, except the dense eigvalsh of a matrix of order at
+most 122.
+
+Gram route, beta <= 1.  K(s, t) = sum over k >= 3 of f_k(s) f_k(t)
+with f_k(y) = y^k e^(-y^2/2) / sqrt(k!), so the operator's nonzero
+eigenvalues are those of the Gram matrix of the f_k in L2(phi_beta).
+With s = 1 + 2 beta^2 and sigma^2 = beta^2 / s it has the closed form
+
+    G_jk = (j+k-1)!! sigma^(j+k) / (sqrt(s) sqrt(j! k!)),  j + k even,
+
+and 0 otherwise.  Its leading M x M block, k = 3..M+2 with
+M = ceil(40 s) <= 120, takes one dense eigvalsh.  The dropped f_k form a
+positive semi-definite remainder, so by Weyl's inequality each
+eigenvalue is low by at most its trace, the dropped diagonal.  The
+diagonal falls by a ratio below 2 sigma^2 = 1 - 1/s, so that trace is at
+most s G_KK with K = M + 3: the bound.
+
+Mehler route, beta > 1.  The Gaussian part exp(-(s-t)^2/2) has the
+Mehler spectrum on N(0, beta^2) (Rasmussen & Williams, Gaussian
+Processes for Machine Learning, 2006, section 4.3.1): with
+a = 1/(4 beta^2), b = 1/2, c = sqrt(a^2 + 2ab), A = a + b + c and
+B = b/A, the eigenvalues are lambda_j = sqrt(2a/A) B^j, and in the frame
+scaled by sqrt(phi_beta) the eigenfunctions are the Hermite functions
+e_j(x) = (2c)^(1/4) psi_j(sqrt(2c) x).  K subtracts f_0, f_1 and f_2,
+so in that basis the operator is D - U U^T with D = diag(lambda_j) and
+U_jk the integral of e_j sqrt(phi_beta) f_k, k = 0..2.  The basis
+stops at M = ceil(log 1e-16 / log B), so the dropped Mehler terms have
+trace lambda_M / (1 - B), the bound; the f_k's components beyond the
+basis decay faster, their squares as r^j with r = (a + b - c)/A < B, and
+move an eigenvalue only at second order.  e_j is streamed by the
+three-term recurrence of the Hermite functions, and U by the trapezoid
+rule with step 0.05 on |x| <= 12, which converges geometrically for
+these entire integrands (Trefethen & Weideman, SIAM Rev. 56, 2014); the
+f_k have the parity of k and e_j that of j, so the rule runs on x >= 0.
+Each top eigenvalue i lies in [lambda_(i+3), lambda_i] (interlacing) and
+is found by bisection on the count of eigenvalues above t, which by
+Haynsworth's inertia additivity (Linear Algebra Appl. 1, 1968) is
+#{lambda_j > t} plus the positive eigenvalues of
+I_3 - U^T (D - t)^-1 U, minus 3: O(M) per count, with elementwise sums
+and no matrix product.  M grows like 37 beta; above _MAX_BASIS the call
+raises ArithmeticError naming beta and M.  Below beta = 1 the Mehler
+form cancels O(1) terms (2e-12 relative at beta = 0.25), so the routes
+meet at beta = 1, where they agree within 1e-15 of lambda1.
+
+The sampled estimate.  nystrom_spectrum samples N points from the
+weight, forms the matrix G = (K(y_i, y_j)/N), and takes its
+eigenvalues, averaged over independent runs; pvalue's limit law and the
+tests use it.
 
 The eigenvalues of G decay geometrically (the Mehler expansion of the
 Gaussian part of K), so G has numerical rank far below N: about 15 at
@@ -44,16 +94,14 @@ slower of the two.
 The per-run spectra depend on (beta, N, runs, seed) alone, never on
 top_m or on any data, so they are memoized per process in an LRU cache
 of _SPECTRUM_CACHE_SIZE = 16 keys; nystrom_spectrum cuts each call's
-top_m from the cached runs into fresh arrays, so lambda1 (top_m = 1)
-reuses the entry that table1 (top_m = 5) made.  table1 followed by
-table2 visits the 8 betas of a table in turn, so a cache of fewer than
-8 keys would never hit.  An entry holds each run's rank eigenvalues and
-three numbers per run, at most runs x (N + 19) doubles: about 11 KB at
-beta = 10 under the reference protocol (N = 1000, 10 runs), and at most
-1.3 MB for 16 keys of that protocol.  A single CLI command gains nothing
-from it, since at its default flags it computes each key once; the gain
-is in a process that asks again, such as a batch of p-values at a few
-betas, or table1 followed by table2.
+top_m from the cached runs into fresh arrays, so a call at top_m = 1
+reuses the entry of a call at top_m = 5.  An entry holds each run's
+rank eigenvalues and three numbers per run, at most runs x (N + 19)
+doubles: about 11 KB at beta = 10 under the reference protocol
+(N = 1000, 10 runs), and at most 1.3 MB for 16 keys of that protocol.
+A single CLI command gains nothing from it, since it computes each key
+once; the gain is in a process that asks again, such as a batch of
+p-values at a few betas.
 
 The Monte-Carlo draws of null_pvalue's truncated limit law depend on
 the clipped top_m eigenvalues, the trace shift, mc_samples and the seed
@@ -73,6 +121,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,12 +129,16 @@ from .backend import _SERIES_COEFFS, _SERIES_CUTOFF, kernel
 from .statistic import TuningParam
 
 __all__ = [
+    "OperatorSpectrum",
     "SpectrumResult",
+    "Truncation",
     "kernel",
     "lambda1",
     "null_pvalue",
     "nystrom_spectrum",
+    "operator_spectrum",
     "operator_trace",
+    "truncation",
 ]
 
 # Monte-Carlo rows per chunk in null_pvalue: bounds the transient
@@ -96,8 +149,7 @@ _MC_CHUNK = 1 << 14
 _MC_KEEP_LIMIT = 1 << 18
 _MC_CACHE_SIZE = 4
 
-# Keys (beta, n_points, runs, seed) that _sampled_runs keeps: at least
-# the 8 betas of a table, or table1 then table2 would never hit.
+# Keys (beta, n_points, runs, seed) that _sampled_runs keeps.
 _SPECTRUM_CACHE_SIZE = 16
 
 # Relative residual trace at which the pivoted Cholesky factorisation of
@@ -111,6 +163,182 @@ _FACTOR_BLOCK = 64
 _FEATURE_ROWS = 3 + _SERIES_COEFFS.size
 _INV_SQRT_K = 1.0 / np.sqrt(np.arange(1.0, _FEATURE_ROWS))
 _EPS = float(np.finfo(np.float64).eps)
+
+# -log of the Mehler tail ratio lambda_M / lambda_0 <= 1e-16 that sizes
+# the Mehler basis, and the largest basis operator_spectrum builds.
+_MEHLER_DECADES = 16.0 * math.log(10.0)
+_MAX_BASIS = 1 << 17
+# The trapezoid rule of U: step 0.05 on [0, 12], and the Hermite rows
+# streamed per block.
+_GRID_STEP = 0.05
+_GRID_NODES = 241
+_BASIS_BLOCK = 512
+
+
+class Truncation(NamedTuple):
+    """How operator_spectrum discretizes the operator at one beta: the
+    route ("gram" or "mehler"), the basis size M, and the bound on how
+    far each eigenvalue of the basis may lie from the operator's."""
+
+    method: str
+    basis_size: int
+    bound: float
+
+
+@dataclass(frozen=True, eq=False)
+class OperatorSpectrum:
+    """Top eigenvalues of the operator, descending and clipped at 0 (0
+    beyond the basis), with the route, basis size and error bound that
+    produced them, and the operator's closed-form trace."""
+
+    eigenvalues: np.ndarray
+    method: str
+    basis_size: int
+    bound: float
+    trace: float
+
+
+def _mehler_constants(beta: float):
+    """a, c, A and B of the Mehler spectrum on N(0, beta^2), and -log B."""
+    a = 0.25 / (beta * beta)
+    c = 0.5 / beta * math.sqrt(1.0 + a)  # sqrt(a^2 + a), positive at every finite beta
+    big_a = a + 0.5 + c
+    return a, c, big_a, 0.5 / big_a, -math.log1p(-(a + c) / big_a)
+
+
+def truncation(tp: TuningParam) -> Truncation:
+    """The route, basis size and error bound of operator_spectrum at
+    tp.beta, in closed form (see the module docstring).
+
+    ArithmeticError names beta and M when the Mehler basis would exceed
+    _MAX_BASIS functions."""
+    beta = tp.beta
+    if beta <= 1.0:
+        s = 1.0 + 2.0 * beta * beta
+        size = math.ceil(40.0 * s)
+        k = size + 3
+        # s G_kk = s (2k)! sigma^(2k) / (2^k k!^2 sqrt(s)), sigma = beta / sqrt(s)
+        log_term = (math.lgamma(2 * k + 1) - k * math.log(2.0) - 2.0 * math.lgamma(k + 1)
+                    + 2 * k * (math.log(beta) - 0.5 * math.log(s)) + 0.5 * math.log(s))
+        return Truncation("gram", size, math.exp(log_term))
+    a, _, big_a, ratio, rate = _mehler_constants(beta)
+    if rate * _MAX_BASIS < _MEHLER_DECADES:
+        raise ArithmeticError(f"the Mehler basis at beta={beta:g} needs "
+                              f"M = {_MEHLER_DECADES / rate:.4g} functions, beyond the cap "
+                              f"of {_MAX_BASIS}")
+    size = math.ceil(_MEHLER_DECADES / rate)
+    return Truncation("mehler", size, math.sqrt(2.0 * a / big_a) * ratio**size / (1.0 - ratio))
+
+
+def operator_spectrum(tp: TuningParam, top_m: int = 5) -> OperatorSpectrum:
+    """The operator's top_m eigenvalues, by the Gram route at beta <= 1
+    and the Mehler route above (see the module docstring), each within
+    the returned bound of the operator's own.
+
+    ArithmeticError names beta and M when the Mehler basis would exceed
+    _MAX_BASIS functions; top_m may not exceed it either."""
+    if not 1 <= top_m <= _MAX_BASIS:
+        raise ValueError(f"top_m must be between 1 and {_MAX_BASIS}, got {top_m}")
+    method, size, bound = truncation(tp)
+    if method == "gram":
+        eig = _gram_eigenvalues(tp.beta, size)
+    else:
+        eig = _mehler_eigenvalues(tp.beta, size, top_m)
+    top = np.zeros(top_m)
+    top[:min(top_m, eig.size)] = np.maximum(eig[:top_m], 0.0)
+    return OperatorSpectrum(eigenvalues=top, method=method, basis_size=size, bound=bound,
+                            trace=operator_trace(tp))
+
+
+def _gram_eigenvalues(beta: float, size: int) -> np.ndarray:
+    """All eigenvalues, descending, of the Gram matrix of f_3..f_(size+2).
+
+    u_k = sigma^k / sqrt(k!) is a running product and (n-1)!! one more,
+    so no entry overflows: (n-1)!! stays below 1e242 for n <= 244, and
+    where sigma^k underflows the entries are 0."""
+    s = 1.0 + 2.0 * beta * beta
+    sigma = beta / math.sqrt(s)
+    u = np.cumprod(sigma / np.sqrt(np.arange(1.0, size + 3.0)))[2:]
+    order = np.arange(3, size + 3)
+    total = order[:, None] + order
+    double_factorial = np.ones(total.max() + 1)
+    double_factorial[2::2] = np.cumprod(np.arange(1.0, total.max(), 2.0))
+    gram = np.where(total % 2 == 0, double_factorial[total], 0.0) * u[:, None] * u
+    return np.linalg.eigvalsh(gram / math.sqrt(s))[::-1]
+
+
+def _mehler_basis(beta: float, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """lambda_j and U (size x 3) of the Mehler route.
+
+    The Hermite functions psi_j = n_j h_j are streamed as
+    h_(j+1) = gamma_j y h_j - h_(j-1), with n_0 = n_1 = 1 and
+    n_(j+1) = sqrt(j/(j+1)) n_(j-1): two elementwise operations per j,
+    _BASIS_BLOCK rows at a time, each block summed against the weighted
+    f_k in one einsum."""
+    a, c, big_a, ratio, _ = _mehler_constants(beta)
+    lam = math.sqrt(2.0 * a / big_a) * ratio ** np.arange(size)
+    x = np.arange(_GRID_NODES) * _GRID_STEP
+    weights = np.full(_GRID_NODES, 2.0 * _GRID_STEP)  # both halves of |x| <= 12
+    weights[[0, -1]] = _GRID_STEP
+    g = weights * np.exp(-(a + 0.5) * np.square(x)) / math.sqrt(math.sqrt(2.0 * math.pi) * beta)
+    features = np.stack([g, g * x, g * np.square(x) / math.sqrt(2.0)])
+    j = np.arange(size + 1.0)
+    norm = np.ones(size + 1)
+    steps = np.sqrt(j[1:-1] / j[2:])  # sqrt(j/(j+1)), j = 1..size-1
+    norm[2::2] = np.cumprod(steps[0::2])
+    norm[3::2] = np.cumprod(steps[1::2])
+    gamma = np.sqrt(2.0 / j[1:]) * norm[:-1] / norm[1:]
+    y = math.sqrt(2.0 * c) * x
+    rows = np.empty((_BASIS_BLOCK + 1, _GRID_NODES))
+    rows[0] = 0.0  # h_(-1)
+    rows[1] = np.exp(-0.5 * np.square(y)) / math.pi**0.25
+    u = np.empty((size, 3))
+    parity = (np.arange(size)[:, None] + np.arange(3)) % 2 == 0
+    for start in range(0, size, _BASIS_BLOCK - 1):
+        stop = min(start + _BASIS_BLOCK - 1, size)
+        if start:
+            rows[:2] = rows[-2:]  # h_(start-1) and h_start
+        slopes = np.multiply.outer(gamma[start:stop], y)
+        for i in range(stop - start):
+            np.multiply(slopes[i], rows[i + 1], out=rows[i + 2])
+            rows[i + 2] -= rows[i]
+        u[start:stop] = np.einsum("jx,kx->jk", rows[1:stop - start + 1], features)
+    u *= (math.sqrt(math.sqrt(2.0 * c)) * norm[:size])[:, None]
+    return lam, np.where(parity, u, 0.0)
+
+
+def _mehler_eigenvalues(beta: float, size: int, top_m: int) -> np.ndarray:
+    """The top min(top_m, size) eigenvalues of D - U U^T, each by
+    bisection on [lambda_(i+3), lambda_i] (0 past the basis) down to
+    adjacent floats, all ranks at once; each is the upper end of its
+    final interval."""
+    lam, u = _mehler_basis(beta, size)
+    rank = u.shape[1]
+    upper = np.triu_indices(rank)
+    pairs = u[:, upper[0]] * u[:, upper[1]]
+    falling = -lam
+    pad = np.concatenate([lam, np.zeros(rank + top_m)])
+    index = np.arange(min(top_m, size))
+    lo, hi = pad[index + rank].copy(), pad[index].copy()
+    # the only lambda_j inside (lo, hi), where D - t is singular
+    poles = pad[index[:, None] + np.arange(1, rank)]
+    while True:
+        t = 0.5 * (lo + hi)
+        on_pole = np.any(t[:, None] == poles, axis=1)
+        t[on_pole] = np.nextafter(t[on_pole], hi[on_pole])
+        live = (lo < t) & (t < hi)
+        if not live.any():
+            return hi
+        tl = t[live]
+        schur = np.zeros((tl.size, rank, rank))
+        sums = np.einsum("jp,tj->tp", pairs, 1.0 / (lam - tl[:, None]))
+        schur[:, upper[0], upper[1]] = -sums
+        schur[:, upper[1], upper[0]] = -sums
+        schur[:, range(rank), range(rank)] += 1.0
+        positive = np.count_nonzero(np.linalg.eigvalsh(schur) > 0.0, axis=1)
+        above = np.searchsorted(falling, -tl) + positive - rank > index[live]
+        lo[live] = np.where(above, tl, lo[live])
+        hi[live] = np.where(above, hi[live], tl)
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,9 +573,9 @@ def _pivoted_cholesky(y: np.ndarray) -> tuple[np.ndarray, float]:
     return factor[:rank], trace
 
 
-def lambda1(tp: TuningParam, n_points: int = 1000, runs: int = 10, seed: int = 42) -> float:
-    """Largest eigenvalue under the given sampling protocol."""
-    return float(nystrom_spectrum(tp, n_points, runs, seed, top_m=1).eigenvalues[0])
+def lambda1(tp: TuningParam) -> float:
+    """Largest eigenvalue of the operator, from operator_spectrum."""
+    return float(operator_spectrum(tp, top_m=1).eigenvalues[0])
 
 
 def operator_trace(tp: TuningParam) -> float:

@@ -43,6 +43,7 @@ from eppspulley.quadrature import (
     normal_pdf,
     panel_rule,
 )
+from eppspulley.spectral import lambda1, truncation
 from eppspulley.statistic import TuningParam
 
 CFG = QuadratureConfig()
@@ -409,26 +410,33 @@ class TestLrtLocalIndex:
 
 class TestEfficiencyTable:
     def test_internal_consistency_and_protocol(self):
-        table = efficiency_table(["lp2"], [1.0], n_points=300, runs=3, seed=5)
-        assert table.delta_beta.shape == table.efficiencies.shape == (1, 1)
-        assert table.lambda1.shape == table.lrt_index.shape == (1,)
+        table = efficiency_table(["lp2"], [1.0, 2.0])
+        assert table.delta_beta.shape == table.efficiencies.shape == (1, 2)
+        assert table.lambda1.shape == (2,) and table.lrt_index.shape == (1,)
         local = table.local_index[0, 0]
         assert local == pytest.approx(table.delta_beta[0, 0] / table.lambda1[0], rel=1e-14)
         assert table.efficiencies[0, 0] == pytest.approx(local / table.lrt_index[0], rel=1e-14)
-        assert (table.n_points, table.runs, table.seed) == (300, 3, 5)
+        # lambda1 is the operator's, with its route, basis size and bound
+        assert table.lambda1.tolist() == [lambda1(TuningParam(b)) for b in (1.0, 2.0)]
+        assert table.truncations == (truncation(TuningParam(1.0)), truncation(TuningParam(2.0)))
+        assert [t.method for t in table.truncations] == ["gram", "mehler"]
         assert table.families == ("lp2",)
         assert table.delta_beta[0, 0] >= 0.0
         assert 0.0 < table.efficiencies[0, 0] <= 1.05
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="CHANGES.md FOUND 10: the sampled lambda1 at beta 1e-3 is 2.232e-18 against "
-        "the converged 2.49998e-18, so lehmann and contam:0.5:1 exceed the LRT bound; "
-        "ROADMAP direction 2b's closed-form lambda1 mends it, and then this marker goes",
-    )
     def test_efficiencies_at_small_beta_respect_the_lrt_bound(self):
         table = efficiency_table(TABLE_FAMILIES, [1e-3])
         assert np.all(table.efficiencies <= 1.0), table.efficiencies.ravel()
+
+    def test_efficiencies_at_small_beta_reach_their_limit(self):
+        # delta_beta -> 15 beta^6 kappa3'^2 / 36 and lambda1 -> 15 beta^6 / 6,
+        # so the efficiency tends to kappa3'^2 / (6 lrt); both corrections
+        # are O(beta^2) relative
+        names = ["lehmann", "lp1", "lp2", "contam:1:1", "contam:0.5:1"]
+        table = efficiency_table(names, [1e-3])
+        for name, row, lrt in zip(names, table.efficiencies, table.lrt_index):
+            limit = kappa3_derivative(family_from_name(name)) ** 2 / (6.0 * lrt)
+            assert row[0] == pytest.approx(limit, rel=1e-4, abs=0.0), name
 
     def test_cells_equal_local_index_exactly(self):
         # the lp2 and contam:1:1 rows share the cutoff 3P/R across their
@@ -440,7 +448,7 @@ class TestEfficiencyTable:
             (["contam:1:1"], [0.5, 0.75, 1.0]),
         ]
         for names, betas in rows:
-            table = efficiency_table(names, betas, n_points=100, runs=1, seed=5)
+            table = efficiency_table(names, betas)
             for i, name in enumerate(names):
                 for j, beta in enumerate(betas):
                     cell = local_index(family_from_name(name), TuningParam(beta))
@@ -451,7 +459,7 @@ class TestEfficiencyTable:
         # indices share the moments on [-40, 40]
         cfg = QuadratureConfig(truncation_radius=40.0)
         betas = [0.25, 1.0, 10.0]
-        table = efficiency_table(TABLE_FAMILIES, betas, n_points=100, runs=1, cfg=cfg)
+        table = efficiency_table(TABLE_FAMILIES, betas, cfg=cfg)
         for i, name in enumerate(TABLE_FAMILIES):
             for j, beta in enumerate(betas):
                 cell = local_index(family_from_name(name), TuningParam(beta), cfg)
@@ -475,7 +483,7 @@ class TestEfficiencyTable:
             expected += {(name, max(first, math.ceil(4.0 * b))) for b in DEFAULT_BETAS}
         weighted_score = bahadur._weighted_score
         monkeypatch.setattr(bahadur, "_weighted_score", recording)
-        efficiency_table(TABLE_FAMILIES, DEFAULT_BETAS, n_points=100, runs=1)
+        efficiency_table(TABLE_FAMILIES, DEFAULT_BETAS)
         assert sorted(calls) == sorted(expected)
         assert len(calls) == 20
 
@@ -494,7 +502,7 @@ class TestEfficiencyTable:
         names = ["lehmann", "lp2", "contam:1:1"]
         plain = [lrt_local_index(family_from_name(name), cfg) for name in names]
         monkeypatch.setattr(bahadur, "_two_moments", counting)
-        table = efficiency_table(names, [0.5, 3.0], n_points=100, runs=1, cfg=cfg)
+        table = efficiency_table(names, [0.5, 3.0], cfg=cfg)
         assert len(calls) == per_family * len(names)
         assert set(calls) == {radius}
         assert table.lrt_index.tolist() == plain

@@ -18,6 +18,7 @@ import pytest
 import eppspulley
 from eppspulley import cli
 from eppspulley.cli import main, read_sample_file
+from eppspulley.spectral import nystrom_spectrum, operator_trace
 from eppspulley.statistic import Sample, TuningParam, epps_pulley_statistic, scaled_residuals
 
 
@@ -37,10 +38,12 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def fresh_cli_stdout(*argv):
-    """Standard output of the CLI run in a new interpreter."""
+def fresh_cli_stdout(*argv, **environ):
+    """Standard output of the CLI run in a new interpreter, with the
+    given environment variables set."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(eppspulley.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+               **environ)
     return subprocess.run([sys.executable, "-m", "eppspulley.cli", *argv], env=env,
                           capture_output=True, timeout=60, check=True).stdout
 
@@ -372,10 +375,7 @@ class TestStatCommand:
 
 class TestEigenCommand:
     def test_csv_layout(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "eigen", "--beta", "0.5,1", "--n-points", "200", "--runs", "2",
-            "--top-m", "3", "--seed", "1",
-        )
+        code, out, _ = run_cli(capsys, "eigen", "--beta", "0.5,1", "--top-m", "3")
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == "rank,0.5,1.0"
@@ -384,34 +384,43 @@ class TestEigenCommand:
         assert first[0] == "1"
         assert float(first[1]) > float(lines[2].split(",")[1])  # descending ranks
 
-    def test_byte_reproducible(self, capsys):
-        args = ("eigen", "--beta", "1", "--n-points", "150", "--runs", "1", "--seed", "9")
-        _, out1, _ = run_cli(capsys, *args)
-        _, out2, _ = run_cli(capsys, *args)
+    def test_byte_reproducible(self):
+        # the sampled protocol, which eigen ran until it printed the
+        # operator's spectrum; pvalue still runs it
+        args = (TuningParam(1.0), 150, 1, 9)
+        out1 = nystrom_spectrum(*args).eigenvalues.tobytes()
+        out2 = nystrom_spectrum(*args).eigenvalues.tobytes()
         assert out1 == out2
 
     def test_table1_is_eigen_at_default_betas(self, capsys):
-        protocol = ("--n-points", "200", "--runs", "2")
-        _, table1, _ = run_cli(capsys, "table1", *protocol)
-        _, eigen, _ = run_cli(capsys, "eigen", *protocol)
+        _, table1, _ = run_cli(capsys, "table1")
+        _, eigen, _ = run_cli(capsys, "eigen")
         assert table1 == eigen
         assert table1.startswith("rank,0.25,0.5,0.75,1.0,2.0,3.0,5.0,10.0\n")
 
     def test_json_round_trip(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "eigen", "--beta", "1", "--n-points", "150", "--runs", "2",
-            "--format", "json",
-        )
+        code, out, _ = run_cli(capsys, "eigen", "--beta", "1,2", "--format", "json")
         assert code == 0
         report = json.loads(out)
-        assert report["betas"] == [1.0]
+        assert report["betas"] == [1.0, 2.0]
         assert len(report["eigenvalues"][0]) == 5
+        assert sorted(report) == ["basis_size", "betas", "eigenvalues", "spectrum_bound",
+                                  "spectrum_method", "top_m", "trace"]
+        assert report["spectrum_method"] == ["gram", "mehler"]
+        assert report["basis_size"] == [120, 75]
+        assert all(0.0 < bound < 1e-15 for bound in report["spectrum_bound"])
+        assert report["trace"] == [operator_trace(TuningParam(b)) for b in (1.0, 2.0)]
         assert json.loads(json.dumps(report)) == report
 
     def test_top_m_zero_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["eigen", "--top-m", "0"])
         assert excinfo.value.code == 2
+        capsys.readouterr()
+        # an absurd rank count is an input error, not an allocation
+        code, out, err = run_cli(capsys, "eigen", "--top-m", str(10**12))
+        assert (code, out) == (2, "")
+        assert err == f"error: top_m must be between 1 and 131072, got {10**12}\n"
 
     def test_bad_beta_list_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -427,13 +436,15 @@ class TestEigenCommand:
 class TestTable2Command:
     def test_single_cell_mode(self, capsys):
         code, out, _ = run_cli(
-            capsys, "table2", "--alt", "lp2", "--beta", "1", "--n-points", "300",
-            "--runs", "3", "--format", "json",
+            capsys, "table2", "--alt", "lp2", "--beta", "1", "--format", "json",
         )
         assert code == 0
         report = json.loads(out)
+        assert sorted(report) == ["basis_size", "betas", "efficiency", "families",
+                                  "spectrum_bound", "spectrum_method"]
         assert report["families"] == ["lp2"]
         assert report["betas"] == [1.0]
+        assert (report["spectrum_method"], report["basis_size"]) == (["gram"], [120])
         assert 0.0 < report["efficiency"][0][0] <= 1.05
 
     def test_degenerate_contamination_rejected(self, capsys):
@@ -444,7 +455,6 @@ class TestTable2Command:
     def test_csv_header(self, capsys):
         code, out, _ = run_cli(
             capsys, "table2", "--alt", "contam:1:1", "--beta", "0.5,1",
-            "--n-points", "200", "--runs", "2",
         )
         assert code == 0
         lines = out.strip().splitlines()
@@ -464,8 +474,7 @@ class TestTable2Command:
     def test_repeated_calls_match_a_fresh_process(self, capsys):
         # lp2 at beta 3 and 10 shares its t-nodes and doubles its x-panels,
         # so a transform memo that outlived a call would show here
-        argv = ["table2", "--alt", "lp2", "--beta", "0.5,3,10", "--n-points", "200",
-                "--runs", "2", "--format", "json"]
+        argv = ["table2", "--alt", "lp2", "--beta", "0.5,3,10", "--format", "json"]
         outputs = [run_cli(capsys, *argv)[1] for _ in range(2)]
         fresh = fresh_cli_stdout(*argv)
         assert [out.encode() for out in outputs] == [fresh, fresh]
@@ -519,8 +528,7 @@ def test_parser_is_built_once_and_keeps_no_state(capsys, datafile):
 
 def test_numerical_failure_exit_code(capsys):
     # a one-panel subdivision budget cannot meet the default tolerances
-    code = main(["slope", "--alt", "lehmann", "--beta", "1", "--max-subdivisions", "1",
-                 "--n-points", "150", "--runs", "1"])
+    code = main(["slope", "--alt", "lehmann", "--beta", "1", "--max-subdivisions", "1"])
     err = capsys.readouterr().err
     assert code == 4
     assert "convergence" in err
@@ -528,69 +536,81 @@ def test_numerical_failure_exit_code(capsys):
     assert err.startswith("error: Fisher information of lehmann: ")
 
 
-def test_eigensolver_failure_exit_code(capsys, monkeypatch):
+def test_eigensolver_failure_exit_code(capsys, datafile, monkeypatch):
+    # pvalue's sampled spectrum; eigen no longer samples
     def fail(matrix):
         raise np.linalg.LinAlgError("did not converge")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-    code, out, err = run_cli(capsys, "eigen", "--beta", "1", "--n-points", "150", "--runs", "1")
+    code, out, err = run_cli(capsys, "pvalue", datafile("1\n2\n4\n"), "--beta", "1",
+                             "--n-points", "150", "--runs", "1")
     assert code == 4
     assert out == ""
     assert "eigensolver failed in run 0" in err
 
 
-def _reject_constant(name):
-    raise ValueError(f"{name} is not JSON")
-
-
 @pytest.mark.parametrize("beta", ["1e100", "1e160", "1e300"])
-def test_eigen_at_huge_beta(capsys, beta):
-    # the nodes lie far apart, so the sampled matrix tends to I/N; beyond
-    # beta of about 1e154 the squares of the nodes overflow to inf, which
-    # only ever multiplies a damping factor that is 0, and is not reported
+def test_eigen_at_huge_beta(beta):
+    # the sampled protocol, which eigen ran until it printed the
+    # operator's spectrum: the nodes lie far apart, so the sampled matrix
+    # tends to I/N; beyond beta of about 1e154 the squares of the nodes
+    # overflow to inf, which only ever multiplies a damping factor that is
+    # 0, and is not reported
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        code, out, _ = run_cli(capsys, "eigen", "--beta", beta, "--n-points", "100",
-                               "--runs", "1", "--format", "json")
-    assert code == 0
-    report = json.loads(out, parse_constant=_reject_constant)
-    assert report["trace_estimates"] == [pytest.approx(1.0, rel=1e-14)]
-    assert report["eigenvalues"] == [pytest.approx([0.01] * 5, rel=1e-14)]
+        sp = nystrom_spectrum(TuningParam(float(beta)), 100, 1, top_m=5)
+    assert sp.trace_estimate == pytest.approx(1.0, rel=1e-14)
+    assert list(sp.eigenvalues) == pytest.approx([0.01] * 5, rel=1e-14)
 
 
-def test_eigen_with_overflowing_nodes_is_numerical_failure(capsys):
+def test_eigen_with_overflowing_nodes_is_numerical_failure():
+    # the sampled protocol, which eigen ran until it printed the
+    # operator's spectrum; an ArithmeticError is the CLI's exit code 4
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        code, out, err = run_cli(capsys, "eigen", "--beta", "1e308", "--n-points", "100",
-                                 "--runs", "1", "--format", "json")
-    assert code == 4
-    assert out == ""
-    assert "beta=1e+308" in err
+        with pytest.raises(ArithmeticError, match="beta=1e\\+308"):
+            nystrom_spectrum(TuningParam(1e308), 100, 1)
+
+
+def test_eigen_at_vanishing_beta_prints_zeros(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, "eigen", "--beta", "1e-200", "--format", "json")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["eigenvalues"] == [[0.0] * 5] and report["trace"] == [0.0]
+
+
+def test_eigen_beyond_the_basis_cap_is_numerical_failure(capsys):
+    code, out, err = run_cli(capsys, "eigen", "--beta", "1e300")
+    assert (code, out) == (4, "")
+    assert err == ("error: the Mehler basis at beta=1e+300 needs M = 3.684e+301 functions, "
+                   "beyond the cap of 131072\n")
 
 
 class TestSeedIsAnArgument:
-    EIGEN = ("eigen", "--beta", "1", "--n-points", "150", "--runs", "1")
+    # pvalue is the one command that samples
+    PVALUE = ("--beta", "1", "--n-points", "150", "--runs", "1", "--mc-samples", "2000")
 
-    def test_environment_is_ignored(self, capsys, monkeypatch):
+    def test_environment_is_ignored(self, capsys, datafile, monkeypatch):
+        argv = ("pvalue", datafile("1\n2\n4\n"), *self.PVALUE)
         monkeypatch.delenv("EP_SEED", raising=False)
-        _, out_unset, _ = run_cli(capsys, *self.EIGEN)
+        _, out_unset, _ = run_cli(capsys, *argv)
         monkeypatch.setenv("EP_SEED", "123")
-        _, out_set, _ = run_cli(capsys, *self.EIGEN)
+        _, out_set, _ = run_cli(capsys, *argv)
         assert out_set == out_unset
 
-    def test_malformed_environment_is_ignored(self, capsys, monkeypatch):
+    def test_malformed_environment_is_ignored(self, capsys, datafile, monkeypatch):
         monkeypatch.setenv("EP_SEED", "not-an-int")
-        code, _, err = run_cli(capsys, *self.EIGEN)
+        code, _, err = run_cli(capsys, "pvalue", datafile("1\n2\n4\n"), *self.PVALUE)
         assert (code, err) == (0, "")
         with pytest.raises(SystemExit) as excinfo:
             main(["--help"])
         assert excinfo.value.code == 0
 
-    @pytest.mark.parametrize("command, seed", [("eigen", "-1"), ("pvalue", "-5")])
+    @pytest.mark.parametrize("command, seed", [("pvalue", "-1"), ("pvalue", "-5")])
     def test_negative_seed_is_named(self, capsys, datafile, command, seed):
-        argv = [command, "--seed", seed, "--n-points", "150", "--runs", "1"]
-        if command == "pvalue":
-            argv.insert(1, datafile("1\n2\n4\n"))
+        argv = [command, datafile("1\n2\n4\n"), "--seed", seed, "--n-points", "150", "--runs", "1"]
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert f"seed must be a non-negative integer, got {seed}" in err
@@ -620,7 +640,7 @@ class TestOutputFile:
 
 
 def test_slope_json_round_trip(capsys):
-    argv = ["slope", "--alt", "lehmann", "--beta", "0.5", "--n-points", "200", "--runs", "2"]
+    argv = ["slope", "--alt", "lehmann", "--beta", "0.5"]
     code = main(argv + ["--format", "json"])
     out = capsys.readouterr().out
     assert code == 0
@@ -635,11 +655,10 @@ def test_slope_json_round_trip(capsys):
     header, row = capsys.readouterr().out.splitlines()
     assert code == 0
     assert header == ("family,beta,delta_beta,lambda1,local_index,lrt_index,efficiency,"
-                      "n_points,runs,seed")
+                      "spectrum_method,basis_size,spectrum_bound")
     assert row.split(",") == [str(report[key]) for key in header.split(",")]
     # slope is the 1 x 1 case of table2: the same cell, to the last bit
-    code = main(["table2", "--alt", "lehmann", "--beta", "0.5", "--n-points", "200",
-                 "--runs", "2", "--format", "json"])
+    code = main(["table2", "--alt", "lehmann", "--beta", "0.5", "--format", "json"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["efficiency"] == [[report["efficiency"]]]
 
@@ -647,8 +666,7 @@ def test_slope_json_round_trip(capsys):
 def test_slope_lrt_index_closed_form(capsys):
     # contamination N(2, 1): Fisher information e^4 - 1, minus mu1^2 = 4
     # and sigma1^2 / 2 = 8
-    code = main(["slope", "--alt", "contam:2:1", "--n-points", "150", "--runs", "1",
-                 "--format", "json"])
+    code = main(["slope", "--alt", "contam:2:1", "--format", "json"])
     out = capsys.readouterr().out
     assert code == 0
     assert json.loads(out)["lrt_index"] == pytest.approx(math.exp(4.0) - 13.0, abs=1e-12)
@@ -656,7 +674,7 @@ def test_slope_lrt_index_closed_form(capsys):
 
 def test_slope_infinite_fisher_information_exit_code(capsys):
     # contamination variance 3: the score's square grows without bound
-    code = main(["slope", "--alt", "contam:0:3", "--n-points", "150", "--runs", "1"])
+    code = main(["slope", "--alt", "contam:0:3"])
     captured = capsys.readouterr()
     assert code == 4
     assert captured.out == ""
@@ -666,8 +684,7 @@ def test_slope_infinite_fisher_information_exit_code(capsys):
 def test_slope_large_beta_needs_a_larger_panel_budget(capsys):
     # beta times the panel half-width 12 / P is at most 3, so beta = 1000
     # needs P = 4000, beyond the default budget of 2000
-    argv = ["slope", "--alt", "lehmann", "--beta", "1000", "--n-points", "100", "--runs", "1",
-            "--format", "json"]
+    argv = ["slope", "--alt", "lehmann", "--beta", "1000", "--format", "json"]
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (4, "")
     assert "beta=1000 needs 4000 panels" in err
@@ -681,7 +698,7 @@ def test_slope_large_beta_needs_a_larger_panel_budget(capsys):
 def test_slope_at_beta_300_fits_the_default_panel_budget(capsys):
     # beta = 300 needs P = 1200 panels on [-12, 12], within the default 2000
     code, out, err = run_cli(capsys, "slope", "--alt", "lehmann", "--beta", "300",
-                             "--n-points", "100", "--runs", "1", "--format", "json")
+                             "--format", "json")
     assert (code, err) == (0, "")
     assert json.loads(out)["delta_beta"] > 0.0
 
@@ -689,7 +706,7 @@ def test_slope_at_beta_300_fits_the_default_panel_budget(capsys):
 @pytest.mark.parametrize("name", ["contam:40:1", "contam:-30:2"])
 def test_slope_alternative_beyond_radius_exit_code(capsys, name):
     # the bump lies outside [-12, 12], where d1 is just -phi
-    code = main(["slope", "--alt", name, "--n-points", "150", "--runs", "1"])
+    code = main(["slope", "--alt", name])
     captured = capsys.readouterr()
     assert code == 4
     assert captured.out == ""
@@ -703,7 +720,7 @@ def test_slope_alternative_beyond_radius_exit_code(capsys, name):
 def test_extreme_contamination_reports_one_line(capsys, argv, name):
     # (x - mu) / sigma and its square overflow only where the bump's
     # density is 0, so the d1 mass check is all that reaches stderr
-    code, out, err = run_cli(capsys, *argv, "--n-points", "100", "--runs", "1")
+    code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (4, "")
     assert err == (f"error: d1 of {name} integrates to -1 on [-12, 12], not 0: "
                    "the alternative reaches beyond the truncation radius\n")
@@ -717,7 +734,7 @@ def test_zero_efficiency_denominator_exit_code(capsys, argv, factor):
     # a factor that underflows to 0 is named instead of printing nan
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = main(argv + ["--n-points", "150", "--runs", "1"])
+        code = main(argv)
     captured = capsys.readouterr()
     assert code == 4
     assert captured.out == ""
@@ -734,7 +751,7 @@ def test_zero_efficiency_denominator_exit_code(capsys, argv, factor):
     ["--alt", "lp1", "--radius", "1e300"],
 ], ids=["radius", "tol", "mu", "sigma2", "radius_squared_lehmann", "radius_squared_lp1"])
 def test_slope_nonfinite_input_is_usage_error(capsys, argv):
-    code, out, err = run_cli(capsys, "slope", *argv, "--n-points", "150", "--runs", "1")
+    code, out, err = run_cli(capsys, "slope", *argv)
     assert code == 2
     assert out == ""
     assert "finite" in err
@@ -750,8 +767,7 @@ def test_slope_small_beta_asymptote(capsys):
     d1 = lehmann().d1
     tight = QuadratureConfig(tol=1e-12)
     kappa3 = integrate_1d(lambda x: (x**3 - 3.0 * x) * d1(x), tight).value
-    code = main(["slope", "--alt", "lehmann", "--beta", str(beta), "--n-points", "150",
-                 "--runs", "1", "--format", "json"])
+    code = main(["slope", "--alt", "lehmann", "--beta", str(beta), "--format", "json"])
     out = capsys.readouterr().out
     assert code == 0
     limit = 15.0 * beta**6 * kappa3**2 / 36.0
@@ -769,10 +785,54 @@ def test_import_does_not_load_scipy():
         "from eppspulley.cli import main",
         "print('scipy' in sys.modules)",
         "with contextlib.redirect_stdout(io.StringIO()):",
-        "    codes = [main(['slope', '--alt', 'lehmann', '--beta', '1', '--n-points', '200', '--runs', '2']),",
-        "             main(['table2', '--alt', 'lp1', '--beta', '1', '--n-points', '200', '--runs', '2'])]",
+        "    codes = [main(['slope', '--alt', 'lehmann', '--beta', '1']),",
+        "             main(['table2', '--alt', 'lp1', '--beta', '1'])]",
         "print(codes, 'scipy' in sys.modules)",
     ])
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, timeout=60, check=True)
     assert result.stdout.split("\n") == ["False", "[0, 0] False", ""]
+
+
+class TestIgnoredProtocolFlags:
+    """eigen, table1, slope and table2 no longer sample, but still accept
+    --n-points, --runs and --seed, hidden from --help and ignored."""
+
+    COMMANDS = [["eigen", "--beta", "0.5,2"], ["table1"], ["slope", "--alt", "lp1", "--beta", "2"],
+                ["table2", "--alt", "lp2", "--beta", "0.5,2"]]
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+    def test_stdout_is_unchanged_and_stderr_names_the_flags(self, capsys, argv):
+        code, plain, err = run_cli(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        code, out, err = run_cli(capsys, *argv, "--runs", "0", "--seed", "-3", "--runs", "2",
+                                 "--format", "json")
+        assert (code, out) == (0, plain)
+        assert err == (f"warning: {argv[0]} ignores --runs, --seed: it computes the operator's "
+                       "spectrum in closed form and samples nothing\n")
+        assert not {"n_points", "runs", "seed"} & set(json.loads(out))
+
+    @pytest.mark.parametrize("command", ["eigen", "table1", "slope", "table2"])
+    def test_hidden_from_help(self, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--help"])
+        assert excinfo.value.code == 0
+        text = capsys.readouterr().out
+        assert "--n-points" not in text and "--runs" not in text and "--seed" not in text
+
+
+@pytest.mark.parametrize("alt, efficiency", [("lehmann", "0.97676"), ("lp1", "0.88282")])
+def test_slope_efficiency_at_small_beta(capsys, alt, efficiency):
+    # the beta -> 0 limit kappa3'^2 / (6 lrt); the sampled lambda1 printed
+    # 1.0939 and 0.98869
+    code, out, _ = run_cli(capsys, "slope", "--alt", alt, "--beta", "0.001", "--format", "json")
+    assert code == 0
+    assert f"{json.loads(out)['efficiency']:.5f}" == efficiency
+
+
+@pytest.mark.parametrize("argv", [["table1"], ["table2", "--alt", "lp2"],
+                                  ["slope", "--alt", "lehmann", "--beta", "10"]],
+                         ids=lambda argv: argv[0])
+def test_stdout_does_not_depend_on_the_blas_thread_count(argv):
+    one, two = (fresh_cli_stdout(*argv, OPENBLAS_NUM_THREADS=str(n)) for n in (1, 2))
+    assert one == two

@@ -214,6 +214,12 @@ class TestConfig:
             QuadratureConfig(truncation_radius=4.0)
         with pytest.raises(ValueError):
             QuadratureConfig(max_subdivisions=0)
+        # a budget is a whole number of panels: inf raised OverflowError, and
+        # 2.5 was accepted
+        for budget in (math.inf, 2.5):
+            with pytest.raises(ValueError, match="max_subdivisions must be an integer"):
+                QuadratureConfig(max_subdivisions=budget)
+        assert QuadratureConfig(max_subdivisions=np.int64(8)).max_subdivisions == 8
         for field in ("truncation_radius", "tol"):
             with pytest.raises(ValueError, match="finite"):
                 QuadratureConfig(**{field: math.inf})

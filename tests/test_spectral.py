@@ -1,4 +1,5 @@
-"""Kernel, Nystrom spectrum, operator trace and p-value sampling tests."""
+"""Kernel, operator spectrum, Nystrom spectrum, operator trace and p-value
+sampling tests."""
 
 import dataclasses
 import math
@@ -10,7 +11,6 @@ import numpy as np
 import pytest
 
 from eppspulley import backend, cli, spectral
-from eppspulley.bahadur import efficiency_table
 from eppspulley.quadrature import QuadratureConfig, integrate_1d, normal_pdf
 from eppspulley.spectral import (
     _MC_CACHE_SIZE,
@@ -27,7 +27,9 @@ from eppspulley.spectral import (
     lambda1,
     null_pvalue,
     nystrom_spectrum,
+    operator_spectrum,
     operator_trace,
+    truncation,
 )
 from eppspulley.statistic import TuningParam
 from oracles import grid_spectrum
@@ -296,11 +298,14 @@ class TestSpectrumCache:
         for name, value in kept.items():
             assert np.array_equal(getattr(again, name), value)
 
-    def test_efficiency_table_after_eigen_factorises_nothing(self, capsys, monkeypatch):
-        protocol = ["--n-points", "150", "--runs", "2"]
-        assert cli.main(["eigen", *protocol]) == 0
+    def test_efficiency_table_after_eigen_factorises_nothing(self, monkeypatch):
+        # a table's top_m = 5 spectra, then its lambda1 at top_m = 1: the
+        # eigen-then-table sequence that no command samples any more
+        for beta in cli.DEFAULT_BETAS:
+            nystrom_spectrum(TuningParam(beta), 150, 2, seed=42, top_m=5)
         calls = self._count_factorisations(monkeypatch)
-        efficiency_table(["lehmann"], cli.DEFAULT_BETAS, n_points=150, runs=2, seed=42)
+        for beta in cli.DEFAULT_BETAS:
+            nystrom_spectrum(TuningParam(beta), 150, 2, seed=42, top_m=1)
         assert calls == []
 
     def test_failure_is_not_cached(self, monkeypatch):
@@ -489,7 +494,7 @@ class TestOperatorTrace:
     @pytest.mark.parametrize("beta", [0.5, 1.0, 3.0])
     def test_dominates_largest_eigenvalue(self, beta):
         tp = TuningParam(beta)
-        lam = lambda1(tp, 400, 4, seed=3)
+        lam = _sampled_lambda1(tp, 400, 4, seed=3)
         assert operator_trace(tp) >= lam - 0.005
 
     def test_mean_eigen_sum_near_trace_at_reference_protocol(self):
@@ -499,15 +504,23 @@ class TestOperatorTrace:
         assert abs(np.mean(sp.per_run_eigen_sum) - exact) / exact <= 0.03
 
 
+def _sampled_lambda1(tp: TuningParam, n_points: int, runs: int, seed: int) -> float:
+    """Largest eigenvalue under the given sampling protocol."""
+    return float(nystrom_spectrum(tp, n_points, runs, seed, top_m=1).eigenvalues[0])
+
+
 class TestLambda1:
+    """The sampled protocol's lambda1 (the library's lambda1 is the
+    operator's, tested in TestOperatorSpectrum)."""
+
     def test_reference_values(self):
-        assert lambda1(TuningParam(0.25), 1000, 10, seed=42) == pytest.approx(0.00040, abs=2e-4)
-        assert lambda1(TuningParam(10.0), 1000, 10, seed=42) == pytest.approx(0.08791, abs=5e-3)
+        assert _sampled_lambda1(TuningParam(0.25), 1000, 10, seed=42) == pytest.approx(0.00040, abs=2e-4)
+        assert _sampled_lambda1(TuningParam(10.0), 1000, 10, seed=42) == pytest.approx(0.08791, abs=5e-3)
 
     def test_protocol_self_consistency(self):
         tp = TuningParam(1.0)
-        coarse = lambda1(tp, 1000, 10, seed=42)
-        fine = lambda1(tp, 2000, 10, seed=42)
+        coarse = _sampled_lambda1(tp, 1000, 10, seed=42)
+        fine = _sampled_lambda1(tp, 2000, 10, seed=42)
         assert abs(fine - coarse) / coarse < 0.02
 
 
@@ -543,6 +556,99 @@ class TestGridOracle:
         runs = sp.per_run[:, 0]
         se = float(np.std(runs, ddof=1)) / math.sqrt(runs.size)
         assert abs(float(np.mean(runs)) - grid_spectrum(1.0, _grid_panels(1.0))[0]) <= 3.0 * se
+
+
+def _mehler_top(beta: float, top_m: int) -> np.ndarray:
+    """The Mehler route's top eigenvalues at any beta, also below 1,
+    where operator_spectrum takes the Gram route."""
+    size = math.ceil(spectral._MEHLER_DECADES / spectral._mehler_constants(beta)[4])
+    return spectral._mehler_eigenvalues(beta, size, top_m)
+
+
+class TestOperatorSpectrum:
+    """operator_spectrum against the grid oracle, the other route, a dense
+    solve of the Mehler matrix, the closed-form trace and the sampled
+    protocol."""
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0])
+    def test_routes_agree(self, beta):
+        gram = operator_spectrum(TuningParam(beta)).eigenvalues
+        assert np.max(np.abs(gram - _mehler_top(beta, 5))) <= 1e-10 * gram[0]
+
+    @pytest.mark.parametrize("beta, method", [(1e-3, "gram"), (0.25, "gram"), (3.0, "mehler"),
+                                              (10.0, "mehler")])
+    def test_matches_grid_oracle(self, beta, method):
+        sp = operator_spectrum(TuningParam(beta))
+        assert sp.method == method
+        grid = grid_spectrum(beta, _grid_panels(beta))[:5]
+        assert np.max(np.abs(sp.eigenvalues - grid)) <= 1e-12 * sp.eigenvalues[0]
+
+    @pytest.mark.parametrize("beta", [10.0, 50.0])
+    def test_bisection_matches_dense_solve(self, beta):
+        sp = operator_spectrum(TuningParam(beta), top_m=12)
+        lam, u = spectral._mehler_basis(beta, sp.basis_size)
+        dense = np.linalg.eigvalsh(np.diag(lam) - u @ u.T)[::-1][:12]
+        assert np.max(np.abs(sp.eigenvalues - dense)) <= 1e-13 * sp.eigenvalues[0]
+
+    @pytest.mark.parametrize("beta", [1e-3, 0.25, 1.0, 1.5, 3.0, 10.0, 50.0])
+    def test_basis_trace_is_the_operator_trace(self, beta):
+        tp = TuningParam(beta)
+        sp = operator_spectrum(tp)
+        assert sp.trace == operator_trace(tp)
+        if sp.method == "gram":
+            basis_trace = float(np.sum(spectral._gram_eigenvalues(beta, sp.basis_size)))
+        else:
+            lam, u = spectral._mehler_basis(beta, sp.basis_size)
+            basis_trace = float(np.sum(lam) - np.sum(np.square(u)))
+        assert abs(basis_trace - sp.trace) <= 1e-13 * sp.trace + sp.bound
+
+    @pytest.mark.parametrize("beta", [1e-3, 0.25, 0.5, 1.0])
+    def test_gram_bound_covers_the_dropped_diagonal(self, beta):
+        # G_kk = (2k)! sigma^(2k) / (2^k k!^2 sqrt(s)) summed over the next
+        # 200 dropped k, far past where the terms vanish
+        method, size, bound = truncation(TuningParam(beta))
+        s = 1.0 + 2.0 * beta * beta
+        log_sigma2 = math.log(beta * beta / s)
+        dropped = math.fsum(
+            math.exp(math.lgamma(2 * k + 1) - k * math.log(2.0) - 2.0 * math.lgamma(k + 1)
+                     + k * log_sigma2 - 0.5 * math.log(s))
+            for k in range(size + 3, size + 203))
+        assert method == "gram" and dropped <= bound <= 3.0 * dropped
+
+    @pytest.mark.parametrize("beta", sorted(TestGridOracle.CONVERGED))
+    def test_converged_lambda1(self, beta):
+        assert float(f"{lambda1(TuningParam(beta)):.6g}") == TestGridOracle.CONVERGED[beta]
+
+    def test_sampled_mean_is_unbiased_at_beta_1(self):
+        sp = nystrom_spectrum(TuningParam(1.0), 1000, 40, seed=7, top_m=1)
+        runs = sp.per_run[:, 0]
+        se = float(np.std(runs, ddof=1)) / math.sqrt(runs.size)
+        assert abs(float(np.mean(runs)) - lambda1(TuningParam(1.0))) <= 3.0 * se
+
+    @pytest.mark.parametrize("beta, size", [(0.5, 60), (1.0001, 39)])
+    def test_ranks_past_the_basis_are_zero(self, beta, size):
+        sp = operator_spectrum(TuningParam(beta), top_m=size + 5)
+        assert sp.basis_size == size
+        assert np.all(sp.eigenvalues[size:] == 0.0) and np.all(sp.eigenvalues >= 0.0)
+        assert np.all(np.diff(sp.eigenvalues) <= 0.0)
+
+    def test_vanishing_beta_gives_zeros(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sp = operator_spectrum(TuningParam(1e-200))
+        assert np.all(sp.eigenvalues == 0.0) and sp.bound == 0.0 and sp.trace == 0.0
+
+    def test_basis_cap(self):
+        # M grows like 37 beta: 131072 functions reach beta 3557
+        assert truncation(TuningParam(3550.0)).basis_size <= spectral._MAX_BASIS
+        for beta, text in [(3600.0, "beta=3600 needs M = 1.326e\\+05"), (1e300, "beta=1e\\+300")]:
+            with pytest.raises(ArithmeticError, match=text):
+                operator_spectrum(TuningParam(beta))
+
+    def test_validation(self):
+        for top_m in (0, spectral._MAX_BASIS + 1):
+            with pytest.raises(ValueError, match=f"top_m must be between 1 and 131072, got {top_m}"):
+                operator_spectrum(TuningParam(1.0), top_m=top_m)
 
 
 @pytest.fixture(scope="module")
