@@ -53,7 +53,8 @@ Haynsworth's inertia additivity (Linear Algebra Appl. 1, 1968) is
 I_3 - U^T (D - t)^-1 U, minus 3: O(M) per count, with elementwise sums
 and no matrix product.  M grows like 37 beta; above _MAX_BASIS the call
 raises ArithmeticError naming beta and M.  Below beta = 1 the Mehler
-form cancels O(1) terms (2e-12 relative at beta = 0.25), so the routes
+form cancels O(1) terms as lambda1 falls like beta^6 (its lambda1 is
+off by 5e-14 relative at beta = 0.25 and 4e-13 at 0.1), so the routes
 meet at beta = 1, where they agree within 1e-15 of lambda1.
 
 The sampled estimate.  nystrom_spectrum samples N points from the
