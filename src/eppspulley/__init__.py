@@ -2,10 +2,10 @@
 
 The package computes the test statistic from data, computes the
 spectrum of the limit-null covariance operator in a closed-form basis
-(and estimates it by stochastic discretization for the p-values), and
-evaluates local approximate Bahadur slopes and efficiencies against the
-likelihood ratio benchmark for a set of parametric alternatives to
-normality.
+(and estimates it by the paper's stochastic discretization), draws
+p-values from the limit-null law, and evaluates local approximate
+Bahadur slopes and efficiencies against the likelihood ratio benchmark
+for a set of parametric alternatives to normality.
 """
 
 from .alternatives import (

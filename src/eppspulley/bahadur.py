@@ -332,16 +332,19 @@ def efficiency_table(
     Every name is resolved before any computation.  The LRT index is
     computed once per family and lambda1 once per beta.  The moments mu1
     and sigma1, with the check that d1 integrates to 0, are taken once
-    per family for both indices, and each row builds the weights of its
-    local index once per panel count, so each cell is the local_index
-    of its own call, bit for bit.  ArithmeticError is raised, naming
-    the factor, when one of them is not positive.
+    per family for both indices, and every cell's panel count is checked
+    against the budget before any lambda1 is solved.  Each row builds
+    the weights of its local index once per panel count, so each cell is
+    the local_index of its own call, bit for bit.  ArithmeticError is
+    raised, naming the factor, when one of them is not positive.
     """
     families = [family_from_name(name) for name in family_names]
     cfg = cfg or QuadratureConfig()
     lrt_moments = [_lrt_index(f, cfg) for f in families]
     lrt = np.array([index for index, _ in lrt_moments])
     tps = [TuningParam(b) for b in betas]
+    panels = [[_panel_count(f, tp.beta, cfg, moments[2]) for tp in tps]
+              for f, (_, moments) in zip(families, lrt_moments)]
     lam = np.array([lambda1(tp) for tp in tps])
     names = [f"the LRT index of {f.name}" for f in families]
     names += [f"lambda1 at beta={b:g}" for b in betas]
@@ -349,13 +352,12 @@ def efficiency_table(
         if not value > 0.0:
             raise ArithmeticError(f"{name} is {value:g}, not positive: no efficiency is defined")
     delta = np.empty((len(families), len(betas)))
-    for row, f, (_, moments) in zip(delta, families, lrt_moments):
+    for row, f, (_, moments), counts in zip(delta, families, lrt_moments, panels):
         weights = {}
-        for j, tp in enumerate(tps):
-            panels = _panel_count(f, tp.beta, cfg, moments[2])
-            if panels not in weights:
-                weights[panels] = _score_weights(f, cfg, moments, panels)
-            row[j] = _quadratic_form(*weights[panels], tp)
+        for j, (tp, count) in enumerate(zip(tps, counts)):
+            if count not in weights:
+                weights[count] = _score_weights(f, cfg, moments, count)
+            row[j] = _quadratic_form(*weights[count], tp)
     index = delta / lam
     return EfficiencyTable(
         families=tuple(f.name for f in families),

@@ -8,20 +8,22 @@ Subcommands:
   slope   slope report for one alternative and one beta
   table2  efficiency grid over the six alternatives and the beta grid
   pvalue  statistic plus Monte-Carlo p-value from the truncated limit law
+          of the operator's top eigenvalues
 
 Data files hold one observation per line; blank lines and lines starting
 with '#' are skipped, and a single non-numeric first line is treated as
 a header.  A data file is read in fixed blocks of characters, each
 completed to the end of its last line, so reading it takes memory for
 one block plus twice the values, whatever its size, and its errors are
-reported in file order, block by block.  pvalue is the one sampling
-command: it takes the spectral sampling protocol --n-points, --runs and
---seed (default 42), and its output is byte-reproducible for fixed flags
-and seed.  eigen, table1, slope and table2 compute the operator's
-spectrum in closed form and sample nothing; they still accept those
-three flags, hidden from --help, and ignore them with one line on
-stderr.  Exit codes: 0 success, 2 input or usage error, 3 degenerate
-data, 4 numerical failure.
+reported in file order, block by block.  Every command computes the
+operator's spectrum in closed form and samples none of it; pvalue takes
+--seed (default 42) and --mc-samples for its Monte-Carlo draws, and its
+output is byte-reproducible for fixed flags and seed.  The spectral
+sampling protocol's flags are still accepted, hidden from --help, and
+ignored with one line on stderr: --n-points and --runs by pvalue, and
+--n-points, --runs and --seed by eigen, table1, slope and table2.  No
+output depends on the BLAS thread count.  Exit codes: 0 success, 2
+input or usage error, 3 degenerate data, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 from .alternatives import TABLE_FAMILIES
 from .bahadur import efficiency_table
 from .quadrature import QuadratureConfig
-from .spectral import null_pvalue, nystrom_spectrum, operator_spectrum
+from .spectral import null_pvalue, operator_spectrum
 from .statistic import DegenerateSampleError, Sample, TuningParam, epps_pulley_statistic
 
 DEFAULT_BETAS = (0.25, 0.5, 0.75, 1.0, 2.0, 3.0, 5.0, 10.0)
@@ -239,25 +241,18 @@ def cmd_table2(args):
 
 def cmd_pvalue(args):
     record, _ = cmd_stat(args)
-    spectrum = nystrom_spectrum(TuningParam(args.beta), args.n_points, args.runs, args.seed,
-                                args.top_m)
+    spectrum = operator_spectrum(TuningParam(args.beta), args.top_m)
     pvalue = null_pvalue(record["statistic"], spectrum, mc_samples=args.mc_samples,
                          seed=args.seed)
     record.update(p_value=pvalue, mc_samples=args.mc_samples, top_m=args.top_m,
-                  n_points=args.n_points, runs=args.runs, seed=args.seed)
+                  seed=args.seed, spectrum_method=spectrum.method,
+                  basis_size=spectrum.basis_size, spectrum_bound=spectrum.bound)
     return record, None
 
 
 def _add_common(parser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", default=None, help="write output to this path instead of stdout")
-
-
-def _add_protocol(parser) -> None:
-    parser.add_argument("--n-points", type=_positive_int, default=1000,
-                        help="sample nodes per spectrum run (min 100)")
-    parser.add_argument("--runs", type=_positive_int, default=10)
-    parser.add_argument("--seed", type=int, default=42)
 
 
 class _Ignored(argparse.Action):
@@ -268,10 +263,11 @@ class _Ignored(argparse.Action):
         namespace.ignored = (*namespace.ignored, option_string)
 
 
-def _add_ignored_protocol(parser) -> None:
-    """--n-points, --runs and --seed, hidden from --help, for commands
-    that no longer sample; main names the given ones on stderr."""
-    for flag in ("--n-points", "--runs", "--seed"):
+def _add_ignored_protocol(parser, flags=("--n-points", "--runs", "--seed")) -> None:
+    """The flags of the spectral sampling protocol, hidden from --help,
+    for commands that no longer sample the spectrum; main names the
+    given ones on stderr."""
+    for flag in flags:
         parser.add_argument(flag, action=_Ignored, dest="ignored", default=(),
                             help=argparse.SUPPRESS)
 
@@ -338,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=_positive_float, default=1.0)
     p.add_argument("--mc-samples", type=_positive_int, default=100_000)
     p.add_argument("--top-m", type=_positive_int, default=5)
-    _add_protocol(p)
+    p.add_argument("--seed", type=int, default=42)
+    _add_ignored_protocol(p, ("--n-points", "--runs"))
     _add_common(p)
     p.set_defaults(func=cmd_pvalue)
 
@@ -350,7 +347,7 @@ def main(argv=None) -> int:
     if getattr(args, "ignored", ()):
         flags = ", ".join(dict.fromkeys(args.ignored))
         print(f"warning: {args.subcommand} ignores {flags}: it computes the operator's "
-              "spectrum in closed form and samples nothing", file=sys.stderr)
+              "spectrum in closed form and does not sample it", file=sys.stderr)
     try:
         record, rows = args.func(args)
         _emit(record, rows, args)

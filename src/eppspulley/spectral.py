@@ -13,7 +13,8 @@ operator_spectrum computes the operator's own top eigenvalues in a
 finite basis, with no sampling, by one of two routes.  Both are
 deterministic, and neither calls a BLAS routine whose result depends on
 the thread count, except the dense eigvalsh of a matrix of order at
-most 122.
+most 122.  It is the spectrum of every command: eigen, table1, slope,
+table2 and pvalue.
 
 Gram route, beta <= 1.  K(s, t) = sum over k >= 3 of f_k(s) f_k(t)
 with f_k(y) = y^k e^(-y^2/2) / sqrt(k!), so the operator's nonzero
@@ -55,12 +56,23 @@ and no matrix product.  M grows like 37 beta; above _MAX_BASIS the call
 raises ArithmeticError naming beta and M.  Below beta = 1 the Mehler
 form cancels O(1) terms as lambda1 falls like beta^6 (its lambda1 is
 off by 5e-14 relative at beta = 0.25 and 4e-13 at 0.1), so the routes
-meet at beta = 1, where they agree within 1e-15 of lambda1.
+meet at beta = 1, where they agree within 1e-15 of lambda1.  A failing
+eigensolver raises RuntimeError naming beta.
+
+A solve depends on (beta, top_m) alone, so operator_spectrum memoizes
+it per process in an LRU cache of _OPERATOR_CACHE_SIZE = 16 keys, and
+returns a fresh result with fresh arrays on every call.  An entry holds
+top_m doubles and four numbers, under 1 KB at top_m = 5 and 1 MiB at
+the largest top_m, _MAX_BASIS, so the cache never holds more than
+16 MiB.  A solve takes
+0.2-0.6 ms on the Gram route and 3-10 ms on the Mehler route at beta 2
+to 50, most of it about 52 bisection steps; a batch of p-values at a
+few betas solves each key once.  A failed solve is not cached.
 
 The sampled estimate.  nystrom_spectrum samples N points from the
 weight, forms the matrix G = (K(y_i, y_j)/N), and takes its
-eigenvalues, averaged over independent runs; pvalue's limit law and the
-tests use it.
+eigenvalues, averaged over independent runs; the tests and the paper's
+own protocol use it, and no command does.
 
 The eigenvalues of G decay geometrically (the Mehler expansion of the
 Gaussian part of K), so G has numerical rank far below N: about 15 at
@@ -100,21 +112,21 @@ reuses the entry of a call at top_m = 5.  An entry holds each run's
 rank eigenvalues and three numbers per run, at most runs x (N + 19)
 doubles: about 11 KB at beta = 10 under the reference protocol
 (N = 1000, 10 runs), and at most 1.3 MB for 16 keys of that protocol.
-A single CLI command gains nothing from it, since it computes each key
-once; the gain is in a process that asks again, such as a batch of
-p-values at a few betas.
+The gain is in a process that asks again, such as a test session.
 
 The Monte-Carlo draws of null_pvalue's truncated limit law depend on
 the clipped top_m eigenvalues, the trace shift, mc_samples and the seed
-alone, never on the statistic, so they are memoized per process too,
-keyed on exactly those values (the eigenvalues by their bytes), and
-each p-value is one count over the kept draws.  Only mc_samples up to
+alone, never on the statistic or on which spectrum gave the
+eigenvalues, so they are memoized per process too, keyed on exactly
+those values (the eigenvalues by their bytes), and each p-value is one
+count over the kept draws.  Only mc_samples up to
 _MC_KEEP_LIMIT = 2^18 is kept, in an LRU cache of _MC_CACHE_SIZE = 4
 keys, so the kept draws never exceed 4 x 2^18 doubles (8 MiB) whatever
 mc_samples is; a larger mc_samples is drawn and counted chunk by chunk
 on every call, as before.  Either way the draws come _MC_CHUNK = 16384
-rows at a time, so the transient normals take _MC_CHUNK x top_m
-doubles (0.66 MB at top_m = 5).
+rows at a time, fewer above top_m = 64, so the transient normals take
+_MC_CHUNK x top_m doubles (0.66 MB at top_m = 5) and never more than
+_MC_NORMALS = 2^20 (8 MiB), whatever top_m is.
 """
 
 from __future__ import annotations
@@ -142,9 +154,11 @@ __all__ = [
     "truncation",
 ]
 
-# Monte-Carlo rows per chunk in null_pvalue: bounds the transient
-# normals to _MC_CHUNK x top_m doubles.
+# Monte-Carlo rows per chunk in null_pvalue, and the most normals a
+# chunk holds: the transient normals take min(_MC_CHUNK x top_m,
+# _MC_NORMALS) doubles.
 _MC_CHUNK = 1 << 14
+_MC_NORMALS = 1 << 20
 # Largest mc_samples whose draws null_pvalue keeps, and the number of
 # keys it keeps: at most 4 x 2^18 doubles, 8 MiB, in all.
 _MC_KEEP_LIMIT = 1 << 18
@@ -152,6 +166,8 @@ _MC_CACHE_SIZE = 4
 
 # Keys (beta, n_points, runs, seed) that _sampled_runs keeps.
 _SPECTRUM_CACHE_SIZE = 16
+# Keys (beta, top_m) that _solved keeps.
+_OPERATOR_CACHE_SIZE = 16
 
 # Relative residual trace at which the pivoted Cholesky factorisation of
 # the sampled kernel matrix stops.
@@ -236,19 +252,35 @@ def operator_spectrum(tp: TuningParam, top_m: int = 5) -> OperatorSpectrum:
     and the Mehler route above (see the module docstring), each within
     the returned bound of the operator's own.
 
-    ArithmeticError names beta and M when the Mehler basis would exceed
-    _MAX_BASIS functions; top_m may not exceed it either."""
+    Solved once per (beta, top_m) per process; the returned arrays are
+    fresh on every call.  ArithmeticError names beta and M when the
+    Mehler basis would exceed _MAX_BASIS functions; top_m may not exceed
+    it either.  RuntimeError names beta when the eigensolver fails."""
     if not 1 <= top_m <= _MAX_BASIS:
         raise ValueError(f"top_m must be between 1 and {_MAX_BASIS}, got {top_m}")
+    top, (method, size, bound), trace = _solved(tp.beta, int(top_m))
+    return OperatorSpectrum(eigenvalues=top.copy(), method=method, basis_size=size,
+                            bound=bound, trace=trace)
+
+
+@functools.lru_cache(maxsize=_OPERATOR_CACHE_SIZE)
+def _solved(beta: float, top_m: int) -> tuple[np.ndarray, Truncation, float]:
+    """The clipped top_m eigenvalues as a read-only array, the
+    truncation and the trace of operator_spectrum; an exception is not
+    cached, so a failed key is solved again on its next call."""
+    tp = TuningParam(beta)
     method, size, bound = truncation(tp)
-    if method == "gram":
-        eig = _gram_eigenvalues(tp.beta, size)
-    else:
-        eig = _mehler_eigenvalues(tp.beta, size, top_m)
+    try:
+        if method == "gram":
+            eig = _gram_eigenvalues(beta, size)
+        else:
+            eig = _mehler_eigenvalues(beta, size, top_m)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"eigensolver failed at beta={beta:g}: {exc}") from exc
     top = np.zeros(top_m)
     top[:min(top_m, eig.size)] = np.maximum(eig[:top_m], 0.0)
-    return OperatorSpectrum(eigenvalues=top, method=method, basis_size=size, bound=bound,
-                            trace=operator_trace(tp))
+    top.flags.writeable = False
+    return top, Truncation(method, size, bound), operator_trace(tp)
 
 
 def _gram_eigenvalues(beta: float, size: int) -> np.ndarray:
@@ -370,6 +402,12 @@ class SpectrumResult:
     per_run_eigen_sum: np.ndarray
     n_clipped: int
     per_run_rank: np.ndarray
+
+    @property
+    def trace(self) -> float:
+        """trace_estimate, under the name OperatorSpectrum gives its
+        trace, so that null_pvalue reads either result."""
+        return self.trace_estimate
 
 
 def nystrom_spectrum(
@@ -606,7 +644,7 @@ def operator_trace(tp: TuningParam) -> float:
 
 def null_pvalue(
     statistic: float,
-    spectrum: SpectrumResult,
+    spectrum: OperatorSpectrum | SpectrumResult,
     mc_samples: int = 100_000,
     seed: int = 42,
 ) -> float:
@@ -614,10 +652,12 @@ def null_pvalue(
     share of mc_samples draws that are >= statistic.
 
     The limit law is a weighted sum of chi-square(1) variables over the
-    full spectrum; only the top_m estimated eigenvalues are simulated,
+    full spectrum; only the top_m eigenvalues of the spectrum, exact
+    (operator_spectrum) or sampled (nystrom_spectrum), are simulated,
     and the discarded tail is compensated by a deterministic mean shift
-    equal to the trace deficit.  The approximation matches the first
-    moment of the full limit law but slightly understates its spread.
+    equal to its trace minus their sum.  The approximation matches the
+    first moment of the full limit law but slightly understates its
+    spread.
 
     The draws are memoized per process by (the bytes of the clipped
     eigenvalues, the shift, mc_samples, seed) when mc_samples is at
@@ -633,7 +673,7 @@ def null_pvalue(
     if math.isnan(statistic):
         raise ValueError(f"statistic must not be NaN, got {statistic}")
     lam = np.maximum(np.asarray(spectrum.eigenvalues, dtype=np.float64), 0.0)
-    shift = max(spectrum.trace_estimate - float(np.sum(lam)), 0.0)
+    shift = max(spectrum.trace - float(np.sum(lam)), 0.0)
     mc_samples, seed = int(mc_samples), int(seed)
     if mc_samples <= _MC_KEEP_LIMIT:
         draws = _kept_draws(lam.tobytes(), shift, mc_samples, seed)
@@ -658,8 +698,8 @@ def _kept_draws(lam_bytes: bytes, shift: float, mc_samples: int, seed: int) -> n
 
 def _draw_chunks(lam: np.ndarray, shift: float, mc_samples: int, seed: int):
     """Yield mc_samples draws of sum lam_j z_j^2 + shift, z standard
-    normal, in chunks of at most _MC_CHUNK; each chunk is a view of one
-    buffer that the next overwrites.
+    normal, in chunks of at most _MC_CHUNK rows and _MC_NORMALS normals;
+    each chunk is a view of one buffer that the next overwrites.
 
     standard_normal(out=...) continues one stream whatever the chunk
     size, so the normals are those of a single (mc_samples, top_m) draw,
@@ -670,7 +710,7 @@ def _draw_chunks(lam: np.ndarray, shift: float, mc_samples: int, seed: int):
     # entropy [seed, 1] keeps this stream disjoint from the spawned
     # per-run streams of nystrom_spectrum under the same master seed
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-    rows = min(_MC_CHUNK, mc_samples)
+    rows = min(_MC_CHUNK, mc_samples, max(1, _MC_NORMALS // max(lam.size, 1)))
     normals = np.empty((rows, lam.size))
     draws = np.empty(rows)
     for start in range(0, mc_samples, rows):

@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 
 import eppspulley
-from eppspulley import cli
+from eppspulley import cli, spectral
 from eppspulley.cli import main, read_sample_file
-from eppspulley.spectral import nystrom_spectrum, operator_trace
+from eppspulley.spectral import null_pvalue, nystrom_spectrum, operator_spectrum, operator_trace
 from eppspulley.statistic import Sample, TuningParam, epps_pulley_statistic, scaled_residuals
 
 
@@ -386,7 +386,7 @@ class TestEigenCommand:
 
     def test_byte_reproducible(self):
         # the sampled protocol, which eigen ran until it printed the
-        # operator's spectrum; pvalue still runs it
+        # operator's spectrum
         args = (TuningParam(1.0), 150, 1, 9)
         out1 = nystrom_spectrum(*args).eigenvalues.tobytes()
         out2 = nystrom_spectrum(*args).eigenvalues.tobytes()
@@ -485,14 +485,30 @@ class TestPvalueCommand:
         rng = np.random.default_rng(0)
         path = datafile("\n".join(str(v) for v in rng.standard_normal(100)) + "\n")
         code, out, _ = run_cli(
-            capsys, "pvalue", path, "--n-points", "200", "--runs", "2",
-            "--mc-samples", "5000", "--format", "json",
+            capsys, "pvalue", path, "--mc-samples", "5000", "--format", "json",
         )
         assert code == 0
         report = json.loads(out)
         assert 0.0 <= report["p_value"] <= 1.0
         assert report["n"] == 100
         assert report["mc_samples"] == 5000
+        assert sorted(report) == ["basis_size", "beta", "mc_samples", "n", "p_value", "seed",
+                                  "spectrum_bound", "spectrum_method", "statistic", "top_m"]
+        assert (report["spectrum_method"], report["basis_size"]) == ("gram", 120)
+        assert 0.0 < report["spectrum_bound"] < 1e-15
+
+    def test_p_value_is_the_law_of_the_operator_spectrum(self, capsys, datafile):
+        # the top 5 exact eigenvalues plus the trace deficit as a shift
+        rng = np.random.default_rng(1)
+        path = datafile("\n".join(str(v) for v in rng.standard_normal(60)) + "\n")
+        code, out, _ = run_cli(capsys, "pvalue", path, "--beta", "2", "--mc-samples", "3000",
+                               "--seed", "5", "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        tp = TuningParam(2.0)
+        expected = null_pvalue(report["statistic"], operator_spectrum(tp), 3000, seed=5)
+        assert report["p_value"] == expected
+        assert report["spectrum_method"] == "mehler"
 
     def test_mc_samples_zero_is_usage_error(self, capsys, datafile):
         path = datafile("1\n2\n3\n")
@@ -503,17 +519,18 @@ class TestPvalueCommand:
     def test_reproducible(self, capsys, datafile):
         rng = np.random.default_rng(3)
         path = datafile("\n".join(str(v) for v in rng.standard_normal(50)) + "\n")
-        args = ("pvalue", path, "--n-points", "150", "--runs", "2", "--mc-samples", "4000")
+        args = ("pvalue", path, "--beta", "3", "--mc-samples", "4000")
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
 
     def test_batch_matches_a_fresh_process(self, capsys, datafile):
-        # the second sample reads the draws the first one left in the memo
+        # the second sample reads the spectrum and the draws the first one
+        # left in the memos
         rng = np.random.default_rng(4)
         paths = [datafile("\n".join(map(str, rng.standard_normal(80))) + "\n", f"s{i}.txt")
                  for i in range(2)]
-        flags = ["--n-points", "150", "--runs", "2", "--mc-samples", "3000", "--format", "json"]
+        flags = ["--beta", "2", "--mc-samples", "3000", "--format", "json"]
         outputs = [run_cli(capsys, "pvalue", path, *flags)[1] for path in paths]
         assert outputs[1].encode() == fresh_cli_stdout("pvalue", paths[1], *flags)
 
@@ -536,17 +553,40 @@ def test_numerical_failure_exit_code(capsys):
     assert err.startswith("error: Fisher information of lehmann: ")
 
 
-def test_eigensolver_failure_exit_code(capsys, datafile, monkeypatch):
-    # pvalue's sampled spectrum; eigen no longer samples
+def _failing_eigensolver(monkeypatch):
+    """Patch np.linalg.eigvalsh to raise LinAlgError; returns the list
+    of the shapes it was called with."""
+    calls = []
+
     def fail(matrix):
+        calls.append(np.shape(matrix))
         raise np.linalg.LinAlgError("did not converge")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-    code, out, err = run_cli(capsys, "pvalue", datafile("1\n2\n4\n"), "--beta", "1",
-                             "--n-points", "150", "--runs", "1")
-    assert code == 4
-    assert out == ""
-    assert "eigensolver failed in run 0" in err
+    return calls
+
+
+def test_eigensolver_failure_exit_code(monkeypatch):
+    # the sampled protocol's failure is a RuntimeError, the CLI's exit
+    # code 4; no command samples the spectrum any more
+    calls = _failing_eigensolver(monkeypatch)
+    with pytest.raises(RuntimeError) as excinfo:
+        nystrom_spectrum(TuningParam(1.0), 150, 1)
+    assert calls
+    assert "eigensolver failed in run 0" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("beta", ["0.5", "2"])
+def test_exact_eigensolver_failure_exit_code(capsys, datafile, monkeypatch, beta):
+    # a LinAlgError is a ValueError, which would read as a usage error;
+    # the failure is not cached, so the second command solves again
+    calls = _failing_eigensolver(monkeypatch)
+    for argv in (["pvalue", datafile("1\n2\n4\n"), "--beta", beta], ["eigen", "--beta", beta]):
+        before = len(calls)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (4, "")
+        assert err == f"error: eigensolver failed at beta={beta}: did not converge\n"
+        assert len(calls) > before
 
 
 @pytest.mark.parametrize("beta", ["1e100", "1e160", "1e300"])
@@ -590,7 +630,7 @@ def test_eigen_beyond_the_basis_cap_is_numerical_failure(capsys):
 
 class TestSeedIsAnArgument:
     # pvalue is the one command that samples
-    PVALUE = ("--beta", "1", "--n-points", "150", "--runs", "1", "--mc-samples", "2000")
+    PVALUE = ("--beta", "1", "--mc-samples", "2000")
 
     def test_environment_is_ignored(self, capsys, datafile, monkeypatch):
         argv = ("pvalue", datafile("1\n2\n4\n"), *self.PVALUE)
@@ -610,7 +650,7 @@ class TestSeedIsAnArgument:
 
     @pytest.mark.parametrize("command, seed", [("pvalue", "-1"), ("pvalue", "-5")])
     def test_negative_seed_is_named(self, capsys, datafile, command, seed):
-        argv = [command, datafile("1\n2\n4\n"), "--seed", seed, "--n-points", "150", "--runs", "1"]
+        argv = [command, datafile("1\n2\n4\n"), "--seed", seed]
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert f"seed must be a non-negative integer, got {seed}" in err
@@ -693,6 +733,21 @@ def test_slope_large_beta_needs_a_larger_panel_budget(capsys):
     # the frequency-domain integral of |H(t)|^2 phi_beta(t), which the
     # default budget resolved
     assert json.loads(out)["delta_beta"] == pytest.approx(1.6342993987686285e-06, rel=1e-11)
+
+
+def test_panel_budget_is_checked_before_any_spectrum(capsys, monkeypatch):
+    # beta = 1000 would build a Mehler basis of about 37000 functions
+    # before the panel error
+    def fail(tp):
+        raise AssertionError(f"lambda1 solved at beta={tp.beta:g}")
+
+    monkeypatch.setattr(eppspulley.bahadur, "lambda1", fail)
+    for argv in (["slope", "--alt", "lehmann", "--beta", "1000"],
+                 ["table2", "--alt", "lp2", "--beta", "1,1000"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (4, "")
+        assert err.startswith("error: local index of ") and "beta=1000 needs 4000 panels" in err
+    assert spectral._solved.cache_info().currsize == 0
 
 
 def test_slope_at_beta_300_fits_the_default_panel_budget(capsys):
@@ -795,8 +850,9 @@ def test_import_does_not_load_scipy():
 
 
 class TestIgnoredProtocolFlags:
-    """eigen, table1, slope and table2 no longer sample, but still accept
-    --n-points, --runs and --seed, hidden from --help and ignored."""
+    """No command samples the spectrum, but eigen, table1, slope and
+    table2 still accept --n-points, --runs and --seed, and pvalue
+    --n-points and --runs, hidden from --help and ignored."""
 
     COMMANDS = [["eigen", "--beta", "0.5,2"], ["table1"], ["slope", "--alt", "lp1", "--beta", "2"],
                 ["table2", "--alt", "lp2", "--beta", "0.5,2"]]
@@ -809,8 +865,29 @@ class TestIgnoredProtocolFlags:
                                  "--format", "json")
         assert (code, out) == (0, plain)
         assert err == (f"warning: {argv[0]} ignores --runs, --seed: it computes the operator's "
-                       "spectrum in closed form and samples nothing\n")
+                       "spectrum in closed form and does not sample it\n")
         assert not {"n_points", "runs", "seed"} & set(json.loads(out))
+
+    def test_pvalue_ignores_the_node_and_run_counts(self, capsys, datafile):
+        path = datafile("1\n2\n4\n7\n")
+        argv = ("pvalue", path, "--mc-samples", "2000", "--format", "json")
+        code, plain, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        code, out, err = run_cli(capsys, *argv, "--runs", "0", "--n-points", "5", "--runs", "2")
+        assert (code, out) == (0, plain)
+        assert err == ("warning: pvalue ignores --runs, --n-points: it computes the operator's "
+                       "spectrum in closed form and does not sample it\n")
+        assert not {"n_points", "runs"} & set(json.loads(out))
+        # --seed still seeds the Monte-Carlo draws
+        code, out, err = run_cli(capsys, *argv, "--seed", "7")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        spectrum = operator_spectrum(TuningParam(1.0))
+        assert report["seed"] == 7
+        assert report["p_value"] == null_pvalue(report["statistic"], spectrum, 2000, seed=7)
+        code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: seed must be a non-negative integer, got -1\n"
 
     @pytest.mark.parametrize("command", ["eigen", "table1", "slope", "table2"])
     def test_hidden_from_help(self, capsys, command):
@@ -819,6 +896,13 @@ class TestIgnoredProtocolFlags:
         assert excinfo.value.code == 0
         text = capsys.readouterr().out
         assert "--n-points" not in text and "--runs" not in text and "--seed" not in text
+
+    def test_pvalue_help_hides_the_node_and_run_counts(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["pvalue", "--help"])
+        assert excinfo.value.code == 0
+        text = capsys.readouterr().out
+        assert "--n-points" not in text and "--runs" not in text and "--seed" in text
 
 
 @pytest.mark.parametrize("alt, efficiency", [("lehmann", "0.97676"), ("lp1", "0.88282")])
@@ -831,8 +915,14 @@ def test_slope_efficiency_at_small_beta(capsys, alt, efficiency):
 
 
 @pytest.mark.parametrize("argv", [["table1"], ["table2", "--alt", "lp2"],
-                                  ["slope", "--alt", "lehmann", "--beta", "10"]],
+                                  ["slope", "--alt", "lehmann", "--beta", "10"],
+                                  ["pvalue", None, "--beta", "10", "--format", "json"]],
                          ids=lambda argv: argv[0])
-def test_stdout_does_not_depend_on_the_blas_thread_count(argv):
+def test_stdout_does_not_depend_on_the_blas_thread_count(argv, datafile):
+    # the sampled beta = 10 spectrum that pvalue ran differed in its last
+    # bit under one and two threads; None stands for a data file
+    values = np.random.default_rng(11).standard_normal(300)
+    path = datafile("\n".join(map(repr, values.tolist())) + "\n")
+    argv = [path if arg is None else arg for arg in argv]
     one, two = (fresh_cli_stdout(*argv, OPENBLAS_NUM_THREADS=str(n)) for n in (1, 2))
     assert one == two

@@ -16,6 +16,7 @@ from eppspulley.spectral import (
     _MC_CACHE_SIZE,
     _MC_CHUNK,
     _MC_KEEP_LIMIT,
+    _MC_NORMALS,
     RTOL,
     _feature_table,
     _kept_draws,
@@ -651,6 +652,75 @@ class TestOperatorSpectrum:
                 operator_spectrum(TuningParam(1.0), top_m=top_m)
 
 
+class TestOperatorSpectrumMemo:
+    """operator_spectrum solves each (beta, top_m) once per process and
+    returns fresh arrays."""
+
+    @staticmethod
+    def _count_solves(monkeypatch):
+        calls = []
+        for name in ("_gram_eigenvalues", "_mehler_eigenvalues"):
+            route = getattr(spectral, name)
+
+            def counting(beta, *args, route=route, name=name):
+                calls.append((name, beta))
+                return route(beta, *args)
+
+            monkeypatch.setattr(spectral, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("beta", [0.5, 2.0, 10.0])
+    def test_repeated_call_equals_a_cold_call_bit_for_bit(self, beta):
+        tp = TuningParam(beta)
+        cold = operator_spectrum(tp)
+        warm = operator_spectrum(tp)
+        assert spectral._solved.cache_info()[:2] == (1, 1)
+        spectral._solved.cache_clear()
+        again = operator_spectrum(tp)
+        for sp in (warm, again):
+            assert sp.eigenvalues.tobytes() == cold.eigenvalues.tobytes()
+            assert (sp.method, sp.basis_size, sp.bound, sp.trace) == (
+                cold.method, cold.basis_size, cold.bound, cold.trace)
+
+    def test_each_key_is_solved_once(self, monkeypatch):
+        calls = self._count_solves(monkeypatch)
+        for _ in range(5):
+            for beta in (0.5, 1.0, 2.0):
+                operator_spectrum(TuningParam(beta))
+        assert calls == [("_gram_eigenvalues", 0.5), ("_gram_eigenvalues", 1.0),
+                         ("_mehler_eigenvalues", 2.0)]
+        operator_spectrum(TuningParam(2.0), top_m=1)
+        assert len(calls) == 4
+
+    def test_mutating_a_result_leaves_the_cache_intact(self):
+        tp = TuningParam(3.0)
+        first = operator_spectrum(tp)
+        kept = first.eigenvalues.copy()
+        assert first.eigenvalues.flags.writeable
+        first.eigenvalues[...] = -1.0
+        second = operator_spectrum(tp)
+        assert second.eigenvalues is not first.eigenvalues
+        assert np.array_equal(second.eigenvalues, kept)
+
+    def test_resident_entries_are_bounded(self):
+        size = spectral._OPERATOR_CACHE_SIZE
+        for i in range(size + 3):
+            operator_spectrum(TuningParam(0.1 + 0.01 * i))
+        assert spectral._solved.cache_info().currsize == size
+
+    def test_failure_is_not_cached(self, monkeypatch):
+        def fail(matrix):
+            raise np.linalg.LinAlgError("did not converge")
+
+        tp = TuningParam(2.0)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigvalsh", fail)
+            with pytest.raises(RuntimeError, match="eigensolver failed at beta=2: did not converge"):
+                operator_spectrum(tp)
+        assert spectral._solved.cache_info().currsize == 0
+        assert operator_spectrum(tp).eigenvalues[0] > 0.0
+
+
 @pytest.fixture(scope="module")
 def spectrum():
     return nystrom_spectrum(TuningParam(1.0), 400, 4, seed=9, top_m=5)
@@ -697,6 +767,20 @@ class TestNullPvalue:
         monkeypatch.setattr(spectral, "_MC_CHUNK", _MC_CHUNK + 1)
         assert np.array_equal(chunked, _kept_draws(*key))
 
+    @pytest.mark.parametrize("beta", [0.5, 10.0])
+    def test_exact_spectrum_law(self, beta):
+        # the top 5 exact eigenvalues and the closed-form trace deficit
+        exact = operator_spectrum(TuningParam(beta))
+        mc, seed = 3000, 8
+        draws = _one_chunk_draws(exact, mc, seed)
+        lam, shift = _law(exact)
+        assert shift == exact.trace - float(np.sum(exact.eigenvalues)) > 0.0
+        for t in (0.0, float(np.median(draws)), float(draws[5])):
+            assert null_pvalue(t, exact, mc, seed) == np.count_nonzero(draws >= t) / mc
+
+    def test_sampled_trace_alias(self, spectrum):
+        assert spectrum.trace == spectrum.trace_estimate
+
     def test_validation(self, spectrum):
         with pytest.raises(ValueError):
             null_pvalue(0.3, spectrum, 0)
@@ -716,7 +800,7 @@ class TestNullPvalue:
 def _law(spectrum):
     """Clipped eigenvalues and trace shift, as null_pvalue simulates them."""
     lam = np.maximum(spectrum.eigenvalues, 0.0)
-    return lam, max(spectrum.trace_estimate - float(np.sum(lam)), 0.0)
+    return lam, max(spectrum.trace - float(np.sum(lam)), 0.0)
 
 
 def _one_chunk_draws(spectrum, mc, seed):
@@ -782,6 +866,25 @@ class TestNullPvalueMemo:
         # vector of all mc draws alone would be 2 MiB
         assert peak < 2 * _MC_CHUNK * (spectrum.top_m + 1) * 8 < mc * 8
         assert _kept_draws.cache_info().currsize == 0
+
+    def test_normals_are_bounded_at_a_large_top_m(self):
+        # pvalue's top_m reaches 131072 on the exact spectrum; a chunk of
+        # 16384 rows would take 16 GiB of normals there
+        top_m = 1 << 12
+        exact = operator_spectrum(TuningParam(10.0), top_m=top_m)
+        assert exact.eigenvalues.size == top_m and exact.eigenvalues[-1] == 0.0
+        draws = _one_chunk_draws(exact, 300, 3)  # chunks of 256 and 44 rows
+        for t in (float(draws[7]), float(draws[280])):
+            assert null_pvalue(t, exact, 300, 3) == np.count_nonzero(draws >= t) / 300
+        tracemalloc.start()
+        try:
+            null_pvalue(0.1, exact, 1000, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one chunk of normals, the kept draws and the eigenvalues' bytes;
+        # 1000 rows at once would be 33 MB
+        assert peak < _MC_NORMALS * 8 + 2**20 < 1000 * top_m * 8
 
     def test_resident_draws_are_bounded(self, spectrum):
         # the stated bound: 8 MiB of kept draws, whatever mc_samples is
