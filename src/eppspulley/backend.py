@@ -17,10 +17,8 @@ Error per pair:
 * cutoff: boxes more than REACH apart hold points at least REACH * h =
   6.5 apart, whose terms e^(-6.5^2) < 4.5e-19 are left out.
 
-So the result is the exact sum up to roundoff, a few ulp relative.  With
-weights c the same transform sums c_j c_k exp(-gamma (y_j - y_k)^2), the
-power sums start from c, and both bounds scale by |c_j c_k|.  The cost
-is O(n p) for the power sums plus O(B (REACH + 1) p^2) for B occupied
+So the result is the exact sum up to roundoff, a few ulp relative.  The
+cost is O(n p) for the power sums plus O(B (REACH + 1) p^2) for B occupied
 boxes, and the working memory is O(CHUNK p + B p): points are read in
 fixed chunks of CHUNK, and no (n, p) array is formed.
 
@@ -103,10 +101,10 @@ def kernel(s, t):
     return out
 
 
-def _box_moments(y, scale, origin, weights):
+def _box_moments(y, scale, origin):
     """Sorted indices (integer-valued floats) of the occupied boxes of
-    z = scale * (y - origin) and, per box, the power sums sum c a^k
-    (k < P_TERMS) over its points' weights c (1 when None) and offsets a.
+    z = scale * (y - origin) and, per box, the power sums sum a^k
+    (k < P_TERMS) over its points' offsets a.
 
     The points are read in chunks and never reordered; np.unique makes
     a chunk's box indices dense, so the cost does not depend on how far
@@ -119,7 +117,7 @@ def _box_moments(y, scale, origin, weights):
         offset = z - (box + 0.5) * BOX_WIDTH
         ids, slot = np.unique(box, return_inverse=True)
         chunk_moments = np.empty((ids.size, P_TERMS))
-        power = np.ones_like(offset) if weights is None else np.array(weights[start:start + CHUNK])
+        power = np.ones_like(offset)
         for k in range(P_TERMS):
             chunk_moments[:, k] = np.bincount(slot, weights=power, minlength=ids.size)
             power *= offset
@@ -155,10 +153,9 @@ def _interaction_matrices():
     return matrices
 
 
-def pairwise_gauss_sum(y, gamma, weights=None):
+def pairwise_gauss_sum(y, gamma):
     """Sum of exp(-gamma*(y[j]-y[k])^2) over all ordered pairs (j, k),
-    diagonal included, each times weights[j] * weights[k] when weights
-    are given, to within the module's error bound.
+    diagonal included, to within the module's error bound.
 
     A point at offset a in box T and one at offset b in box T - o
     contribute f(o h + a - b), whose Taylor series splits into
@@ -174,7 +171,7 @@ def pairwise_gauss_sum(y, gamma, weights=None):
     spread = scale * (float(np.max(y)) - origin)
     if not spread < MAX_SPREAD:
         raise ValueError(f"sqrt(gamma) * (max(y) - min(y)) = {spread} is beyond the box grid")
-    boxes, moments = _box_moments(y, scale, origin, weights)
+    boxes, moments = _box_moments(y, scale, origin)
     parts = []
     for o, m_o in enumerate(_interaction_matrices()):
         # boxes T whose partner T - o is occupied, and that partner's row

@@ -19,8 +19,9 @@ h integrates 1, x and x^2 to 0, and as beta -> 0 delta_beta tends to
 theta-derivative of the third cumulant (Henze, Extreme smoothing and
 testing for multivariate normality, Statist. Probab. Lett. 35, 1997).
 local_index sums it as a quadratic form on the nodes of a K15 panel
-rule: the statistic's own fast Gauss transform, with weights, or at
-small beta a series of squares in which nothing cancels.
+rule: over the lags between the rule's equal panels, on which the
+Gaussian depends alone, or at small beta as a series of squares in
+which nothing cancels.
 
 The approximate slope is b(theta) divided by the largest eigenvalue of
 the limit-null covariance operator, so the local index is
@@ -45,6 +46,7 @@ import numpy as np
 from . import backend
 from .alternatives import AlternativeFamily, family_from_name
 from .quadrature import (
+    _NODES,
     QuadratureConfig,
     QuadratureError,
     integrate_1d,
@@ -68,8 +70,12 @@ __all__ = [
 # beyond |x| ~ 38.5.
 _SCORE_RADIUS = 37.0
 # Largest beta at which the local index is summed as a series of
-# squares (see _series_form) rather than by the fast Gauss transform.
+# squares (see _series_form) rather than over panel lags (_lag_form).
 _SERIES_BETA = 0.25
+# Node pairs farther apart than this over sqrt(gamma) are left out of
+# the sum over panel lags: the fast Gauss transform's own cutoff, whose
+# terms e^(-6.5^2) are below 4.5e-19.
+_PAIR_CUTOFF = backend.REACH * backend.BOX_WIDTH
 
 
 @contextmanager
@@ -227,11 +233,54 @@ def _score_weights(family: AlternativeFamily, cfg: QuadratureConfig, moments, pa
     return x, wd1 - wphi * (mu1 * x + 0.5 * sigma1 * (np.square(x) - 1.0))
 
 
-def _quadratic_form(x, v, tp: TuningParam) -> float:
-    """v^T G v of local_index: the fast Gauss transform above
-    _SERIES_BETA, and the series of _series_form at or below it."""
+def _lag_count(gamma: float, half: float, panels: int) -> int:
+    """D + 1 for the lags d = 0..D of _lag_form: nodes of panels more
+    than D apart lie more than _PAIR_CUTOFF / sqrt(gamma) apart."""
+    reach = 1.0 + _PAIR_CUTOFF / (2.0 * half * math.sqrt(gamma))
+    return min(panels, math.floor(reach) + 2)
+
+
+def _lag_products(v, lags: int):
+    """C_d[a, b] = sum_q V[q + d, a] V[q, b] for d < lags, with V the
+    weights v by panel and node; each C_d is its own einsum, so C_d does
+    not depend on lags, and none depends on the BLAS thread count."""
+    rows = v.reshape(-1, _NODES.size)
+    products = np.empty((lags, _NODES.size, _NODES.size))
+    for d in range(lags):
+        np.einsum("qa,qb->ab", rows[d:], rows[:rows.shape[0] - d], out=products[d])
+    return products
+
+
+def _lag_form(products, half: float, gamma: float) -> float:
+    """v^T G v from the lag products C_d of _lag_products:
+    sum_d w_d <C_d, G_d>, with w_0 = 1, w_d = 2 for d >= 1 and
+    G_d[a, b] = exp(-gamma h^2 (2d + xi_a - xi_b)^2), all terms in one
+    math.fsum in a fixed order."""
+    offsets = 2.0 * np.arange(products.shape[0])[:, None, None] + (_NODES[:, None] - _NODES)
+    terms = products * np.exp(-gamma * half * half * np.square(offsets))
+    terms[1:] *= 2.0
+    return math.fsum(terms.ravel().tolist())
+
+
+def _score_form(family: AlternativeFamily, cfg: QuadratureConfig, moments, panels: int, tps):
+    """Nodes x and weights v of _score_weights on the rule with the given
+    panels, its panel half-width, and the lag products of v for the most
+    lags that a tuning parameter of tps above _SERIES_BETA needs."""
+    x, v = _score_weights(family, cfg, moments, panels)
+    count = x.size // _NODES.size  # the panels of the rule as built
+    half = cfg.truncation_radius / count
+    lags = max((_lag_count(tp.gamma, half, count) for tp in tps if tp.beta > _SERIES_BETA),
+               default=0)
+    return x, v, half, _lag_products(v, lags)
+
+
+def _quadratic_form(x, v, half, products, tp: TuningParam) -> float:
+    """v^T G v of local_index: the sum over panel lags of _lag_form above
+    _SERIES_BETA, on the first lags of products that tp needs, and the
+    series of _series_form at or below it."""
     if tp.beta > _SERIES_BETA:
-        return backend.pairwise_gauss_sum(x, tp.gamma, weights=v)
+        lags = _lag_count(tp.gamma, half, x.size // _NODES.size)
+        return _lag_form(products[:lags], half, tp.gamma)
     return _series_form(tp.beta * x, v)
 
 
@@ -249,9 +298,24 @@ def local_index(
     on the engine's K15 rule (x, w) with P panels on [-R, R].  P is the
     panel count P0 of the mu1 and sigma1 integrals, raised to
     ceil(beta R / 3) so that beta times the panel half-width is at
-    most 3.  Above beta = _SERIES_BETA the form is the fast Gauss
-    transform backend.pairwise_gauss_sum, and at or below it, where that
-    sum cancels like beta^-6, the series of _series_form.
+    most 3.  At or below beta = _SERIES_BETA, where the pair sum cancels
+    like beta^-6, the form is the series of _series_form.
+
+    Above it the form is a sum over panel lags.  The nodes are
+    c_p + h xi_a, panel p of half-width h and K15 node xi_a, so the
+    Gaussian of nodes (p, a) and (q, b) depends only on the lag
+    d = p - q and on (a, b), and with V = v by panel and node
+
+        v^T G v = sum_d w_d <C_d, G_d>,  C_d[a, b] = sum_q V[q+d, a] V[q, b],
+        G_d[a, b] = exp(-gamma h^2 (2d + xi_a - xi_b)^2),
+
+    w_0 = 1 and w_d = 2 for d >= 1, with gamma = beta^2 / 2.  The lags
+    stop at D = min(P - 1, floor(1 + 6.5 / (2 h sqrt(gamma))) + 1),
+    which drops only pairs more than 6.5 / sqrt(gamma) apart, each
+    below e^(-6.5^2) < 4.5e-19 of |v_i v_j|.  All (D + 1) * 225 terms
+    go into one math.fsum in a fixed order: within 2e-14 of the dense
+    sum in extended precision at beta 0.26 and within 1.4e-15 from
+    beta 0.5 up, on the table's families at R = 12 and 37.
 
     QuadratureError is raised, naming [-R, R], when d1 does not
     integrate to 0 there (see _score_moments), and then, naming beta
@@ -261,7 +325,7 @@ def local_index(
     cfg = cfg or QuadratureConfig()
     moments = _score_moments(family, cfg)
     panels = _panel_count(family, tp.beta, cfg, moments[2])
-    return _quadratic_form(*_score_weights(family, cfg, moments, panels), tp)
+    return _quadratic_form(*_score_form(family, cfg, moments, panels, [tp]), tp)
 
 
 def lrt_local_index(family: AlternativeFamily, cfg: QuadratureConfig | None = None) -> float:
@@ -334,8 +398,11 @@ def efficiency_table(
     and sigma1, with the check that d1 integrates to 0, are taken once
     per family for both indices, and every cell's panel count is checked
     against the budget before any lambda1 is solved.  Each row builds
-    the weights of its local index once per panel count, so each cell is
-    the local_index of its own call, bit for bit.  ArithmeticError is
+    the weights of its local index and their lag products once per
+    panel count, up to the most lags any of its betas at that count
+    needs, and each cell sums the first lags it needs; every lag
+    product is its own einsum, so each cell is the local_index of its
+    own call, bit for bit.  ArithmeticError is
     raised, naming the factor, when one of them is not positive.
     """
     families = [family_from_name(name) for name in family_names]
@@ -353,11 +420,12 @@ def efficiency_table(
             raise ArithmeticError(f"{name} is {value:g}, not positive: no efficiency is defined")
     delta = np.empty((len(families), len(betas)))
     for row, f, (_, moments), counts in zip(delta, families, lrt_moments, panels):
-        weights = {}
+        forms = {}
         for j, (tp, count) in enumerate(zip(tps, counts)):
-            if count not in weights:
-                weights[count] = _score_weights(f, cfg, moments, count)
-            row[j] = _quadratic_form(*weights[count], tp)
+            if count not in forms:
+                same = [other for other, c in zip(tps, counts) if c == count]
+                forms[count] = _score_form(f, cfg, moments, count, same)
+            row[j] = _quadratic_form(*forms[count], tp)
     index = delta / lam
     return EfficiencyTable(
         families=tuple(f.name for f in families),

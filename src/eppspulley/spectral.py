@@ -52,22 +52,28 @@ is found by bisection on the count of eigenvalues above t, which by
 Haynsworth's inertia additivity (Linear Algebra Appl. 1, 1968) is
 #{lambda_j > t} plus the positive eigenvalues of
 I_3 - U^T (D - t)^-1 U, minus 3: O(M) per count, with elementwise sums
-and no matrix product.  M grows like 37 beta; above _MAX_BASIS the call
+and no matrix product.  The ranks are bisected in blocks, so a step's
+(ranks x M) buffer stays within 8 MiB at any top_m.  M grows like
+37 beta; above _MAX_BASIS the call
 raises ArithmeticError naming beta and M.  Below beta = 1 the Mehler
 form cancels O(1) terms as lambda1 falls like beta^6 (its lambda1 is
 off by 5e-14 relative at beta = 0.25 and 4e-13 at 0.1), so the routes
 meet at beta = 1, where they agree within 1e-15 of lambda1.  A failing
 eigensolver raises RuntimeError naming beta.
 
-A solve depends on (beta, top_m) alone, so operator_spectrum memoizes
-it per process in an LRU cache of _OPERATOR_CACHE_SIZE = 16 keys, and
-returns a fresh result with fresh arrays on every call.  An entry holds
-top_m doubles and four numbers, under 1 KB at top_m = 5 and 1 MiB at
-the largest top_m, _MAX_BASIS, so the cache never holds more than
-16 MiB.  A solve takes
-0.2-0.6 ms on the Gram route and 3-10 ms on the Mehler route at beta 2
-to 50, most of it about 52 bisection steps; a batch of p-values at a
-few betas solves each key once.  A failed solve is not cached.
+A solve depends on beta and the number of ranks alone, and each rank
+is solved on its own, so the first k eigenvalues of a solve are those of
+a top-k solve, bit for bit.  operator_spectrum therefore solves at least
+_SOLVED_RANKS = 5 ranks, memoizes the solve per process on
+(beta, max(top_m, 5)) in an LRU cache of _OPERATOR_CACHE_SIZE = 16
+keys, and returns the first top_m of it as a fresh result with fresh
+arrays on every call: table1's top-5 solves serve table2's lambda1.  An
+entry holds max(top_m, 5) doubles and four numbers, under 1 KB at
+top_m <= 5 and 1 MiB at the largest top_m, _MAX_BASIS, so the cache
+never holds more than 16 MiB.  A solve takes 0.2-0.6 ms on the Gram
+route and 3-10 ms on the Mehler route at beta 2 to 50, most of it about
+52 bisection steps; a lambda1 alone pays for 5 ranks, about 15% more
+than for 1 on the Mehler route.  A failed solve is not cached.
 
 The sampled estimate.  nystrom_spectrum samples N points from the
 weight, forms the matrix G = (K(y_i, y_j)/N), and takes its
@@ -166,8 +172,10 @@ _MC_CACHE_SIZE = 4
 
 # Keys (beta, n_points, runs, seed) that _sampled_runs keeps.
 _SPECTRUM_CACHE_SIZE = 16
-# Keys (beta, top_m) that _solved keeps.
+# Keys (beta, ranks) that _solved keeps, and the fewest ranks it
+# solves, so that top_m = 1 to 5 share one solve per beta.
 _OPERATOR_CACHE_SIZE = 16
+_SOLVED_RANKS = 5
 
 # Relative residual trace at which the pivoted Cholesky factorisation of
 # the sampled kernel matrix stops.
@@ -190,6 +198,9 @@ _MAX_BASIS = 1 << 17
 _GRID_STEP = 0.05
 _GRID_NODES = 241
 _BASIS_BLOCK = 512
+# Most elements of the (ranks x M) buffer of the Mehler bisection,
+# 8 MiB of doubles.
+_BISECT_ELEMENTS = 1 << 20
 
 
 class Truncation(NamedTuple):
@@ -252,14 +263,15 @@ def operator_spectrum(tp: TuningParam, top_m: int = 5) -> OperatorSpectrum:
     and the Mehler route above (see the module docstring), each within
     the returned bound of the operator's own.
 
-    Solved once per (beta, top_m) per process; the returned arrays are
-    fresh on every call.  ArithmeticError names beta and M when the
-    Mehler basis would exceed _MAX_BASIS functions; top_m may not exceed
-    it either.  RuntimeError names beta when the eigensolver fails."""
+    Solved once per (beta, max(top_m, 5)) per process, so any top_m up
+    to 5 shares one solve; the returned arrays are fresh on every call.
+    ArithmeticError names beta and M when the Mehler basis would exceed
+    _MAX_BASIS functions; top_m may not exceed it either.  RuntimeError
+    names beta when the eigensolver fails."""
     if not 1 <= top_m <= _MAX_BASIS:
         raise ValueError(f"top_m must be between 1 and {_MAX_BASIS}, got {top_m}")
-    top, (method, size, bound), trace = _solved(tp.beta, int(top_m))
-    return OperatorSpectrum(eigenvalues=top.copy(), method=method, basis_size=size,
+    top, (method, size, bound), trace = _solved(tp.beta, max(int(top_m), _SOLVED_RANKS))
+    return OperatorSpectrum(eigenvalues=top[:top_m].copy(), method=method, basis_size=size,
                             bound=bound, trace=trace)
 
 
@@ -267,7 +279,9 @@ def operator_spectrum(tp: TuningParam, top_m: int = 5) -> OperatorSpectrum:
 def _solved(beta: float, top_m: int) -> tuple[np.ndarray, Truncation, float]:
     """The clipped top_m eigenvalues as a read-only array, the
     truncation and the trace of operator_spectrum; an exception is not
-    cached, so a failed key is solved again on its next call."""
+    cached, so a failed key is solved again on its next call.  Each rank
+    is solved on its own, so the first k of a top_m solve are the bits
+    of a top-k solve."""
     tp = TuningParam(beta)
     method, size, bound = truncation(tp)
     try:
@@ -343,18 +357,29 @@ def _mehler_basis(beta: float, size: int) -> tuple[np.ndarray, np.ndarray]:
 def _mehler_eigenvalues(beta: float, size: int, top_m: int) -> np.ndarray:
     """The top min(top_m, size) eigenvalues of D - U U^T, each by
     bisection on [lambda_(i+3), lambda_i] (0 past the basis) down to
-    adjacent floats, all ranks at once; each is the upper end of its
-    final interval."""
+    adjacent floats; each is the upper end of its final interval.  The
+    ranks are bisected in blocks of max(1, _BISECT_ELEMENTS // size), so
+    that the (ranks x size) buffer of a step takes at most 8 MiB whatever
+    top_m is; no rank's steps depend on the others in its block."""
     lam, u = _mehler_basis(beta, size)
+    count = min(top_m, size)
+    block = max(1, _BISECT_ELEMENTS // size)
+    return np.concatenate([_bisect(lam, u, np.arange(start, min(start + block, count)))
+                           for start in range(0, count, block)])
+
+
+def _bisect(lam, u, index):
+    """The eigenvalues of the given ranks of D - U U^T, all at once, for
+    _mehler_eigenvalues."""
     rank = u.shape[1]
     upper = np.triu_indices(rank)
     pairs = u[:, upper[0]] * u[:, upper[1]]
     falling = -lam
-    pad = np.concatenate([lam, np.zeros(rank + top_m)])
-    index = np.arange(min(top_m, size))
+    pad = np.concatenate([lam, np.zeros(rank + index[-1] + 1)])
     lo, hi = pad[index + rank].copy(), pad[index].copy()
     # the only lambda_j inside (lo, hi), where D - t is singular
     poles = pad[index[:, None] + np.arange(1, rank)]
+    buffer = np.empty((index.size, lam.size))
     while True:
         t = 0.5 * (lo + hi)
         on_pole = np.any(t[:, None] == poles, axis=1)
@@ -364,7 +389,9 @@ def _mehler_eigenvalues(beta: float, size: int, top_m: int) -> np.ndarray:
             return hi
         tl = t[live]
         schur = np.zeros((tl.size, rank, rank))
-        sums = np.einsum("jp,tj->tp", pairs, 1.0 / (lam - tl[:, None]))
+        inverse = np.subtract(lam, tl[:, None], out=buffer[:tl.size])
+        np.divide(1.0, inverse, out=inverse)
+        sums = np.einsum("jp,tj->tp", pairs, inverse)
         schur[:, upper[0], upper[1]] = -sums
         schur[:, upper[1], upper[0]] = -sums
         schur[:, range(rank), range(rank)] += 1.0

@@ -1,5 +1,5 @@
 """The numpy kernels against slow oracles: the fast Gauss transform pair
-sum, plain and weighted, against an exactly rounded full-matrix sum,
+sum against an exactly rounded full-matrix sum,
 against the tiled O(n^2) sum at n = 2e4, and against an exact sum over
 distinct values at n = 1e6 and 1e7; the Gram matrix against the scalar kernel; and the pair sum's
 working memory at large n."""
@@ -158,38 +158,6 @@ class TestPairwiseSum:
         # the 8 MB input is allocated before tracing starts
         _, _, y = _tied_sample(10**6, seed=1)
         assert _peak_bytes(y, 0.5) < 16 * 2**20
-
-
-class TestWeightedPairSum:
-    @pytest.mark.parametrize("gamma", [0.03125, 0.5, 50.0])
-    @pytest.mark.parametrize("n", [2, 3, 1000])
-    def test_matches_exact_weighted_sum(self, n, gamma):
-        # mixed signs that sum to about 0 cancel the sum far below its terms
-        rng = np.random.default_rng(n)
-        y = rng.standard_normal(n)
-        w = rng.standard_normal(n)
-        w -= w.mean()
-        terms = np.outer(w, w) * np.exp(-gamma * np.square(y[:, None] - y[None, :]))
-        exact = math.fsum(terms.ravel())
-        got = backend.pairwise_gauss_sum(y, gamma, weights=w)
-        assert abs(got - exact) <= 1e-12 * float(np.sum(np.abs(w))) ** 2
-
-    @pytest.mark.parametrize("beta", [0.25, 10.0])
-    def test_matches_distinct_value_sum_across_chunks(self, beta):
-        # the weights of the points at one value add up to that value's weight
-        v, _, y = _tied_sample(3 * backend.CHUNK, seed=3)
-        w = np.random.default_rng(4).standard_normal(y.size)
-        per_value = np.array([math.fsum(w[y == value]) for value in v])
-        gamma = 0.5 * beta * beta
-        exact = _distinct_value_sum(v, per_value, gamma)
-        got = backend.pairwise_gauss_sum(y, gamma, weights=w)
-        assert abs(got - exact) <= 1e-12 * float(np.sum(np.abs(w))) ** 2
-
-    def test_no_weights_and_unit_weights_give_the_unweighted_bits(self):
-        y = np.round(np.random.default_rng(8).standard_t(3, 5000), 1)
-        plain = backend.pairwise_gauss_sum(y, 2.0)
-        assert backend.pairwise_gauss_sum(y, 2.0, weights=None) == plain
-        assert backend.pairwise_gauss_sum(y, 2.0, weights=np.ones(y.size)) == plain
 
 
 class TestKernelGram:

@@ -10,8 +10,9 @@ Oracles used here:
     40-digit mpmath quadrature of the closed-form |H(t)|^2 phi_beta(t)
     for contamination, vs its small-beta asymptote
     15 beta^6 kappa3'^2 / 36, vs the same integral of |H(t)|^2 on the
-    quadrature engine for every table cell, vs the dense pair sum, and
-    vs itself on the rule with every panel halved;
+    quadrature engine for every table cell, vs the dense pair sum (in
+    extended precision near the split to the series), vs the sum over
+    all panel lags, and vs itself on the rule with every panel halved;
   * the LRT index vs its closed form for contamination, vs the same
     projection formula on a fixed Gauss-Hermite rule for every table
     family, and vs the curvature of twice the minimal Kullback-Leibler
@@ -25,7 +26,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from eppspulley import backend, bahadur
+from eppspulley import bahadur
 from eppspulley.alternatives import TABLE_FAMILIES, contamination, family_from_name, lehmann
 from eppspulley.cli import DEFAULT_BETAS
 from eppspulley.bahadur import (
@@ -606,17 +607,76 @@ class TestQuadraticForm:
 
     @pytest.mark.parametrize("radius", [12.0, 37.0])
     def test_series_and_fast_gauss_transform_agree_at_the_split(self, radius):
-        # just above the split the pair sum cancels like beta^-6
+        # just above the split, where the sum over panel lags takes over,
+        # the pair sum cancels like beta^-6
         cfg = QuadratureConfig(truncation_radius=radius)
         for name in TABLE_FAMILIES:
             fam = family_from_name(name)
             tp = TuningParam(bahadur._SERIES_BETA)
             below = local_index(fam, tp, cfg)
-            moments = bahadur._score_moments(fam, cfg)
-            panels = bahadur._panel_count(fam, tp.beta, cfg, moments[2])
-            x, v = bahadur._score_weights(fam, cfg, moments, panels)
-            above = backend.pairwise_gauss_sum(x, 0.5 * bahadur._SERIES_BETA**2, weights=v)
+            x, v, half, _ = score_form(fam, cfg, tp.beta)
+            above = lag_form(v, half, tp.gamma, bahadur._lag_count(tp.gamma, half, x.size // 15))
             assert above == pytest.approx(below, rel=1e-11, abs=0.0), name
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="no extended precision")
+    @pytest.mark.parametrize("radius", [12.0, 37.0])
+    @pytest.mark.parametrize("beta", [0.26, 0.3, 0.4, 0.5])
+    def test_lag_form_matches_the_dense_sum_near_the_split(self, beta, radius):
+        # the dense sum cancels like beta^-6 here, so it runs in extended
+        # precision on the same nodes
+        cfg = QuadratureConfig(truncation_radius=radius)
+        tp = TuningParam(beta)
+        for name in TABLE_FAMILIES:
+            fam = family_from_name(name)
+            x, v, _, _ = score_form(fam, cfg, beta)
+            dense = extended_pair_sum(x, v, tp.gamma)
+            got = local_index(fam, tp, cfg)
+            assert got == pytest.approx(dense, rel=1e-13, abs=0.0), name
+
+    @pytest.mark.parametrize("beta", [10.0, 100.0])
+    def test_dropped_lags_are_negligible(self, beta):
+        # the lags past D hold only pairs more than 6.5 / sqrt(gamma) apart
+        tp = TuningParam(beta)
+        for name in TABLE_FAMILIES:
+            fam = family_from_name(name)
+            x, v, half, products = score_form(fam, CFG, beta)
+            panels = x.size // 15
+            assert products.shape[0] < panels // 8, name
+            cut = lag_form(v, half, tp.gamma, products.shape[0])
+            full = lag_form(v, half, tp.gamma, panels)
+            assert cut == local_index(fam, tp)
+            assert cut == pytest.approx(full, rel=1e-15, abs=0.0), name
+
+    def test_lag_products_do_not_depend_on_how_many_are_built(self):
+        v = np.random.default_rng(5).standard_normal(15 * 40)
+        many = bahadur._lag_products(v, 40)
+        for lags in (1, 3, 17):
+            assert bahadur._lag_products(v, lags).tobytes() == many[:lags].tobytes()
+
+
+def score_form(fam, cfg, beta):
+    """x, v, the panel half-width and the lag products of local_index at beta."""
+    moments = bahadur._score_moments(fam, cfg)
+    panels = bahadur._panel_count(fam, beta, cfg, moments[2])
+    return bahadur._score_form(fam, cfg, moments, panels, [TuningParam(beta)])
+
+
+def lag_form(v, half, gamma, lags):
+    """The sum over the first lags panel lags of v^T G v."""
+    return bahadur._lag_form(bahadur._lag_products(v, lags), half, gamma)
+
+
+def extended_pair_sum(x, v, gamma):
+    """v^T G v with G[i, j] = exp(-gamma (x_i - x_j)^2), every operation in
+    extended precision, in row blocks of 256."""
+    x = x.astype(np.longdouble)
+    v = v.astype(np.longdouble)
+    total = np.longdouble(0.0)
+    for start in range(0, x.size, 256):
+        rows = slice(start, start + 256)
+        gauss = np.exp(-np.longdouble(gamma) * np.square(x[rows, None] - x[None, :]))
+        total += v[rows] @ (gauss @ v)
+    return float(total)
 
 
 class TestScoreTransform:

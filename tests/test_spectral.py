@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from eppspulley import backend, cli, spectral
+from eppspulley.bahadur import efficiency_table
 from eppspulley.quadrature import QuadratureConfig, integrate_1d, normal_pdf
 from eppspulley.spectral import (
     _MC_CACHE_SIZE,
@@ -652,9 +653,32 @@ class TestOperatorSpectrum:
                 operator_spectrum(TuningParam(1.0), top_m=top_m)
 
 
+class TestMehlerBisection:
+    """The ranks are bisected in blocks whose buffer stays within 8 MiB."""
+
+    def test_blocks_give_the_unblocked_bits(self, monkeypatch):
+        beta = 30.0
+        size = truncation(TuningParam(beta)).basis_size
+        assert spectral._BISECT_ELEMENTS // size < size
+        blocked = spectral._mehler_eigenvalues(beta, size, size)
+        monkeypatch.setattr(spectral, "_BISECT_ELEMENTS", size * size)
+        assert spectral._mehler_eigenvalues(beta, size, size).tobytes() == blocked.tobytes()
+
+    def test_memory_bounded_at_any_top_m(self):
+        # unblocked, the (ranks x M) temporaries at M = 3685 took 104 MiB each
+        tracemalloc.start()
+        try:
+            sp = operator_spectrum(TuningParam(100.0), top_m=4000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sp.basis_size < 4000 and np.all(sp.eigenvalues[sp.basis_size:] == 0.0)
+        assert peak < 12 * 2**20
+
+
 class TestOperatorSpectrumMemo:
-    """operator_spectrum solves each (beta, top_m) once per process and
-    returns fresh arrays."""
+    """operator_spectrum solves each (beta, max(top_m, 5)) once per
+    process and returns fresh arrays."""
 
     @staticmethod
     def _count_solves(monkeypatch):
@@ -689,8 +713,27 @@ class TestOperatorSpectrumMemo:
                 operator_spectrum(TuningParam(beta))
         assert calls == [("_gram_eigenvalues", 0.5), ("_gram_eigenvalues", 1.0),
                          ("_mehler_eigenvalues", 2.0)]
+        # top_m up to 5 shares the beta's solve; a larger top_m is its own key
         operator_spectrum(TuningParam(2.0), top_m=1)
+        assert len(calls) == 3
+        operator_spectrum(TuningParam(2.0), top_m=6)
         assert len(calls) == 4
+
+    @pytest.mark.parametrize("beta", [0.5, 2.0, 10.0, 300.0])
+    def test_fewer_ranks_are_a_slice_of_a_larger_solve(self, beta):
+        wide = spectral._solved(beta, 20)[0]
+        for top_m in (1, 3, 5):
+            cold = spectral._solved.__wrapped__(beta, top_m)[0]
+            assert cold.tobytes() == wide[:top_m].tobytes(), top_m
+
+    def test_tables_after_the_spectrum_solve_nothing(self, monkeypatch):
+        # table1 solves the top 5 at the paper's betas, and table2's
+        # lambda1 then reads the same entries
+        for beta in cli.DEFAULT_BETAS:
+            operator_spectrum(TuningParam(beta), top_m=5)
+        calls = self._count_solves(monkeypatch)
+        efficiency_table(["lp2"], cli.DEFAULT_BETAS)
+        assert calls == []
 
     def test_mutating_a_result_leaves_the_cache_intact(self):
         tp = TuningParam(3.0)
