@@ -81,44 +81,24 @@ eigenvalues, averaged over independent runs; the tests and the paper's
 own protocol use it, and no command does.
 
 The eigenvalues of G decay geometrically (the Mehler expansion of the
-Gaussian part of K), so G has numerical rank far below N: about 15 at
+Gaussian part of K), so G has numerical rank far below N: about 10 at
 beta = 0.25 and 140 at beta = 10 for N = 1000.  G is therefore never
-formed.  A Cholesky factorisation G ~= R^T R, with R of shape rank x N,
-stops once the trace of the positive semi-definite residual falls to
-half of RTOL times the trace of G; the other half is a margin for
-roundoff, so that the trace minus the eigenvalue sum of R R^T stays
-below RTOL * trace.  The eigenvalues are those of the small rank x rank
-matrix R R^T, each within the residual trace of the matching eigenvalue
-of G, and memory is O(N*rank).
-
-K is a sum of rank-one terms, K(s, t) = sum over k >= 3 of f_k(s)
-f_k(t) with f_k(y) = y^k e^(-y^2/2) / sqrt(k!), and a 19 x N table of
-f_0..f_18 is built once per run.  The factor starts with the rows
-f_k / sqrt(N), k = 3..18, that carry more than the stopping threshold;
-it is completed by pivoting on the residual, the tail k > 18, one
-kernel column per step.  The nodes are sorted by |y|, which leaves the
-eigenvalues of G unchanged, so the nodes with |y_i y_p| < 1 form a
-prefix.  There the terms k = 3..18 give K(y_i, y_p) to full relative
-accuracy, and the prefix of the column is one matrix-vector product
-with the table; the suffix takes the direct form.  At beta = 0.25 the
-seeded rows alone meet the threshold and no column is computed.  At
-N = 1000 one run takes about 0.85 ms at beta = 0.25, 1.4 ms at beta = 1
-and 7.9 ms at beta = 10 (0.99, 1.8 and 10.4 ms by pivoting alone),
-against 130-210 ms for a dense eigensolve of G (2-vCPU x86-64 VM, one
-BLAS thread, best of 15).  The cost is O(N * rank^2), so the margin
-shrinks as the rank nears N: 0.15 s at beta = 50 (rank about 500), and
-0.36 s at beta = 100 (rank about 770), where the factorisation is the
-slower of the two.
-
-The per-run spectra depend on (beta, N, runs, seed) alone, never on
-top_m or on any data, so they are memoized per process in an LRU cache
-of _SPECTRUM_CACHE_SIZE = 16 keys; nystrom_spectrum cuts each call's
-top_m from the cached runs into fresh arrays, so a call at top_m = 1
-reuses the entry of a call at top_m = 5.  An entry holds each run's
-rank eigenvalues and three numbers per run, at most runs x (N + 19)
-doubles: about 11 KB at beta = 10 under the reference protocol
-(N = 1000, 10 runs), and at most 1.3 MB for 16 keys of that protocol.
-The gain is in a process that asks again, such as a test session.
+formed.  A pivoted Cholesky factorisation G ~= R^T R (Harbrecht, Peters
+& Schneider, Appl. Numer. Math. 62, 2012), with R of shape rank x N,
+takes one kernel column per step and stops once the trace of the
+positive semi-definite residual falls to half of RTOL times the trace
+of G; the other half is a margin for roundoff, so that the trace minus
+the eigenvalue sum of R R^T stays below RTOL * trace.  The eigenvalues
+are those of the small rank x rank matrix R R^T, each within the
+residual trace of the matching eigenvalue of G, and memory is
+O(N*rank).  At N = 1000 one run takes about 0.55 ms at beta = 0.25,
+1.5 ms at beta = 1 and 10-13 ms at beta = 10, against about 155 ms for
+a dense eigensolve of G (2-vCPU x86-64 VM, one BLAS thread, best of
+15).  The cost is O(N * rank^2), so the margin shrinks as the rank
+nears N: 0.13-0.14 s at beta = 50 (rank about 500), and 0.36-0.38 s at
+beta = 100 (rank about 770), where the factorisation is the slower of
+the two.  Each
+call factorises all of its runs; nothing is kept between calls.
 
 The Monte-Carlo draws of null_pvalue's truncated limit law depend on
 the clipped top_m eigenvalues, the trace shift, mc_samples and the seed
@@ -144,7 +124,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .backend import _SERIES_COEFFS, _SERIES_CUTOFF, kernel
+from .backend import kernel
 from .statistic import TuningParam
 
 __all__ = [
@@ -170,8 +150,6 @@ _MC_NORMALS = 1 << 20
 _MC_KEEP_LIMIT = 1 << 18
 _MC_CACHE_SIZE = 4
 
-# Keys (beta, n_points, runs, seed) that _sampled_runs keeps.
-_SPECTRUM_CACHE_SIZE = 16
 # Keys (beta, ranks) that _solved keeps, and the fewest ranks it
 # solves, so that top_m = 1 to 5 share one solve per beta.
 _OPERATOR_CACHE_SIZE = 16
@@ -182,11 +160,6 @@ _SOLVED_RANKS = 5
 RTOL = 1e-14
 # Rows by which the Cholesky factor grows.
 _FACTOR_BLOCK = 64
-# Rows k = 0..18 of the feature table and the factors 1/sqrt(k),
-# k = 1..18, whose running products give y^k / sqrt(k!): rows 3..18 are
-# the terms that backend._bracket_series sums.
-_FEATURE_ROWS = 3 + _SERIES_COEFFS.size
-_INV_SQRT_K = 1.0 / np.sqrt(np.arange(1.0, _FEATURE_ROWS))
 _EPS = float(np.finfo(np.float64).eps)
 
 # -log of the Mehler tail ratio lambda_M / lambda_0 <= 1e-16 that sizes
@@ -266,8 +239,11 @@ def operator_spectrum(tp: TuningParam, top_m: int = 5) -> OperatorSpectrum:
     Solved once per (beta, max(top_m, 5)) per process, so any top_m up
     to 5 shares one solve; the returned arrays are fresh on every call.
     ArithmeticError names beta and M when the Mehler basis would exceed
-    _MAX_BASIS functions; top_m may not exceed it either.  RuntimeError
-    names beta when the eigensolver fails."""
+    _MAX_BASIS functions; top_m, an integer (Python or numpy), may not
+    exceed it either.  RuntimeError names beta when the eigensolver
+    fails."""
+    if not isinstance(top_m, (int, np.integer)):
+        raise ValueError(f"top_m must be an integer, got {top_m}")
     if not 1 <= top_m <= _MAX_BASIS:
         raise ValueError(f"top_m must be between 1 and {_MAX_BASIS}, got {top_m}")
     top, (method, size, bound), trace = _solved(tp.beta, max(int(top_m), _SOLVED_RANKS))
@@ -413,8 +389,8 @@ class SpectrumResult:
     their difference is the residual trace of the factorisation.
     n_clipped counts the negative eigenvalues of R R^T among the top_m of
     each run, summed over runs; padding zeros do not count.
-    per_run_rank is the rank at which each run's factorisation stopped:
-    the seeded feature rows plus the pivot steps.
+    per_run_rank is the rank at which each run's factorisation stopped,
+    its number of pivot steps.
     """
 
     beta: float
@@ -448,11 +424,13 @@ def nystrom_spectrum(
 
     Each run draws its nodes from a dedicated child stream of the master
     seed, so runs are independent yet individually reproducible, and the
-    per-run spectra are bit-identical for identical arguments.  They are
-    memoized per process by (beta, n_points, runs, seed), so a repeated
-    key re-slices them to top_m instead of factorising again; the
-    returned arrays are fresh on every call.
+    per-run spectra are bit-identical for identical arguments.
+    n_points, runs, seed and top_m must be integers (Python or numpy);
+    anything else raises ValueError.
     """
+    for name, value in (("n_points", n_points), ("runs", runs), ("seed", seed), ("top_m", top_m)):
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value}")
     if n_points < 100:
         raise ValueError("n_points must be at least 100")
     if runs < 1:
@@ -461,166 +439,71 @@ def nystrom_spectrum(
         raise ValueError("top_m must be between 1 and n_points")
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    eigs, traces, sums, ranks = _sampled_runs(tp.beta, int(n_points), int(runs), int(seed))
+    n_points, runs, seed, top_m = int(n_points), int(runs), int(seed), int(top_m)
     per_run = np.zeros((runs, top_m))
-    clipped = 0
-    for r, eig in enumerate(eigs):
-        top = eig[:top_m]
-        clipped += int(np.count_nonzero(top < 0.0))
-        per_run[r, :top.size] = np.maximum(top, 0.0)
-    return SpectrumResult(
-        beta=tp.beta,
-        n_points=int(n_points),
-        runs=int(runs),
-        seed=int(seed),
-        top_m=int(top_m),
-        eigenvalues=per_run.mean(axis=0),
-        per_run=per_run,
-        trace_estimate=float(np.mean(traces)),
-        per_run_trace=traces.copy(),
-        per_run_eigen_sum=sums.copy(),
-        n_clipped=clipped,
-        per_run_rank=ranks.copy(),
-    )
-
-
-@functools.lru_cache(maxsize=_SPECTRUM_CACHE_SIZE)
-def _sampled_runs(
-    beta: float, n_points: int, runs: int, seed: int
-) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray, np.ndarray]:
-    """Every run's eigenvalues of R R^T in descending order, and the
-    runs' traces, eigenvalue sums and ranks, all as read-only arrays.
-
-    Memoized per process (see the module docstring); an exception is
-    not cached, so a failed key is computed again on its next call.
-    """
-    children = np.random.SeedSequence(seed).spawn(runs)
-    eigs = []
     traces = np.empty(runs)
     sums = np.empty(runs)
     ranks = np.empty(runs, dtype=np.int64)
-    for r in range(runs):
-        rng = np.random.default_rng(children[r])
-        rows, traces[r] = _pivoted_cholesky(beta * rng.standard_normal(n_points))
+    clipped = 0
+    for r, child in enumerate(np.random.SeedSequence(seed).spawn(runs)):
+        rng = np.random.default_rng(child)
+        rows, traces[r] = _pivoted_cholesky(tp.beta * rng.standard_normal(n_points))
         ranks[r] = len(rows)
         if not math.isfinite(traces[r]):
-            raise ArithmeticError(f"kernel trace is not finite at beta={beta:g} in run {r}")
+            raise ArithmeticError(f"kernel trace is not finite at beta={tp.beta:g} in run {r}")
         try:
             eig = np.linalg.eigvalsh(rows @ rows.T)
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(f"eigensolver failed in run {r}") from exc
         del rows  # frees this run's factor before the next run allocates one
         sums[r] = float(np.sum(eig))
-        eig = eig[::-1].copy()
-        eig.flags.writeable = False
-        eigs.append(eig)
-    for arr in (traces, sums, ranks):
-        arr.flags.writeable = False
-    return tuple(eigs), traces, sums, ranks
-
-
-def _feature_table(y: np.ndarray) -> np.ndarray:
-    """Table T of shape (19, N) with T[k, i] = y_i^k e^(-y_i^2/2) / sqrt(k!).
-
-    Row 0 is damp = e^(-y^2/2), and rows 3..18 are the features f_k(y)
-    of the rank-one expansion K(s, t) = sum over k >= 3 of f_k(s) f_k(t);
-    the terms k = 3..18 are the ones _bracket_series sums, so where
-    |s t| < _SERIES_CUTOFF their sum is K to full relative accuracy.
-    Each row is the one above times y / sqrt(k), one running product
-    down the columns, so no entry overflows: where damp underflows to 0
-    the whole column is 0, and where y^2 overflows to inf damp is 0
-    either way.
-    """
-    table = np.empty((_FEATURE_ROWS, y.size))
-    with np.errstate(over="ignore"):
-        table[0] = np.exp(-0.5 * np.square(y))
-    np.multiply.outer(_INV_SQRT_K, y, out=table[1:])
-    for k in range(1, _FEATURE_ROWS):
-        table[k] *= table[k - 1]
-    return table
-
-
-def _prefix_cuts(magnitude: np.ndarray) -> np.ndarray:
-    """cuts[p] = the number of nodes i with magnitude[i] < _SERIES_CUTOFF
-    / magnitude[p], for magnitude = |y| sorted ascending: the prefix of
-    column p on which |y_i y_p| < _SERIES_CUTOFF (all N at |y_p| = 0)."""
-    with np.errstate(divide="ignore", over="ignore"):
-        return np.searchsorted(magnitude, _SERIES_CUTOFF / magnitude)
-
-
-def _kernel_column(
-    y: np.ndarray, table: np.ndarray, p: int, cut: int, out: np.ndarray
-) -> None:
-    """out = K(y, y[p]) on nodes y sorted by ascending |y|, from their
-    _feature_table, with cut = _prefix_cuts(|y|)[p].
-
-    On the prefix [:cut], where |y_i y_p| < _SERIES_CUTOFF, the column is
-    one matrix-vector product of feature rows 3..18.  On the suffix it is
-    the direct form exp(-(y-y_p)^2/2) - (1 + x + x^2/2) damp damp_p
-    (x = y y_p), which loses at most about 12 ulp to cancellation, as in
-    backend.kernel; the subtracted product is sum over k = 0..2 of
-    f_k(y) f_k(y_p), one matrix-vector product of table rows 0..2.  The
-    table holds no inf, so that product never forms inf * 0.  The suffix
-    is empty where cut = N.  Its square overflows only where the Gaussian
-    term is 0 either way, and _pivoted_cholesky ignores that overflow.
-    """
-    features = table[3:]
-    np.matmul(features[:, p], features[:, :cut], out=out[:cut])
-    tail = out[cut:]
-    np.subtract(y[cut:], y[p], out=tail)
-    np.square(tail, out=tail)
-    tail *= -0.5
-    np.exp(tail, out=tail)
-    tail -= table[:3, p] @ table[:3, cut:]
+        top = eig[::-1][:top_m]
+        clipped += int(np.count_nonzero(top < 0.0))
+        per_run[r, :top.size] = np.maximum(top, 0.0)
+    return SpectrumResult(
+        beta=tp.beta,
+        n_points=n_points,
+        runs=runs,
+        seed=seed,
+        top_m=top_m,
+        eigenvalues=per_run.mean(axis=0),
+        per_run=per_run,
+        trace_estimate=float(np.mean(traces)),
+        per_run_trace=traces,
+        per_run_eigen_sum=sums,
+        n_clipped=clipped,
+        per_run_rank=ranks,
+    )
 
 
 def _pivoted_cholesky(y: np.ndarray) -> tuple[np.ndarray, float]:
-    """Cholesky factor of G = (K(y_i, y_j)/N), seeded with the kernel's
-    feature rows and completed by pivoting, stored transposed.
+    """Pivoted Cholesky factor of G = (K(y_i, y_j)/N), stored transposed
+    (Harbrecht, Peters & Schneider, Appl. Numer. Math. 62, 2012).
 
-    Returns R, of shape rank x N, with G ~= P^T R^T R P for the
-    permutation P that sorts the nodes by |y|, and the exact trace of G,
-    the diagonal sum in the order the nodes were drawn.  The order of the
-    nodes does not change the eigenvalues of G, and R R^T has the nonzero
-    eigenvalues of R^T R.  R is a view of a buffer allocated with
-    _FACTOR_BLOCK rows beyond the seeded rows, grown by as many whenever
-    the pivoting outgrows it.
+    Returns R, of shape rank x N, with G ~= R^T R, and the exact trace of
+    G, the diagonal sum in the order the nodes were drawn; R R^T has the
+    nonzero eigenvalues of R^T R.  R is a view of a buffer of
+    _FACTOR_BLOCK rows, grown by as many whenever the factor outgrows it.
 
-    G is exactly the sum over k >= 3 of f_k f_k^T / N (see
-    _feature_table).  The rows f_k / sqrt(N) for k = 3..18 whose squared
-    norm exceeds the threshold stop = RTOL * trace / 2 are written into
-    the factor first, and their squares leave the residual diagonal d; a
-    zero or NaN trace seeds no row and runs no step.  The residual, the
-    tail k > 18 plus the unseeded rows, is positive semi-definite.  Each
-    further step pivots on the largest entry of d and computes one
-    kernel column (see _kernel_column) until sum(d) <= stop.  That takes
-    at most N steps with no cap: while sum(d) exceeds stop >= 0 the
-    pivot is positive, the step zeroes it, and no entry of d grows.  By
-    Weyl's inequality every eigenvalue of R R^T is within sum(d) of the
-    matching eigenvalue of G (Harbrecht, Peters & Schneider, Appl.
-    Numer. Math. 62, 2012).  The halved threshold leaves a margin for
-    the roundoff of sum(d) and of the eigenvalue sum, so that trace
-    minus the eigenvalue sum of R R^T stays below RTOL * trace.  Memory
-    is O(N * rank).
+    The residual diagonal d starts as the diagonal of G.  Each step
+    pivots on its largest entry p, takes the kernel column K(y, y_p)/N,
+    subtracts the factor's rows so far and divides by sqrt(d_p), until
+    sum(d) <= stop = RTOL * trace / 2; a zero or NaN trace runs no step.
+    That takes at most N steps with no cap: while sum(d) exceeds
+    stop >= 0 the pivot is positive, the step zeroes it, and no entry of
+    d grows.  By Weyl's inequality every eigenvalue of R R^T is within
+    sum(d) of the matching eigenvalue of G.  The halved threshold leaves
+    a margin for the roundoff of sum(d) and of the eigenvalue sum, so
+    that trace minus the eigenvalue sum of R R^T stays below
+    RTOL * trace.  Memory is O(N * rank).
     """
     n = y.size
     d = kernel(y, y) / n
     trace = float(np.sum(d))
-    magnitude = np.abs(y)
-    order = np.argsort(magnitude, kind="stable")
-    y, magnitude, d = y[order], magnitude[order], d[order]
-    table = _feature_table(y)
     stop = 0.5 * RTOL * trace
     square = np.empty(n)
-    features = table[3:]
-    # at a trace that underflowed to 0 (beta near 1e-54) a row can keep a subnormal norm
-    seeded = np.flatnonzero((np.einsum("ij,ij->i", features, features) > n * stop) & (trace > 0.0))
-    rank = seeded.size
-    factor = np.empty((rank + _FACTOR_BLOCK, n))
-    rows = np.take(features, seeded, axis=0, out=factor[:rank], mode="clip")
-    rows /= math.sqrt(n)
-    d -= np.einsum("ij,ij->j", rows, rows, out=square)
-    cuts = _prefix_cuts(magnitude)
+    factor = np.empty((_FACTOR_BLOCK, n))
+    rank = 0
     with np.errstate(over="ignore"):
         while float(d.sum()) > stop:
             p = int(d.argmax())
@@ -628,9 +511,7 @@ def _pivoted_cholesky(y: np.ndarray) -> tuple[np.ndarray, float]:
                 grown = np.empty((rank + _FACTOR_BLOCK, n))
                 grown[:rank] = factor
                 factor = grown
-            row = factor[rank]
-            _kernel_column(y, table, p, int(cuts[p]), row)
-            row /= n
+            row = np.divide(kernel(y, y[p]), n, out=factor[rank])
             row -= np.matmul(factor[:rank, p], factor[:rank], out=square)
             row /= math.sqrt(d[p])
             d -= np.square(row, out=square)

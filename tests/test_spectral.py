@@ -19,12 +19,8 @@ from eppspulley.spectral import (
     _MC_KEEP_LIMIT,
     _MC_NORMALS,
     RTOL,
-    _feature_table,
     _kept_draws,
-    _kernel_column,
     _pivoted_cholesky,
-    _prefix_cuts,
-    _sampled_runs,
     kernel,
     lambda1,
     null_pvalue,
@@ -140,8 +136,6 @@ class TestNystromSpectrum:
     def test_reproducible_bit_identical(self):
         tp = TuningParam(1.0)
         a = nystrom_spectrum(tp, 200, 3, seed=7, top_m=4)
-        # factorise again rather than read the memoized runs
-        _sampled_runs.cache_clear()
         b = nystrom_spectrum(tp, 200, 3, seed=7, top_m=4)
         assert np.array_equal(a.per_run, b.per_run)
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
@@ -212,8 +206,8 @@ class TestNystromSpectrum:
         assert sp.n_clipped == 0
 
     def test_rank_zero_where_the_trace_underflows(self):
-        # at beta = 1e-54 every kernel diagonal entry underflows to 0, while
-        # some feature rows keep a subnormal norm: none may be seeded
+        # at beta = 1e-54 every kernel diagonal entry underflows to 0, so
+        # the trace is 0 and the factorisation takes no step
         sp = nystrom_spectrum(TuningParam(1e-54), 1000, 4, seed=42, top_m=3)
         assert np.all(sp.per_run_trace == 0.0)
         assert np.array_equal(sp.per_run_rank, [0, 0, 0, 0])
@@ -230,7 +224,6 @@ class TestNystromSpectrum:
 
     def test_bounded_memory(self):
         # the dense 4000 x 4000 kernel matrix alone would be 128 MiB
-        _sampled_runs.cache_clear()
         tracemalloc.start()
         try:
             nystrom_spectrum(TuningParam(1.0), 4000, 1, seed=42, top_m=5)
@@ -251,110 +244,15 @@ class TestNystromSpectrum:
             nystrom_spectrum(tp, 200, 2, top_m=201)
         with pytest.raises(ValueError, match="seed must be a non-negative integer, got -3"):
             nystrom_spectrum(tp, 200, 2, seed=-3)
-
-
-class TestSpectrumCache:
-    ARRAYS = ("eigenvalues", "per_run", "per_run_trace", "per_run_eigen_sum", "per_run_rank")
-
-    @staticmethod
-    def _count_factorisations(monkeypatch):
-        calls = []
-
-        def counting(y):
-            calls.append(y.size)
-            return _pivoted_cholesky(y)
-
-        monkeypatch.setattr(spectral, "_pivoted_cholesky", counting)
-        return calls
-
-    def test_repeated_key_factorises_once(self, monkeypatch):
-        calls = self._count_factorisations(monkeypatch)
-        tp = TuningParam(1.0)
-        for top_m in (5, 5, 1, 3):
-            nystrom_spectrum(tp, 200, 3, seed=7, top_m=top_m)
-        assert len(calls) == 3
-        nystrom_spectrum(tp, 200, 3, seed=8, top_m=5)
-        assert len(calls) == 6
-
-    def test_hit_equals_miss_and_top_m_shares_an_entry(self):
-        tp = TuningParam(1.0)
-        five = nystrom_spectrum(tp, 300, 4, seed=3, top_m=5)
-        hit = nystrom_spectrum(tp, 300, 4, seed=3, top_m=1)
-        _sampled_runs.cache_clear()
-        miss = nystrom_spectrum(tp, 300, 4, seed=3, top_m=1)
-        for name in self.ARRAYS:
-            assert np.array_equal(getattr(hit, name), getattr(miss, name))
-        assert hit.trace_estimate == miss.trace_estimate
-        assert hit.n_clipped == miss.n_clipped == five.n_clipped
-        assert np.array_equal(five.per_run[:, 0], hit.per_run[:, 0])
-        assert np.array_equal(five.per_run_trace, hit.per_run_trace)
-        assert np.array_equal(five.per_run_eigen_sum, hit.per_run_eigen_sum)
-
-    def test_mutating_a_result_leaves_the_cache_intact(self):
-        tp = TuningParam(0.5)
-        first = nystrom_spectrum(tp, 200, 2, seed=4, top_m=4)
-        kept = {name: getattr(first, name).copy() for name in self.ARRAYS}
-        for name in kept:
-            getattr(first, name)[...] = -1
-        again = nystrom_spectrum(tp, 200, 2, seed=4, top_m=4)
-        for name, value in kept.items():
-            assert np.array_equal(getattr(again, name), value)
-
-    def test_efficiency_table_after_eigen_factorises_nothing(self, monkeypatch):
-        # a table's top_m = 5 spectra, then its lambda1 at top_m = 1: the
-        # eigen-then-table sequence that no command samples any more
-        for beta in cli.DEFAULT_BETAS:
-            nystrom_spectrum(TuningParam(beta), 150, 2, seed=42, top_m=5)
-        calls = self._count_factorisations(monkeypatch)
-        for beta in cli.DEFAULT_BETAS:
-            nystrom_spectrum(TuningParam(beta), 150, 2, seed=42, top_m=1)
-        assert calls == []
-
-    def test_failure_is_not_cached(self, monkeypatch):
-        def fail(matrix):
-            raise np.linalg.LinAlgError("did not converge")
-
-        tp = TuningParam(1.0)
-        with monkeypatch.context() as patch:
-            patch.setattr(np.linalg, "eigvalsh", fail)
-            with pytest.raises(RuntimeError, match="eigensolver failed in run 0"):
-                nystrom_spectrum(tp, 150, 2, seed=5)
-        assert _sampled_runs.cache_info().currsize == 0
-        calls = self._count_factorisations(monkeypatch)
-        sp = nystrom_spectrum(tp, 150, 2, seed=5)
-        assert len(calls) == 2
-        assert np.all(np.isfinite(sp.per_run)) and sp.eigenvalues[0] > 0.0
-
-
-class TestKernelColumn:
-    @staticmethod
-    def _sorted(y):
-        return y[np.argsort(np.abs(y), kind="stable")]
-
-    @pytest.mark.parametrize("beta", [1e-3, 0.25, 1.0, 10.0, 100.0])
-    def test_matches_kernel_oracle(self, beta):
-        y = self._sorted(_run_nodes(beta, 1000, seed=29))
-        magnitude = np.abs(y)
-        table = _feature_table(y)
-        cuts = _prefix_cuts(magnitude)
-        # smallest |y|, the nodes either side of |y| = 1, where the prefix
-        # |y_i y_p| < 1 ends near the pivot itself, and the largest |y|
-        near_one = int(np.searchsorted(magnitude, 1.0))
-        pivots = {0, max(near_one - 1, 0), min(near_one, y.size - 1), y.size - 1}
-        out = np.empty(y.size)
-        for p in sorted(pivots):
-            _kernel_column(y, table, p, int(cuts[p]), out)
-            exact = kernel(y, y[p])
-            assert np.max(np.abs(out - exact)) <= 4 * np.finfo(float).eps
-            prefix = magnitude * abs(y[p]) < 1.0
-            assert np.all(np.abs(out - exact)[prefix] <= 1e-13 * np.abs(exact[prefix]))
-
-    def test_pivot_at_zero_is_all_prefix(self):
-        y = self._sorted(np.append(_run_nodes(1.0, 200, seed=3), 0.0))
-        assert y[0] == 0.0
-        out = np.full(y.size, np.nan)
-        _kernel_column(y, _feature_table(y), 0, int(_prefix_cuts(np.abs(y))[0]), out)
-        assert np.array_equal(out, kernel(y, 0.0))
+        # int() would truncate a float count, and a float cannot size or slice an array
+        for kwargs in ({"n_points": 150.5}, {"runs": 1.5}, {"runs": 2.0}, {"top_m": 1.5},
+                       {"top_m": 2.5}, {"seed": 7.5}):
+            name, value = next(iter(kwargs.items()))
+            with pytest.raises(ValueError, match=f"{name} must be an integer, got {value}"):
+                nystrom_spectrum(tp, **{"n_points": 200, "runs": 2, **kwargs})
+        sp = nystrom_spectrum(tp, np.int64(150), np.int32(1), seed=np.uint8(7), top_m=np.int64(2))
+        assert (sp.n_points, sp.runs, sp.seed, sp.top_m) == (150, 1, 7, 2)
+        assert all(type(v) is int for v in (sp.n_points, sp.runs, sp.seed, sp.top_m))
 
     @pytest.mark.parametrize("beta", [1e-200, 1e-100, 1e-10, 1e-3, 1.0, 100.0, 1e3, 1e160, 1e300])
     def test_no_warning_across_the_range(self, beta):
@@ -362,7 +260,6 @@ class TestKernelColumn:
             warnings.simplefilter("error", RuntimeWarning)
             sp = nystrom_spectrum(TuningParam(beta), 100, 2, seed=6, top_m=3)
         assert np.all(np.isfinite(sp.per_run))
-
 
     @pytest.mark.parametrize("beta", [1e3, 1e10, 1e50, 1e100, 1e150])
     def test_huge_beta_is_warning_free_and_finite(self, beta):
@@ -386,8 +283,8 @@ class TestKernelColumn:
 
 def _unseeded_rank(y: np.ndarray) -> int:
     """Steps of a plain pivoted Cholesky factorisation of the dense
-    G = K(y_i, y_j)/N, with no seeded rows and the library's stopping
-    rule: sum of the residual diagonal <= RTOL * trace / 2."""
+    G = K(y_i, y_j)/N, with the library's stopping rule: sum of the
+    residual diagonal <= RTOL * trace / 2."""
     n = y.size
     gram = backend.kernel_gram(y) / n
     d = np.diag(gram).copy()
@@ -403,69 +300,17 @@ def _unseeded_rank(y: np.ndarray) -> int:
 
 
 class TestSeededFactor:
-    @staticmethod
-    def _factorise(monkeypatch, y):
-        """The rank of one run on nodes y and the kernel columns it computed."""
-        columns = []
-
-        def counting(*args):
-            columns.append(args[2])
-            _kernel_column(*args)
-
-        monkeypatch.setattr(spectral, "_kernel_column", counting)
-        rows, _ = _pivoted_cholesky(y)
-        return len(rows), len(columns)
-
-    def test_small_beta_needs_no_kernel_column(self, monkeypatch):
-        # at beta = 0.25 the tail k > 18 of the kernel's expansion leaves a
-        # residual trace below the threshold in every run of the reference
-        # protocol, even where a node reaches |y| = 1.02
-        columns = []
-        monkeypatch.setattr(spectral, "_kernel_column", lambda *args: columns.append(args[2]))
-        sp = nystrom_spectrum(TuningParam(0.25), 1000, 10, seed=42, top_m=10)
-        assert columns == []
-        assert np.all((sp.per_run_rank >= 1) & (sp.per_run_rank <= 16))
-        gram = backend.kernel_gram(_run_nodes(0.25, 1000, seed=42)) / 1000
-        dense = np.linalg.eigvalsh(gram)[::-1][:10]
-        trace = float(np.trace(gram))
-        assert np.max(np.abs(sp.per_run[0] - np.maximum(dense, 0.0))) <= 1e-12 * trace
-
-    def test_huge_beta_seeds_nothing(self, monkeypatch):
-        # the nodes lie far apart: every feature row is 0 and G = I/N
-        rank, columns = self._factorise(monkeypatch, _run_nodes(1e10, 100, seed=6))
-        assert rank == columns == 100
-
-    def test_pivot_loop_computes_at_most_n_columns(self, monkeypatch):
+    def test_pivot_loop_computes_at_most_n_columns(self):
         # the loop has no step cap: each step zeroes a positive entry of a
         # residual diagonal that never grows, so it stops within N steps,
-        # on spread, clustered and tied nodes alike
+        # on spread, clustered and tied nodes alike, and it takes the steps
+        # of the dense textbook loop
         for beta in (1e-3, 0.25, 1.0, 10.0, 100.0, 1e4, 1e10):
             for n in (2, 3, 17, 300):
                 y = _run_nodes(beta, n, seed=n)
                 for nodes in (y, np.repeat(y[:2], (n + 1) // 2)[:n]):
-                    _, columns = self._factorise(monkeypatch, nodes)
-                    assert columns <= n
-
-    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
-    def test_seeding_saves_kernel_columns(self, monkeypatch, beta):
-        y = _run_nodes(beta, 1000, seed=42)
-        rank, columns = self._factorise(monkeypatch, y)
-        assert columns < _unseeded_rank(y)
-        assert 1 <= rank - columns <= 16
-
-    @pytest.mark.parametrize("beta", [1e-200, 1e-3, 1.0, 10.0, 100.0, 1e300])
-    def test_feature_table_is_the_running_product(self, beta):
-        y = _run_nodes(beta, 500, seed=13)
-        start = np.empty((19, y.size))
-        with np.errstate(over="ignore"):
-            start[0] = np.exp(-0.5 * np.square(y))
-        start[1:] = np.multiply.outer(1.0 / np.sqrt(np.arange(1.0, 19.0)), y)
-        table = _feature_table(y)
-        assert np.array_equal(table, np.cumprod(start, axis=0))
-        if beta <= 10.0:
-            k = np.arange(19.0)[:, None]
-            exact = y**k * np.exp(-0.5 * np.square(y)) / np.sqrt([math.factorial(int(j)) for j in k[:, 0]])[:, None]
-            assert np.allclose(table, exact, rtol=1e-13, atol=1e-300)
+                    rows, _ = _pivoted_cholesky(nodes)
+                    assert len(rows) == _unseeded_rank(nodes) <= n
 
 
 class TestOperatorTrace:
@@ -651,6 +496,11 @@ class TestOperatorSpectrum:
         for top_m in (0, spectral._MAX_BASIS + 1):
             with pytest.raises(ValueError, match=f"top_m must be between 1 and 131072, got {top_m}"):
                 operator_spectrum(TuningParam(1.0), top_m=top_m)
+        # a float passes the range check but cannot slice the solve
+        for top_m in (2.5, 5.0):
+            with pytest.raises(ValueError, match=f"top_m must be an integer, got {top_m}"):
+                operator_spectrum(TuningParam(1.0), top_m=top_m)
+        assert operator_spectrum(TuningParam(1.0), top_m=np.int64(2)).eigenvalues.size == 2
 
 
 class TestMehlerBisection:
