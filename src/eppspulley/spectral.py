@@ -41,25 +41,26 @@ so in that basis the operator is D - U U^T with D = diag(lambda_j) and
 U_jk the integral of e_j sqrt(phi_beta) f_k, k = 0..2.  The basis
 stops at M = ceil(log 1e-16 / log B), so the dropped Mehler terms have
 trace lambda_M / (1 - B), the bound; the f_k's components beyond the
-basis decay faster, their squares as r^j with r = (a + b - c)/A < B, and
-move an eigenvalue only at second order.  e_j is streamed by the
-three-term recurrence of the Hermite functions, and U by the trapezoid
-rule with step 0.05 on |x| <= 12, which converges geometrically for
-these entire integrands (Trefethen & Weideman, SIAM Rev. 56, 2014); the
-f_k have the parity of k and e_j that of j, so the rule runs on x >= 0.
-Each top eigenvalue i lies in [lambda_(i+3), lambda_i] (interlacing) and
-is found by bisection on the count of eigenvalues above t, which by
-Haynsworth's inertia additivity (Linear Algebra Appl. 1, 1968) is
-#{lambda_j > t} plus the positive eigenvalues of
-I_3 - U^T (D - t)^-1 U, minus 3: O(M) per count, with elementwise sums
-and no matrix product.  The ranks are bisected in blocks, so a step's
-(ranks x M) buffer stays within 8 MiB at any top_m.  M grows like
-37 beta; above _MAX_BASIS the call
-raises ArithmeticError naming beta and M.  Below beta = 1 the Mehler
-form cancels O(1) terms as lambda1 falls like beta^6 (its lambda1 is
-off by 5e-14 relative at beta = 0.25 and 4e-13 at 0.1), so the routes
-meet at beta = 1, where they agree within 1e-15 of lambda1.  A failing
-eigensolver raises RuntimeError naming beta.
+basis decay faster, their squares as B^(2j), and move an eigenvalue
+only at second order.  U is in closed form: by the generating function
+of the Hermite functions (DLMF 18.12.15) each column's series in j is a
+Gaussian integral, whose coefficients are one running product (see
+_mehler_basis), and U_jk = 0 unless j + k is even.  Each top eigenvalue
+i lies in [lambda_(i+3), lambda_i] (interlacing) and is found by
+bisection on the count of eigenvalues above t, which by Haynsworth's
+inertia additivity (Linear Algebra Appl. 1, 1968) is #{lambda_j > t}
+plus the positive eigenvalues of I_3 - U^T (D - t)^-1 U, minus 3.  By
+U's parity that matrix is a 1 x 1 block beside a 2 x 2 block, whose
+positive eigenvalues follow from the signs of its determinant and
+trace: O(M) per count, with elementwise sums and no matrix product or
+eigensolver.  The ranks are bisected in blocks, so a step's (ranks x M)
+buffer stays within 8 MiB at any top_m.  M grows like 37 beta; above
+_MAX_BASIS the call raises ArithmeticError naming beta and M.  Below
+beta = 1 the Mehler form cancels O(1) terms as lambda1 falls like
+beta^6 (its lambda1 is off by 5e-14 relative at beta = 0.25 and 4e-13
+at 0.1), so the routes meet at beta = 1, where they agree within 1e-15
+of lambda1.  A failing eigensolver raises RuntimeError naming beta; only
+the Gram route calls one.
 
 A solve depends on beta and the number of ranks alone, and each rank
 is solved on its own, so the first k eigenvalues of a solve are those of
@@ -70,10 +71,11 @@ keys, and returns the first top_m of it as a fresh result with fresh
 arrays on every call: table1's top-5 solves serve table2's lambda1.  An
 entry holds max(top_m, 5) doubles and four numbers, under 1 KB at
 top_m <= 5 and 1 MiB at the largest top_m, _MAX_BASIS, so the cache
-never holds more than 16 MiB.  A solve takes 0.2-0.6 ms on the Gram
-route and 3-10 ms on the Mehler route at beta 2 to 50, most of it about
-52 bisection steps; a lambda1 alone pays for 5 ranks, about 15% more
-than for 1 on the Mehler route.  A failed solve is not cached.
+never holds more than 16 MiB.  A solve takes 0.15-0.85 ms on the Gram
+route and 1.8-3.3 ms on the Mehler route at beta 1.5 to 50, nearly all
+of it about 52 bisection steps; a lambda1 alone pays for 5 ranks, 6-13%
+more than for 1 on the Mehler route at beta 2 to 10 and 2.5x at 300.
+A failed solve is not cached.
 
 The sampled estimate.  nystrom_spectrum samples N points from the
 weight, forms the matrix G = (K(y_i, y_j)/N), and takes its
@@ -166,11 +168,6 @@ _EPS = float(np.finfo(np.float64).eps)
 # the Mehler basis, and the largest basis operator_spectrum builds.
 _MEHLER_DECADES = 16.0 * math.log(10.0)
 _MAX_BASIS = 1 << 17
-# The trapezoid rule of U: step 0.05 on [0, 12], and the Hermite rows
-# streamed per block.
-_GRID_STEP = 0.05
-_GRID_NODES = 241
-_BASIS_BLOCK = 512
 # Most elements of the (ranks x M) buffer of the Mehler bisection,
 # 8 MiB of doubles.
 _BISECT_ELEMENTS = 1 << 20
@@ -240,8 +237,9 @@ def operator_spectrum(tp: TuningParam, top_m: int = 5) -> OperatorSpectrum:
     to 5 shares one solve; the returned arrays are fresh on every call.
     ArithmeticError names beta and M when the Mehler basis would exceed
     _MAX_BASIS functions; top_m, an integer (Python or numpy), may not
-    exceed it either.  RuntimeError names beta when the eigensolver
-    fails."""
+    exceed it either.  RuntimeError names beta when the eigensolver of
+    the Gram route fails; the Mehler route's U and inertia counts are in
+    closed form and call none."""
     if not isinstance(top_m, (int, np.integer)):
         raise ValueError(f"top_m must be an integer, got {top_m}")
     if not 1 <= top_m <= _MAX_BASIS:
@@ -291,43 +289,30 @@ def _gram_eigenvalues(beta: float, size: int) -> np.ndarray:
 
 
 def _mehler_basis(beta: float, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """lambda_j and U (size x 3) of the Mehler route.
+    """lambda_j and U (size x 3) of the Mehler route, in closed form.
 
-    The Hermite functions psi_j = n_j h_j are streamed as
-    h_(j+1) = gamma_j y h_j - h_(j-1), with n_0 = n_1 = 1 and
-    n_(j+1) = sqrt(j/(j+1)) n_(j-1): two elementwise operations per j,
-    _BASIS_BLOCK rows at a time, each block summed against the weighted
-    f_k in one einsum."""
+    By the generating function of the Hermite functions (DLMF 18.12.15),
+    sum_j psi_j(y) s^j / sqrt(j!) = pi^(-1/4) e^(-y^2/2 + sqrt(2) s y - s^2/2),
+    the series sum_j U_jk s^j / sqrt(j!) is a Gaussian integral: with
+    rho = -1/(8 A^2) and C = c^(1/4) / sqrt(A beta) it is C e^(rho s^2)
+    times 1, sqrt(c) s / A and (1/(2A) + c s^2 / A^2) / sqrt(2) for
+    k = 0, 1, 2.  With w_m = C rho^m sqrt((2m)!) / m!, one running
+    product whose ratio tends to 2 rho = -B^2, the nonzero entries are
+
+        U_(2m,0) = w_m,  U_(2m+1,1) = w_m sqrt((2m+1) c) / A,
+        U_(2m,2) = w_m (1/(2A) - 8 c m) / sqrt(2),
+
+    and every entry with j + k odd is exactly 0."""
     a, c, big_a, ratio, _ = _mehler_constants(beta)
     lam = math.sqrt(2.0 * a / big_a) * ratio ** np.arange(size)
-    x = np.arange(_GRID_NODES) * _GRID_STEP
-    weights = np.full(_GRID_NODES, 2.0 * _GRID_STEP)  # both halves of |x| <= 12
-    weights[[0, -1]] = _GRID_STEP
-    g = weights * np.exp(-(a + 0.5) * np.square(x)) / math.sqrt(math.sqrt(2.0 * math.pi) * beta)
-    features = np.stack([g, g * x, g * np.square(x) / math.sqrt(2.0)])
-    j = np.arange(size + 1.0)
-    norm = np.ones(size + 1)
-    steps = np.sqrt(j[1:-1] / j[2:])  # sqrt(j/(j+1)), j = 1..size-1
-    norm[2::2] = np.cumprod(steps[0::2])
-    norm[3::2] = np.cumprod(steps[1::2])
-    gamma = np.sqrt(2.0 / j[1:]) * norm[:-1] / norm[1:]
-    y = math.sqrt(2.0 * c) * x
-    rows = np.empty((_BASIS_BLOCK + 1, _GRID_NODES))
-    rows[0] = 0.0  # h_(-1)
-    rows[1] = np.exp(-0.5 * np.square(y)) / math.pi**0.25
-    u = np.empty((size, 3))
-    parity = (np.arange(size)[:, None] + np.arange(3)) % 2 == 0
-    for start in range(0, size, _BASIS_BLOCK - 1):
-        stop = min(start + _BASIS_BLOCK - 1, size)
-        if start:
-            rows[:2] = rows[-2:]  # h_(start-1) and h_start
-        slopes = np.multiply.outer(gamma[start:stop], y)
-        for i in range(stop - start):
-            np.multiply(slopes[i], rows[i + 1], out=rows[i + 2])
-            rows[i + 2] -= rows[i]
-        u[start:stop] = np.einsum("jx,kx->jk", rows[1:stop - start + 1], features)
-    u *= (math.sqrt(math.sqrt(2.0 * c)) * norm[:size])[:, None]
-    return lam, np.where(parity, u, 0.0)
+    m = np.arange((size + 1) // 2)
+    steps = -np.sqrt(2.0 * (2.0 * m[:-1] + 1.0) / (m[:-1] + 1.0)) / (8.0 * big_a * big_a)
+    w = np.cumprod(np.concatenate([[c**0.25 / math.sqrt(big_a * beta)], steps]))
+    u = np.zeros((size, 3))
+    u[0::2, 0] = w
+    u[1::2, 1] = (w * np.sqrt((2.0 * m + 1.0) * c) / big_a)[:size // 2]
+    u[0::2, 2] = w * (0.5 / big_a - 8.0 * c * m) / math.sqrt(2.0)
+    return lam, u
 
 
 def _mehler_eigenvalues(beta: float, size: int, top_m: int) -> np.ndarray:
@@ -346,15 +331,21 @@ def _mehler_eigenvalues(beta: float, size: int, top_m: int) -> np.ndarray:
 
 def _bisect(lam, u, index):
     """The eigenvalues of the given ranks of D - U U^T, all at once, for
-    _mehler_eigenvalues."""
-    rank = u.shape[1]
-    upper = np.triu_indices(rank)
-    pairs = u[:, upper[0]] * u[:, upper[1]]
+    _mehler_eigenvalues.
+
+    By the parity of U, I_3 - U^T (D - t)^-1 U is 1 - q_1 beside the
+    2 x 2 block [[1 - q_0, -q_3], [-q_3, 1 - q_2]], where q sums
+    u_0^2, u_1^2, u_2^2 and u_0 u_2 over lambda_j - t; the block has 2
+    positive eigenvalues if its determinant and trace are positive, 1 if
+    the determinant is negative, or is 0 with a positive trace, and else
+    none."""
+    pairs = np.stack([np.square(u[:, 0]), np.square(u[:, 1]), np.square(u[:, 2]),
+                      u[:, 0] * u[:, 2]])
     falling = -lam
-    pad = np.concatenate([lam, np.zeros(rank + index[-1] + 1)])
-    lo, hi = pad[index + rank].copy(), pad[index].copy()
+    pad = np.concatenate([lam, np.zeros(index[-1] + 4)])
+    lo, hi = pad[index + 3].copy(), pad[index].copy()
     # the only lambda_j inside (lo, hi), where D - t is singular
-    poles = pad[index[:, None] + np.arange(1, rank)]
+    poles = pad[index[:, None] + np.arange(1, 3)]
     buffer = np.empty((index.size, lam.size))
     while True:
         t = 0.5 * (lo + hi)
@@ -364,15 +355,13 @@ def _bisect(lam, u, index):
         if not live.any():
             return hi
         tl = t[live]
-        schur = np.zeros((tl.size, rank, rank))
         inverse = np.subtract(lam, tl[:, None], out=buffer[:tl.size])
         np.divide(1.0, inverse, out=inverse)
-        sums = np.einsum("jp,tj->tp", pairs, inverse)
-        schur[:, upper[0], upper[1]] = -sums
-        schur[:, upper[1], upper[0]] = -sums
-        schur[:, range(rank), range(rank)] += 1.0
-        positive = np.count_nonzero(np.linalg.eigvalsh(schur) > 0.0, axis=1)
-        above = np.searchsorted(falling, -tl) + positive - rank > index[live]
+        q = np.einsum("pj,tj->pt", pairs, inverse)
+        trace = 2.0 - q[0] - q[2]
+        det = (1.0 - q[0]) * (1.0 - q[2]) - np.square(q[3])
+        positive = (q[1] < 1.0) + np.where(det < 0.0, 1, (trace > 0.0) * (1 + (det > 0.0)))
+        above = np.searchsorted(falling, -tl) + positive - 3 > index[live]
         lo[live] = np.where(above, tl, lo[live])
         hi[live] = np.where(above, hi[live], tl)
 
@@ -564,16 +553,22 @@ def null_pvalue(
     (operator_spectrum) or sampled (nystrom_spectrum), are simulated,
     and the discarded tail is compensated by a deterministic mean shift
     equal to its trace minus their sum.  The approximation matches the
-    first moment of the full limit law but slightly understates its
-    spread.
+    first moment of the full limit law but not its spread: at the full
+    law's 5% point it gives 0.0499 at beta 1, 0.0443 at 5, 0.0318 at 10
+    and 0.0030 at 50 (top_m = 5), so the test is anticonservative from
+    beta 5 up.
 
     The draws are memoized per process by (the bytes of the clipped
     eigenvalues, the shift, mc_samples, seed) when mc_samples is at
     most _MC_KEEP_LIMIT, up to _MC_CACHE_SIZE keys, as read-only arrays;
     a hit gives the p-value a miss gives, bit for bit.  A larger
     mc_samples is drawn chunk by chunk on every call and keeps nothing.
-    A NaN statistic raises ValueError; +inf gives 0.
+    mc_samples and seed must be integers (Python or numpy); anything
+    else raises ValueError, as does a NaN statistic; +inf gives 0.
     """
+    for name, value in (("mc_samples", mc_samples), ("seed", seed)):
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value}")
     if mc_samples < 1:
         raise ValueError("mc_samples must be at least 1")
     if seed < 0:

@@ -3,7 +3,8 @@
 The three Gaussian smoothing identities are the closed forms that the
 quadrature engine is checked against; ecf_distance_oracle is the
 statistic's defining integral, evaluated by that engine; grid_spectrum
-is the operator's spectrum on a deterministic grid.
+is the operator's spectrum on a deterministic grid; mehler_basis is the
+Mehler route's basis by quadrature.
 """
 
 import math
@@ -12,6 +13,7 @@ import numpy as np
 
 from eppspulley.backend import kernel
 from eppspulley.quadrature import QuadratureConfig, integrate_1d, panel_rule
+from eppspulley.spectral import _mehler_constants
 from eppspulley.statistic import Sample, scaled_residuals
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -72,3 +74,47 @@ def grid_spectrum(beta, panels):
     x, w = panel_rule(9.0 * beta, panels)
     root = np.sqrt(w * np.exp(-0.5 * np.square(x / beta)) / (beta * SQRT_2PI))
     return np.linalg.eigvalsh(root[:, None] * kernel(x[:, None], x) * root)[::-1]
+
+
+def mehler_basis(beta, size):
+    """lambda_j and U (size x 3) of the Mehler route by quadrature: U_jk
+    is the trapezoid rule with step 0.05 on |x| <= 12, on x >= 0 by
+    parity, of e_j sqrt(phi_beta) f_k.
+
+    The Hermite functions psi_j = n_j h_j are streamed as
+    h_(j+1) = gamma_j y h_j - h_(j-1), with n_0 = n_1 = 1 and
+    n_(j+1) = sqrt(j/(j+1)) n_(j-1): two elementwise operations per j,
+    512 rows at a time, each block summed against the weighted f_k in
+    one einsum.  The rule converges geometrically for these entire
+    integrands (Trefethen & Weideman, SIAM Rev. 56, 2014)."""
+    step, nodes, block = 0.05, 241, 512
+    a, c, big_a, ratio, _ = _mehler_constants(beta)
+    lam = math.sqrt(2.0 * a / big_a) * ratio ** np.arange(size)
+    x = np.arange(nodes) * step
+    weights = np.full(nodes, 2.0 * step)  # both halves of |x| <= 12
+    weights[[0, -1]] = step
+    g = weights * np.exp(-(a + 0.5) * np.square(x)) / math.sqrt(math.sqrt(2.0 * math.pi) * beta)
+    features = np.stack([g, g * x, g * np.square(x) / math.sqrt(2.0)])
+    j = np.arange(size + 1.0)
+    norm = np.ones(size + 1)
+    steps = np.sqrt(j[1:-1] / j[2:])  # sqrt(j/(j+1)), j = 1..size-1
+    norm[2::2] = np.cumprod(steps[0::2])
+    norm[3::2] = np.cumprod(steps[1::2])
+    gamma = np.sqrt(2.0 / j[1:]) * norm[:-1] / norm[1:]
+    y = math.sqrt(2.0 * c) * x
+    rows = np.empty((block + 1, nodes))
+    rows[0] = 0.0  # h_(-1)
+    rows[1] = np.exp(-0.5 * np.square(y)) / math.pi**0.25
+    u = np.empty((size, 3))
+    parity = (np.arange(size)[:, None] + np.arange(3)) % 2 == 0
+    for start in range(0, size, block - 1):
+        stop = min(start + block - 1, size)
+        if start:
+            rows[:2] = rows[-2:]  # h_(start-1) and h_start
+        slopes = np.multiply.outer(gamma[start:stop], y)
+        for i in range(stop - start):
+            np.multiply(slopes[i], rows[i + 1], out=rows[i + 2])
+            rows[i + 2] -= rows[i]
+        u[start:stop] = np.einsum("jx,kx->jk", rows[1:stop - start + 1], features)
+    u *= (math.sqrt(math.sqrt(2.0 * c)) * norm[:size])[:, None]
+    return lam, np.where(parity, u, 0.0)

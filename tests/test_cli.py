@@ -576,10 +576,11 @@ def test_eigensolver_failure_exit_code(monkeypatch):
     assert "eigensolver failed in run 0" in str(excinfo.value)
 
 
-@pytest.mark.parametrize("beta", ["0.5", "2"])
+@pytest.mark.parametrize("beta", ["0.5"])
 def test_exact_eigensolver_failure_exit_code(capsys, datafile, monkeypatch, beta):
     # a LinAlgError is a ValueError, which would read as a usage error;
-    # the failure is not cached, so the second command solves again
+    # the failure is not cached, so the second command solves again.
+    # Only the Gram route (beta <= 1) calls an eigensolver
     calls = _failing_eigensolver(monkeypatch)
     for argv in (["pvalue", datafile("1\n2\n4\n"), "--beta", beta], ["eigen", "--beta", beta]):
         before = len(calls)

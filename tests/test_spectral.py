@@ -30,7 +30,7 @@ from eppspulley.spectral import (
     truncation,
 )
 from eppspulley.statistic import TuningParam
-from oracles import grid_spectrum
+from oracles import grid_spectrum, mehler_basis
 
 
 def _kernel_decimal(s: float, t: float) -> float:
@@ -430,12 +430,33 @@ class TestOperatorSpectrum:
         grid = grid_spectrum(beta, _grid_panels(beta))[:5]
         assert np.max(np.abs(sp.eigenvalues - grid)) <= 1e-12 * sp.eigenvalues[0]
 
-    @pytest.mark.parametrize("beta", [10.0, 50.0])
+    @pytest.mark.parametrize("beta", [1.0001, 2.0, 10.0, 50.0])
     def test_bisection_matches_dense_solve(self, beta):
         sp = operator_spectrum(TuningParam(beta), top_m=12)
         lam, u = spectral._mehler_basis(beta, sp.basis_size)
         dense = np.linalg.eigvalsh(np.diag(lam) - u @ u.T)[::-1][:12]
         assert np.max(np.abs(sp.eigenvalues - dense)) <= 1e-13 * sp.eigenvalues[0]
+
+    @pytest.mark.parametrize("beta", [1.0001, 1.5, 2.0, 3.0, 5.0, 10.0, 50.0, 300.0])
+    def test_closed_form_basis_matches_quadrature(self, beta):
+        size = truncation(TuningParam(beta)).basis_size
+        lam, u = spectral._mehler_basis(beta, size)
+        lam_grid, u_grid = mehler_basis(beta, size)
+        assert lam.tobytes() == lam_grid.tobytes()
+        assert np.max(np.abs(u - u_grid)) <= 1e-14 * np.max(np.abs(u_grid))
+        # exactly 0 off parity, where the bisection's count relies on it
+        even = (np.arange(size)[:, None] + np.arange(3)) % 2 == 0
+        assert np.array_equal(u != 0.0, even)
+
+    def test_mehler_route_calls_no_eigensolver(self, monkeypatch):
+        def fail(matrix):
+            raise np.linalg.LinAlgError("did not converge")
+
+        expected = operator_spectrum(TuningParam(2.0)).eigenvalues
+        spectral._solved.cache_clear()
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        sp = operator_spectrum(TuningParam(2.0))
+        assert sp.method == "mehler" and sp.eigenvalues.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("beta", [1e-3, 0.25, 1.0, 1.5, 3.0, 10.0, 50.0])
     def test_basis_trace_is_the_operator_trace(self, beta):
@@ -605,10 +626,10 @@ class TestOperatorSpectrumMemo:
         def fail(matrix):
             raise np.linalg.LinAlgError("did not converge")
 
-        tp = TuningParam(2.0)
+        tp = TuningParam(0.5)
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "eigvalsh", fail)
-            with pytest.raises(RuntimeError, match="eigensolver failed at beta=2: did not converge"):
+            with pytest.raises(RuntimeError, match="eigensolver failed at beta=0.5: did not converge"):
                 operator_spectrum(tp)
         assert spectral._solved.cache_info().currsize == 0
         assert operator_spectrum(tp).eigenvalues[0] > 0.0
@@ -679,6 +700,15 @@ class TestNullPvalue:
             null_pvalue(0.3, spectrum, 0)
         with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
             null_pvalue(0.3, spectrum, 10, seed=-1)
+        # int() would truncate them to the draws of mc_samples=1000, seed=2
+        with pytest.raises(ValueError, match="mc_samples must be an integer, got 1000.7"):
+            null_pvalue(0.3, spectrum, 1000.7)
+        with pytest.raises(ValueError, match="seed must be an integer, got 2.9"):
+            null_pvalue(0.3, spectrum, 1000, seed=2.9)
+        with pytest.raises(ValueError, match="mc_samples must be an integer, got 1000.0"):
+            null_pvalue(0.3, spectrum, np.float64(1000.0))
+        assert null_pvalue(0.3, spectrum, np.int64(1000), seed=np.int32(2)) == null_pvalue(
+            0.3, spectrum, 1000, seed=2)
 
     def test_nan_statistic_is_rejected(self, spectrum):
         # every comparison with NaN is false, which would read as p = 0
