@@ -45,22 +45,35 @@ basis decay faster, their squares as B^(2j), and move an eigenvalue
 only at second order.  U is in closed form: by the generating function
 of the Hermite functions (DLMF 18.12.15) each column's series in j is a
 Gaussian integral, whose coefficients are one running product (see
-_mehler_basis), and U_jk = 0 unless j + k is even.  Each top eigenvalue
-i lies in [lambda_(i+3), lambda_i] (interlacing) and is found by
-bisection on the count of eigenvalues above t, which by Haynsworth's
-inertia additivity (Linear Algebra Appl. 1, 1968) is #{lambda_j > t}
-plus the positive eigenvalues of I_3 - U^T (D - t)^-1 U, minus 3.  By
-U's parity that matrix is a 1 x 1 block beside a 2 x 2 block, whose
-positive eigenvalues follow from the signs of its determinant and
-trace: O(M) per count, with elementwise sums and no matrix product or
-eigensolver.  The ranks are bisected in blocks, so a step's (ranks x M)
-buffer stays within 8 MiB at any top_m.  M grows like 37 beta; above
-_MAX_BASIS the call raises ArithmeticError naming beta and M.  Below
-beta = 1 the Mehler form cancels O(1) terms as lambda1 falls like
-beta^6 (its lambda1 is off by 5e-14 relative at beta = 0.25 and 4e-13
-at 0.1), so the routes meet at beta = 1, where they agree within 1e-15
-of lambda1.  A failing eigensolver raises RuntimeError naming beta; only
-the Gram route calls one.
+_mehler_basis), and U_jk = 0 unless j + k is even.  Eigenvalue i lies
+in [lambda_(i+3), lambda_i] (interlacing; -|U|^2 past the basis), and
+by Haynsworth's inertia additivity (Linear Algebra Appl. 1, 1968) the
+count of eigenvalues above t is #{lambda_j > t} plus the positive
+eigenvalues of I_3 - U^T (D - t)^-1 U, minus 3.  By U's parity that
+matrix is 1 - q_1 beside a 2 x 2 block, whose positive eigenvalues
+follow from the signs of its determinant and trace: O(M) per count,
+with elementwise sums and no matrix product or eigensolver.  Each step
+counts at one t and moves the rank's bracket end on t's side to t,
+until the ends are adjacent floats; the upper one is the eigenvalue.  t
+is the midpoint (or beside a lambda_j inside, on its wider side) for 4
+steps and until the bracket holds no lambda_j and one eigenvalue, then
+a Newton step on g = 1 - q_1, the rank-one secular function (Bunch,
+Nielsen & Sorensen, Numer. Math. 31, 1978), if its sign differs between
+the ends, else on g = the 2 x 2 determinant, each times (p - t)(t - r)
+for g's poles p and r about t.  A Newton step that fails to halve
+gives way to the midpoint (or, a few ulps long, is doubled), one that
+leaves the bracket or stays at t to a probe across the root, and once
+a probe from t crosses, the rank is bisected: rounding decides the
+count there.
+The top 5 ranks take 9 to 11 counts each at the table's betas, against
+about 52 for bisection.  Ranks are solved in blocks, so a step's
+(ranks x M) buffer stays within 8 MiB at any top_m.  M grows like
+37 beta; above _MAX_BASIS the call raises ArithmeticError naming beta
+and M.  Below beta = 1 the Mehler form cancels O(1) terms as lambda1
+falls like beta^6 (its lambda1 is off by 5e-14 relative at beta = 0.25
+and 4e-13 at 0.1), so the routes meet at beta = 1, where they agree
+within 1e-15 of lambda1.  A failing eigensolver raises RuntimeError
+naming beta; only the Gram route calls one.
 
 A solve depends on beta and the number of ranks alone, and each rank
 is solved on its own, so the first k eigenvalues of a solve are those of
@@ -71,11 +84,11 @@ keys, and returns the first top_m of it as a fresh result with fresh
 arrays on every call: table1's top-5 solves serve table2's lambda1.  An
 entry holds max(top_m, 5) doubles and four numbers, under 1 KB at
 top_m <= 5 and 1 MiB at the largest top_m, _MAX_BASIS, so the cache
-never holds more than 16 MiB.  A solve takes 0.15-0.85 ms on the Gram
-route and 1.8-3.3 ms on the Mehler route at beta 1.5 to 50, nearly all
-of it about 52 bisection steps; a lambda1 alone pays for 5 ranks, 6-13%
-more than for 1 on the Mehler route at beta 2 to 10 and 2.5x at 300.
-A failed solve is not cached.
+never holds more than 16 MiB.  A solve takes 0.11-0.59 ms on the Gram
+route and 0.8-1.2 ms on the Mehler route at beta 1.5 to 50 (about 10
+counts per rank); a lambda1 alone pays for 5 ranks, 16-34% more than
+for 1 on the Mehler route at beta 2 to 10 and 2.1x at 300.  A failed
+solve is not cached.
 
 The sampled estimate.  nystrom_spectrum samples N points from the
 weight, forms the matrix G = (K(y_i, y_j)/N), and takes its
@@ -120,6 +133,7 @@ _MC_NORMALS = 2^20 (8 MiB), whatever top_m is.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -168,9 +182,9 @@ _EPS = float(np.finfo(np.float64).eps)
 # the Mehler basis, and the largest basis operator_spectrum builds.
 _MEHLER_DECADES = 16.0 * math.log(10.0)
 _MAX_BASIS = 1 << 17
-# Most elements of the (ranks x M) buffer of the Mehler bisection,
-# 8 MiB of doubles.
-_BISECT_ELEMENTS = 1 << 20
+# Most elements of the (ranks x M) buffer of a Mehler root step, 8 MiB
+# of doubles.
+_BLOCK_ELEMENTS = 1 << 20
 
 
 class Truncation(NamedTuple):
@@ -236,11 +250,11 @@ def operator_spectrum(tp: TuningParam, top_m: int = 5) -> OperatorSpectrum:
     Solved once per (beta, max(top_m, 5)) per process, so any top_m up
     to 5 shares one solve; the returned arrays are fresh on every call.
     ArithmeticError names beta and M when the Mehler basis would exceed
-    _MAX_BASIS functions; top_m, an integer (Python or numpy), may not
-    exceed it either.  RuntimeError names beta when the eigensolver of
-    the Gram route fails; the Mehler route's U and inertia counts are in
-    closed form and call none."""
-    if not isinstance(top_m, (int, np.integer)):
+    _MAX_BASIS functions; top_m, an integer (Python or numpy, not a
+    bool), may not exceed it either.  RuntimeError names beta when the
+    eigensolver of the Gram route fails; the Mehler route's U and inertia
+    counts are in closed form and call none."""
+    if isinstance(top_m, bool) or not isinstance(top_m, (int, np.integer)):
         raise ValueError(f"top_m must be an integer, got {top_m}")
     if not 1 <= top_m <= _MAX_BASIS:
         raise ValueError(f"top_m must be between 1 and {_MAX_BASIS}, got {top_m}")
@@ -316,54 +330,103 @@ def _mehler_basis(beta: float, size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _mehler_eigenvalues(beta: float, size: int, top_m: int) -> np.ndarray:
-    """The top min(top_m, size) eigenvalues of D - U U^T, each by
-    bisection on [lambda_(i+3), lambda_i] (0 past the basis) down to
-    adjacent floats; each is the upper end of its final interval.  The
-    ranks are bisected in blocks of max(1, _BISECT_ELEMENTS // size), so
+    """The top min(top_m, size) eigenvalues of D - U U^T, each the upper
+    end of a bracket narrowed by the count down to adjacent floats.  The
+    ranks are solved in blocks of max(1, _BLOCK_ELEMENTS // size), so
     that the (ranks x size) buffer of a step takes at most 8 MiB whatever
     top_m is; no rank's steps depend on the others in its block."""
     lam, u = _mehler_basis(beta, size)
     count = min(top_m, size)
-    block = max(1, _BISECT_ELEMENTS // size)
-    return np.concatenate([_bisect(lam, u, np.arange(start, min(start + block, count)))
+    block = max(1, _BLOCK_ELEMENTS // size)
+    return np.concatenate([_roots(lam, u, np.arange(start, min(start + block, count)))
                            for start in range(0, count, block)])
 
 
-def _bisect(lam, u, index):
+def _roots(lam, u, index):
     """The eigenvalues of the given ranks of D - U U^T, all at once, for
-    _mehler_eigenvalues.
-
-    By the parity of U, I_3 - U^T (D - t)^-1 U is 1 - q_1 beside the
-    2 x 2 block [[1 - q_0, -q_3], [-q_3, 1 - q_2]], where q sums
-    u_0^2, u_1^2, u_2^2 and u_0 u_2 over lambda_j - t; the block has 2
-    positive eigenvalues if its determinant and trace are positive, 1 if
-    the determinant is negative, or is 0 with a positive trace, and else
-    none."""
+    _mehler_eigenvalues, by the steps of the module docstring.  q sums
+    u_0^2, u_1^2, u_2^2 and u_0 u_2 over lambda_j - t, and the 2 x 2
+    block [[1 - q_0, -q_3], [-q_3, 1 - q_2]] has 2 positive eigenvalues
+    if its determinant and trace are positive, 1 if the determinant is
+    negative, or is 0 with a positive trace, and else none."""
     pairs = np.stack([np.square(u[:, 0]), np.square(u[:, 1]), np.square(u[:, 2]),
                       u[:, 0] * u[:, 2]])
     falling = -lam
-    pad = np.concatenate([lam, np.zeros(index[-1] + 4)])
-    lo, hi = pad[index + 3].copy(), pad[index].copy()
-    # the only lambda_j inside (lo, hi), where D - t is singular
-    poles = pad[index[:, None] + np.arange(1, 3)]
+    # past the basis a bracket starts at -|U|^2, below every eigenvalue
+    pad = np.concatenate([lam, np.full(index[-1] + 4, -np.sum(pairs[:3]))])
+    poles = np.concatenate([lam, np.full(3, -np.inf)])
+    out = np.empty(index.size)
+    rank, lo, hi = index, pad[index + 3], pad[index]
+    # lambda_j and eigenvalues above each end, and the sign of 1 - q_1
+    # there; the first ends are poles, with counts that match no other
+    p_lo, p_hi, c_lo, c_hi = index + 3, index, index + 4, index - 1
+    o_lo = o_hi = block = isolated = settled = np.zeros(index.size, dtype=bool)
+    last, grow, sweep = np.full(index.size, np.inf), np.ones(index.size), np.zeros(index.size)
+    t = 0.5 * (lo + hi)
     buffer = np.empty((index.size, lam.size))
-    while True:
-        t = 0.5 * (lo + hi)
-        on_pole = np.any(t[:, None] == poles, axis=1)
-        t[on_pole] = np.nextafter(t[on_pole], hi[on_pole])
+    for step in itertools.count():
+        n = np.searchsorted(falling, -t)
+        hit = pad[n] == t  # D - t is singular there
+        if hit.any():
+            t[hit] = np.nextafter(t[hit], hi[hit])
         live = (lo < t) & (t < hi)
-        if not live.any():
-            return hi
-        tl = t[live]
-        inverse = np.subtract(lam, tl[:, None], out=buffer[:tl.size])
+        if not live.all():
+            out[rank[~live] - index[0]] = hi[~live]
+            if not live.any():
+                return out
+            (rank, lo, hi, t, n, p_lo, p_hi, c_lo, c_hi, o_lo, o_hi, block, isolated, settled,
+             last, grow, sweep) = (a[live] for a in (rank, lo, hi, t, n, p_lo, p_hi, c_lo, c_hi,
+                                                     o_lo, o_hi, block, isolated, settled, last,
+                                                     grow, sweep))
+        inverse = np.subtract(lam, t[:, None], out=buffer[:t.size])
         np.divide(1.0, inverse, out=inverse)
         q = np.einsum("pj,tj->pt", pairs, inverse)
         trace = 2.0 - q[0] - q[2]
-        det = (1.0 - q[0]) * (1.0 - q[2]) - np.square(q[3])
-        positive = (q[1] < 1.0) + np.where(det < 0.0, 1, (trace > 0.0) * (1 + (det > 0.0)))
-        above = np.searchsorted(falling, -tl) + positive - 3 > index[live]
-        lo[live] = np.where(above, tl, lo[live])
-        hi[live] = np.where(above, hi[live], tl)
+        f0, f1, f2 = 1.0 - q[:3]
+        det = f0 * f2 - np.square(q[3])
+        odd = q[1] < 1.0
+        rising = trace > 0.0
+        count = n - 3 + odd + ((det < 0.0) | rising) + ((det > 0.0) & rising)
+        above = count > rank
+        lo, hi = np.where(above, t, lo), np.where(above, hi, t)
+        mid = 0.5 * (lo + hi)
+        if not isolated.all():
+            p_lo, p_hi = np.where(above, n, p_lo), np.where(above, p_hi, n)
+            c_lo, c_hi = np.where(above, count, c_lo), np.where(above, c_hi, count)
+            o_lo, o_hi = np.where(above, odd, o_lo), np.where(above, o_hi, odd)
+            block = np.where(isolated, block, o_lo != o_hi)
+            isolated = isolated | ((p_lo == p_hi) & (c_lo - c_hi == 1))
+            # a root beside a lambda_j inside is isolated from its wider side
+            pole = pad[p_hi]
+            mid = np.where((lo < pole) & (pole < hi),
+                           pole + 0.125 * np.where(mid > pole, hi - pole, lo - pole), mid)
+        settled = settled | (sweep * (above - 0.5) < 0.0)
+        newton = isolated & ~settled
+        # few ranks are isolated sooner, and a step that takes no Newton step costs half
+        if step < 4 or not newton.any():
+            t = mid
+            continue
+        dq = np.einsum("pj,tj->pt", pairs, np.square(inverse, out=inverse))
+        g = np.where(block, f1, det)
+        slope = np.where(block, dq[1], dq[0] * f2 + f0 * dq[2] + 2.0 * q[3] * dq[3])  # -g'
+        # g's poles about t: the last lambda_j of g's parity above t, and the next
+        up = n - 1 - (n - 1 - block) % 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            y = t + g / (slope - g * (1.0 / (t - poles[up + 2]) - 1.0 / (poles[up] - t)))
+        # probes start from the end nearest y
+        z = np.fmin(np.fmax(y, lo), hi)
+        side = np.subtract(z == lo, z == hi, dtype=float)
+        y = z + side * grow * np.fmax(np.abs(y - z), np.spacing(z))
+        length = np.abs(y - t)
+        # a step of a few ulps that fails to halve is rounding: it is doubled
+        slow = (side == 0.0) & (length > last) & (length <= 4.0 * np.spacing(t))
+        y = np.where(slow, 2.0 * y - t, y)
+        probe = (side != 0.0) | slow
+        good = (lo < y) & (y < hi) & (probe | (length <= last)) & newton
+        sweep = np.where(good & (z == t), side, 0.0)
+        grow = np.where(probe, np.where(good, 4.0 * grow, grow), 1.0)
+        last = np.where(good & ~probe, 0.5 * length, np.inf)
+        t = np.where(good, y, mid)
 
 
 @dataclass(frozen=True, eq=False)
@@ -414,11 +477,11 @@ def nystrom_spectrum(
     Each run draws its nodes from a dedicated child stream of the master
     seed, so runs are independent yet individually reproducible, and the
     per-run spectra are bit-identical for identical arguments.
-    n_points, runs, seed and top_m must be integers (Python or numpy);
-    anything else raises ValueError.
+    n_points, runs, seed and top_m must be integers (Python or numpy,
+    not bools); anything else raises ValueError.
     """
     for name, value in (("n_points", n_points), ("runs", runs), ("seed", seed), ("top_m", top_m)):
-        if not isinstance(value, (int, np.integer)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {value}")
     if n_points < 100:
         raise ValueError("n_points must be at least 100")
@@ -563,11 +626,12 @@ def null_pvalue(
     most _MC_KEEP_LIMIT, up to _MC_CACHE_SIZE keys, as read-only arrays;
     a hit gives the p-value a miss gives, bit for bit.  A larger
     mc_samples is drawn chunk by chunk on every call and keeps nothing.
-    mc_samples and seed must be integers (Python or numpy); anything
-    else raises ValueError, as does a NaN statistic; +inf gives 0.
+    mc_samples and seed must be integers (Python or numpy, not bools);
+    anything else raises ValueError, as does a NaN statistic; +inf
+    gives 0.
     """
     for name, value in (("mc_samples", mc_samples), ("seed", seed)):
-        if not isinstance(value, (int, np.integer)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {value}")
     if mc_samples < 1:
         raise ValueError("mc_samples must be at least 1")

@@ -30,7 +30,7 @@ from eppspulley.spectral import (
     truncation,
 )
 from eppspulley.statistic import TuningParam
-from oracles import grid_spectrum, mehler_basis
+from oracles import grid_spectrum, mehler_basis, mehler_bisection
 
 
 def _kernel_decimal(s: float, t: float) -> float:
@@ -246,7 +246,8 @@ class TestNystromSpectrum:
             nystrom_spectrum(tp, 200, 2, seed=-3)
         # int() would truncate a float count, and a float cannot size or slice an array
         for kwargs in ({"n_points": 150.5}, {"runs": 1.5}, {"runs": 2.0}, {"top_m": 1.5},
-                       {"top_m": 2.5}, {"seed": 7.5}):
+                       {"top_m": 2.5}, {"seed": 7.5}, {"top_m": True}, {"runs": np.True_},
+                       {"seed": False}):
             name, value = next(iter(kwargs.items()))
             with pytest.raises(ValueError, match=f"{name} must be an integer, got {value}"):
                 nystrom_spectrum(tp, **{"n_points": 200, "runs": 2, **kwargs})
@@ -444,7 +445,7 @@ class TestOperatorSpectrum:
         lam_grid, u_grid = mehler_basis(beta, size)
         assert lam.tobytes() == lam_grid.tobytes()
         assert np.max(np.abs(u - u_grid)) <= 1e-14 * np.max(np.abs(u_grid))
-        # exactly 0 off parity, where the bisection's count relies on it
+        # exactly 0 off parity, where the inertia count relies on it
         even = (np.arange(size)[:, None] + np.arange(3)) % 2 == 0
         assert np.array_equal(u != 0.0, even)
 
@@ -517,22 +518,37 @@ class TestOperatorSpectrum:
         for top_m in (0, spectral._MAX_BASIS + 1):
             with pytest.raises(ValueError, match=f"top_m must be between 1 and 131072, got {top_m}"):
                 operator_spectrum(TuningParam(1.0), top_m=top_m)
-        # a float passes the range check but cannot slice the solve
-        for top_m in (2.5, 5.0):
+        # a float passes the range check but cannot slice the solve, and a
+        # bool would pass it as 1
+        for top_m in (2.5, 5.0, True, np.True_):
             with pytest.raises(ValueError, match=f"top_m must be an integer, got {top_m}"):
                 operator_spectrum(TuningParam(1.0), top_m=top_m)
         assert operator_spectrum(TuningParam(1.0), top_m=np.int64(2)).eigenvalues.size == 2
 
 
-class TestMehlerBisection:
-    """The ranks are bisected in blocks whose buffer stays within 8 MiB."""
+def _synthetic_basis(lam2: float, u11: float) -> tuple[np.ndarray, np.ndarray]:
+    """A small D and U with the parity of the Mehler basis, whose rank 0
+    starts in [lambda_3, lambda_0] = [1, 4]: its first midpoint is
+    lambda_2 when lam2 = 2.5, and a tiny u11 puts a root an ulp from
+    lambda_1."""
+    lam = np.array([4.0, 3.0, lam2, 1.0, 0.5, 0.25])
+    u = np.zeros((6, 3))
+    u[0::2, 0] = [0.6, 0.3, 0.2]
+    u[1::2, 1] = [u11, 0.4, 0.1]
+    u[0::2, 2] = [0.2, -0.3, 0.1]
+    return lam, u
+
+
+class TestMehlerRoots:
+    """The Mehler ranks, solved in blocks whose buffer stays within 8 MiB,
+    against the bisection they replaced and a dense solve."""
 
     def test_blocks_give_the_unblocked_bits(self, monkeypatch):
         beta = 30.0
         size = truncation(TuningParam(beta)).basis_size
-        assert spectral._BISECT_ELEMENTS // size < size
+        assert spectral._BLOCK_ELEMENTS // size < size
         blocked = spectral._mehler_eigenvalues(beta, size, size)
-        monkeypatch.setattr(spectral, "_BISECT_ELEMENTS", size * size)
+        monkeypatch.setattr(spectral, "_BLOCK_ELEMENTS", size * size)
         assert spectral._mehler_eigenvalues(beta, size, size).tobytes() == blocked.tobytes()
 
     def test_memory_bounded_at_any_top_m(self):
@@ -545,6 +561,47 @@ class TestMehlerBisection:
             tracemalloc.stop()
         assert sp.basis_size < 4000 and np.all(sp.eigenvalues[sp.basis_size:] == 0.0)
         assert peak < 12 * 2**20
+
+    @pytest.mark.parametrize("beta", [1.0001, 1.5, 2.0, 3.0, 5.0, 10.0, 50.0, 300.0, 3000.0])
+    def test_matches_the_bisection_oracle(self, beta):
+        size = truncation(TuningParam(beta)).basis_size
+        lam, u = spectral._mehler_basis(beta, size)
+        want = mehler_bisection(lam, u, np.arange(20))
+        got = spectral._mehler_eigenvalues(beta, size, 20)
+        assert np.max(np.abs(got - want)) <= 1e-15 * want[0]
+
+    def test_every_rank_of_a_small_basis(self):
+        # M = 39: the brackets of the last three ranks reach below 0, where
+        # the oracle's stop at 0, so a negative root is clipped either way
+        sp = operator_spectrum(TuningParam(1.0001), top_m=44)
+        assert sp.basis_size == 39
+        lam, u = spectral._mehler_basis(1.0001, 39)
+        want = np.maximum(mehler_bisection(lam, u, np.arange(39)), 0.0)
+        assert np.all(np.diff(sp.eigenvalues) <= 0.0) and np.all(sp.eigenvalues >= 0.0)
+        assert np.all(sp.eigenvalues[39:] == 0.0)
+        assert np.max(np.abs(sp.eigenvalues[:39] - want)) <= 1e-15 * want[0]
+
+    def test_near_degenerate_pair(self):
+        # near the cap the top two roots, one odd and one even, are 1.6e-6
+        # apart relative; each is isolated from the other and found
+        beta = 3557.0
+        size = truncation(TuningParam(beta)).basis_size
+        lam, u = spectral._mehler_basis(beta, size)
+        want = mehler_bisection(lam, u, np.arange(2))
+        got = spectral._mehler_eigenvalues(beta, size, 2)
+        assert 0.0 < got[0] - got[1] < 2e-6 * got[0]
+        assert np.max(np.abs(got - want)) <= 1e-15 * want[0]
+
+    @pytest.mark.parametrize("lam2, u11", [(2.5, 0.5), (np.nextafter(2.5, 0.0), 0.5), (2.5, 1e-9)])
+    def test_steps_onto_and_beside_a_pole(self, lam2, u11):
+        # a t on a pole moves to the next float, where the count is an ulp
+        # from it; a tiny u11 keeps a root, and the Newton steps for it,
+        # within an ulp of lambda_1; pyproject makes a RuntimeWarning fail
+        lam, u = _synthetic_basis(lam2, u11)
+        got = spectral._roots(lam, u, np.arange(6))
+        dense = np.linalg.eigvalsh(np.diag(lam) - u @ u.T)[::-1]
+        assert np.max(np.abs(got - mehler_bisection(lam, u, np.arange(6)))) <= 1e-15 * got[0]
+        assert np.max(np.abs(got - dense)) <= 1e-15 * got[0]
 
 
 class TestOperatorSpectrumMemo:
@@ -707,6 +764,11 @@ class TestNullPvalue:
             null_pvalue(0.3, spectrum, 1000, seed=2.9)
         with pytest.raises(ValueError, match="mc_samples must be an integer, got 1000.0"):
             null_pvalue(0.3, spectrum, np.float64(1000.0))
+        # a bool would count as one draw
+        with pytest.raises(ValueError, match="mc_samples must be an integer, got True"):
+            null_pvalue(0.3, spectrum, mc_samples=True, seed=False)
+        with pytest.raises(ValueError, match="seed must be an integer, got False"):
+            null_pvalue(0.3, spectrum, 10, seed=np.False_)
         assert null_pvalue(0.3, spectrum, np.int64(1000), seed=np.int32(2)) == null_pvalue(
             0.3, spectrum, 1000, seed=2)
 
