@@ -132,7 +132,8 @@ class QuadratureConfig:
             raise ValueError("tol must be positive and finite")
         if not (8.0 <= self.truncation_radius and self.truncation_radius * self.truncation_radius < math.inf):
             raise ValueError("truncation_radius must be at least 8, with a finite square")
-        if not (isinstance(self.max_subdivisions, (int, np.integer)) and self.max_subdivisions >= 1):
+        budget = self.max_subdivisions
+        if isinstance(budget, bool) or not (isinstance(budget, (int, np.integer)) and budget >= 1):
             raise ValueError("max_subdivisions must be an integer of at least 1")
 
     def allowed(self, value: float) -> float:

@@ -45,35 +45,38 @@ basis decay faster, their squares as B^(2j), and move an eigenvalue
 only at second order.  U is in closed form: by the generating function
 of the Hermite functions (DLMF 18.12.15) each column's series in j is a
 Gaussian integral, whose coefficients are one running product (see
-_mehler_basis), and U_jk = 0 unless j + k is even.  Eigenvalue i lies
-in [lambda_(i+3), lambda_i] (interlacing; -|U|^2 past the basis), and
-by Haynsworth's inertia additivity (Linear Algebra Appl. 1, 1968) the
-count of eigenvalues above t is #{lambda_j > t} plus the positive
-eigenvalues of I_3 - U^T (D - t)^-1 U, minus 3.  By U's parity that
-matrix is 1 - q_1 beside a 2 x 2 block, whose positive eigenvalues
-follow from the signs of its determinant and trace: O(M) per count,
-with elementwise sums and no matrix product or eigensolver.  Each step
-counts at one t and moves the rank's bracket end on t's side to t,
-until the ends are adjacent floats; the upper one is the eigenvalue.  t
-is the midpoint (or beside a lambda_j inside, on its wider side) for 4
-steps and until the bracket holds no lambda_j and one eigenvalue, then
-a Newton step on g = 1 - q_1, the rank-one secular function (Bunch,
-Nielsen & Sorensen, Numer. Math. 31, 1978), if its sign differs between
-the ends, else on g = the 2 x 2 determinant, each times (p - t)(t - r)
-for g's poles p and r about t.  A Newton step that fails to halve
-gives way to the midpoint (or, a few ulps long, is doubled), one that
-leaves the bracket or stays at t to a probe across the root, and once
-a probe from t crosses, the rank is bisected: rounding decides the
-count there.
-The top 5 ranks take 9 to 11 counts each at the table's betas, against
-about 52 for bisection.  Ranks are solved in blocks, so a step's
-(ranks x M) buffer stays within 8 MiB at any top_m.  M grows like
-37 beta; above _MAX_BASIS the call raises ArithmeticError naming beta
-and M.  Below beta = 1 the Mehler form cancels O(1) terms as lambda1
-falls like beta^6 (its lambda1 is off by 5e-14 relative at beta = 0.25
-and 4e-13 at 0.1), so the routes meet at beta = 1, where they agree
-within 1e-15 of lambda1.  A failing eigensolver raises RuntimeError
-naming beta; only the Gram route calls one.
+_mehler_basis), and U_jk = 0 unless j + k is even.  So D - U U^T splits
+into an odd block diag(lambda_o) - a a^T, a the odd rows of U's column
+1, and an even block diag(lambda_e) - b_0 b_0^T - b_2 b_2^T, b_0 and b_2
+the even rows of columns 0 and 2.  The eigenvalues of a rank-one
+downdate diag(p) - w w^T are the roots of its secular function
+g = 1 - sum w_j^2 / (p_j - t), which falls from +inf to -inf between
+adjacent poles (Golub, SIAM Rev. 15, 1973; Bunch, Nielsen & Sorensen,
+Numer. Math. 31, 1978): root i lies in (p_(i+1), p_i), the last above
+p's last minus |w|^2, so no count is needed.  The odd block is one such
+solve.  The even block is two nested ones: first the roots nu of
+diag(lambda_e) - b_0 b_0^T, then those of its downdate by b_2, whose g
+is by Sherman-Morrison 1 - q_2 - q_3^2 / (1 - q_0), q the sums of
+b_0^2, b_2^2 and b_0 b_2 over lambda_e - t, with root i in
+(nu_(i+1), nu_i).  Each root takes Newton steps on g (t - p_lo)(p_hi - t),
+p_lo and p_hi the poles about its bracket, from the bracket's midpoint;
+a step that leaves the bracket or fails to halve gives way to the
+midpoint, and the rank ends on a step of at most 4 ulps or once its
+bracket ends are adjacent floats.  g and g' are one einsum each, with
+no matrix product or eigensolver.  By interlacing the top top_m hold at
+most top_m // 2 + 1 eigenvalues of either block, the computed ones too,
+as each stays in its closed bracket; each block solves that many, and
+the two are merged.  For the top 5 a stage takes 5 to 6 evaluations at
+beta 2 to 10, against about 52 counts for bisection; a tail rank, whose
+g is rounding over a band, is bisected through it in up to about 50.
+Ranks are solved in blocks, so a stage's (ranks x ceil(M/2)) buffer
+stays within 8 MiB at any top_m.  M grows like 37 beta; above _MAX_BASIS
+the call raises ArithmeticError naming beta and M.  Below beta = 1 the
+Mehler form cancels O(1) terms as lambda1 falls like beta^6 (its lambda1
+is off by 5e-14 relative at beta = 0.25 and 4e-13 at 0.1), so the routes
+meet at beta = 1, where they agree within 1e-15 of lambda1.  A failing
+eigensolver raises RuntimeError naming beta; only the Gram route calls
+one.
 
 A solve depends on beta and the number of ranks alone, and each rank
 is solved on its own, so the first k eigenvalues of a solve are those of
@@ -84,11 +87,11 @@ keys, and returns the first top_m of it as a fresh result with fresh
 arrays on every call: table1's top-5 solves serve table2's lambda1.  An
 entry holds max(top_m, 5) doubles and four numbers, under 1 KB at
 top_m <= 5 and 1 MiB at the largest top_m, _MAX_BASIS, so the cache
-never holds more than 16 MiB.  A solve takes 0.11-0.59 ms on the Gram
-route and 0.8-1.2 ms on the Mehler route at beta 1.5 to 50 (about 10
-counts per rank); a lambda1 alone pays for 5 ranks, 16-34% more than
-for 1 on the Mehler route at beta 2 to 10 and 2.1x at 300.  A failed
-solve is not cached.
+never holds more than 16 MiB.  A top-5 solve takes 0.16-0.83 ms on the
+Gram route and 0.69-0.94 ms on the Mehler route at beta 1.5 to 50
+(2-vCPU x86-64 VM, one BLAS thread, medians of 15); a lambda1 alone
+pays for 5 ranks, 1-13% more than for 1 on the Mehler route at beta 2
+to 10 and 1.4x at 300.  A failed solve is not cached.
 
 The sampled estimate.  nystrom_spectrum samples N points from the
 weight, forms the matrix G = (K(y_i, y_j)/N), and takes its
@@ -133,7 +136,6 @@ _MC_NORMALS = 2^20 (8 MiB), whatever top_m is.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -182,8 +184,8 @@ _EPS = float(np.finfo(np.float64).eps)
 # the Mehler basis, and the largest basis operator_spectrum builds.
 _MEHLER_DECADES = 16.0 * math.log(10.0)
 _MAX_BASIS = 1 << 17
-# Most elements of the (ranks x M) buffer of a Mehler root step, 8 MiB
-# of doubles.
+# Most elements of the (ranks x ceil(M/2)) buffer of a Mehler root
+# step, 8 MiB of doubles.
 _BLOCK_ELEMENTS = 1 << 20
 
 
@@ -252,8 +254,8 @@ def operator_spectrum(tp: TuningParam, top_m: int = 5) -> OperatorSpectrum:
     ArithmeticError names beta and M when the Mehler basis would exceed
     _MAX_BASIS functions; top_m, an integer (Python or numpy, not a
     bool), may not exceed it either.  RuntimeError names beta when the
-    eigensolver of the Gram route fails; the Mehler route's U and inertia
-    counts are in closed form and call none."""
+    eigensolver of the Gram route fails; the Mehler route's U is in
+    closed form and its secular equations call none."""
     if isinstance(top_m, bool) or not isinstance(top_m, (int, np.integer)):
         raise ValueError(f"top_m must be an integer, got {top_m}")
     if not 1 <= top_m <= _MAX_BASIS:
@@ -330,103 +332,99 @@ def _mehler_basis(beta: float, size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _mehler_eigenvalues(beta: float, size: int, top_m: int) -> np.ndarray:
-    """The top min(top_m, size) eigenvalues of D - U U^T, each the upper
-    end of a bracket narrowed by the count down to adjacent floats.  The
-    ranks are solved in blocks of max(1, _BLOCK_ELEMENTS // size), so
-    that the (ranks x size) buffer of a step takes at most 8 MiB whatever
-    top_m is; no rank's steps depend on the others in its block."""
-    lam, u = _mehler_basis(beta, size)
-    count = min(top_m, size)
-    block = max(1, _BLOCK_ELEMENTS // size)
-    return np.concatenate([_roots(lam, u, np.arange(start, min(start + block, count)))
-                           for start in range(0, count, block)])
+    """The top min(top_m, size) eigenvalues of D - U U^T at beta."""
+    return _mehler_roots(*_mehler_basis(beta, size), top_m)
 
 
-def _roots(lam, u, index):
-    """The eigenvalues of the given ranks of D - U U^T, all at once, for
-    _mehler_eigenvalues, by the steps of the module docstring.  q sums
-    u_0^2, u_1^2, u_2^2 and u_0 u_2 over lambda_j - t, and the 2 x 2
-    block [[1 - q_0, -q_3], [-q_3, 1 - q_2]] has 2 positive eigenvalues
-    if its determinant and trace are positive, 1 if the determinant is
-    negative, or is 0 with a positive trace, and else none."""
-    pairs = np.stack([np.square(u[:, 0]), np.square(u[:, 1]), np.square(u[:, 2]),
-                      u[:, 0] * u[:, 2]])
-    falling = -lam
-    # past the basis a bracket starts at -|U|^2, below every eigenvalue
-    pad = np.concatenate([lam, np.full(index[-1] + 4, -np.sum(pairs[:3]))])
-    poles = np.concatenate([lam, np.full(3, -np.inf)])
-    out = np.empty(index.size)
-    rank, lo, hi = index, pad[index + 3], pad[index]
-    # lambda_j and eigenvalues above each end, and the sign of 1 - q_1
-    # there; the first ends are poles, with counts that match no other
-    p_lo, p_hi, c_lo, c_hi = index + 3, index, index + 4, index - 1
-    o_lo = o_hi = block = isolated = settled = np.zeros(index.size, dtype=bool)
-    last, grow, sweep = np.full(index.size, np.inf), np.ones(index.size), np.zeros(index.size)
+def _mehler_roots(lam, u, top_m):
+    """The top min(top_m, M) eigenvalues, descending, of D - U U^T for U
+    of the Mehler parity: those of the odd block's rank-one downdate and
+    of the even block's two nested ones (see the module docstring).  By
+    interlacing the top top_m hold at most top_m // 2 + 1 eigenvalues of
+    either block, so each block solves that many; the first even stage
+    solves one more, the pole below the second stage's last root."""
+    keep = top_m // 2 + 1
+    even = u[0::2][:, [0, 2]]
+    first = _secular_roots(lam[0::2], even[:, :1], lam[0::2], keep + 1)
+    roots = np.concatenate([_secular_roots(lam[1::2], u[1::2, 1:2], lam[1::2], keep),
+                            _secular_roots(lam[0::2], even, first, keep)])
+    return np.sort(roots)[::-1][:min(top_m, lam.size)]
+
+
+def _secular_roots(lam, w, poles, count):
+    """The top count eigenvalues of diag(lam) - w w^T, w of one or two
+    columns, given the poles of its secular function g: lam for one
+    column, and the eigenvalues of diag(lam) - w_0 w_0^T for two.  With
+    q_ab the sum of w_a w_b over lam_j - t, g = 1 - q_00, or, by
+    Sherman-Morrison, g = 1 - q_11 - q_01^2 / (1 - q_00).  g falls from
+    +inf to -inf between adjacent poles, so eigenvalue i is its one root
+    between poles i + 1 and i, and the last lies above lam's last minus
+    |w|^2.  The ranks are solved in blocks of max(1, _BLOCK_ELEMENTS //
+    lam.size), so that the (ranks x lam.size) buffer takes at most 8 MiB
+    whatever count is; no rank's steps depend on the others in its
+    block."""
+    count = min(count, lam.size)
+    p_hi = poles[:count]
+    p_lo = np.append(poles[1:count + 1], -np.inf)[:count]
+    lo = np.fmax(p_lo, lam[-1] - np.sum(np.square(w)))
+    pairs = np.square(w.T) if w.shape[1] == 1 else np.stack(
+        [np.square(w[:, 0]), np.square(w[:, 1]), w[:, 0] * w[:, 1]])
+    block = max(1, _BLOCK_ELEMENTS // lam.size)
+    return np.concatenate([
+        _bracketed_roots(lam, pairs, lo[i:i + block], p_lo[i:i + block], p_hi[i:i + block])
+        for i in range(0, count, block)])
+
+
+def _bracketed_roots(lam, pairs, lo, p_lo, p_hi):
+    """The root of g in each bracket (lo, p_hi) with poles p_lo and p_hi,
+    for _secular_roots, by safeguarded Newton steps on g (t - p_lo)
+    (p_hi - t): a step that leaves the bracket, or is longer than half
+    the last, gives way to the midpoint.  A rank ends on a step of at
+    most 4 ulps, or once its bracket ends are adjacent floats; where g
+    is not finite, t moves by a float, and if g is still not finite the
+    rank ends at t."""
+    out = np.empty(lo.size)
+    rank, hi, last = np.arange(lo.size), p_hi, np.full(lo.size, np.inf)
     t = 0.5 * (lo + hi)
-    buffer = np.empty((index.size, lam.size))
-    for step in itertools.count():
-        n = np.searchsorted(falling, -t)
-        hit = pad[n] == t  # D - t is singular there
-        if hit.any():
-            t[hit] = np.nextafter(t[hit], hi[hit])
-        live = (lo < t) & (t < hi)
-        if not live.all():
-            out[rank[~live] - index[0]] = hi[~live]
-            if not live.any():
-                return out
-            (rank, lo, hi, t, n, p_lo, p_hi, c_lo, c_hi, o_lo, o_hi, block, isolated, settled,
-             last, grow, sweep) = (a[live] for a in (rank, lo, hi, t, n, p_lo, p_hi, c_lo, c_hi,
-                                                     o_lo, o_hi, block, isolated, settled, last,
-                                                     grow, sweep))
-        inverse = np.subtract(lam, t[:, None], out=buffer[:t.size])
-        np.divide(1.0, inverse, out=inverse)
-        q = np.einsum("pj,tj->pt", pairs, inverse)
-        trace = 2.0 - q[0] - q[2]
-        f0, f1, f2 = 1.0 - q[:3]
-        det = f0 * f2 - np.square(q[3])
-        odd = q[1] < 1.0
-        rising = trace > 0.0
-        count = n - 3 + odd + ((det < 0.0) | rising) + ((det > 0.0) & rising)
-        above = count > rank
-        lo, hi = np.where(above, t, lo), np.where(above, hi, t)
-        mid = 0.5 * (lo + hi)
-        if not isolated.all():
-            p_lo, p_hi = np.where(above, n, p_lo), np.where(above, p_hi, n)
-            c_lo, c_hi = np.where(above, count, c_lo), np.where(above, c_hi, count)
-            o_lo, o_hi = np.where(above, odd, o_lo), np.where(above, o_hi, odd)
-            block = np.where(isolated, block, o_lo != o_hi)
-            isolated = isolated | ((p_lo == p_hi) & (c_lo - c_hi == 1))
-            # a root beside a lambda_j inside is isolated from its wider side
-            pole = pad[p_hi]
-            mid = np.where((lo < pole) & (pole < hi),
-                           pole + 0.125 * np.where(mid > pole, hi - pole, lo - pole), mid)
-        settled = settled | (sweep * (above - 0.5) < 0.0)
-        newton = isolated & ~settled
-        # few ranks are isolated sooner, and a step that takes no Newton step costs half
-        if step < 4 or not newton.any():
-            t = mid
-            continue
-        dq = np.einsum("pj,tj->pt", pairs, np.square(inverse, out=inverse))
-        g = np.where(block, f1, det)
-        slope = np.where(block, dq[1], dq[0] * f2 + f0 * dq[2] + 2.0 * q[3] * dq[3])  # -g'
-        # g's poles about t: the last lambda_j of g's parity above t, and the next
-        up = n - 1 - (n - 1 - block) % 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            y = t + g / (slope - g * (1.0 / (t - poles[up + 2]) - 1.0 / (poles[up] - t)))
-        # probes start from the end nearest y
-        z = np.fmin(np.fmax(y, lo), hi)
-        side = np.subtract(z == lo, z == hi, dtype=float)
-        y = z + side * grow * np.fmax(np.abs(y - z), np.spacing(z))
-        length = np.abs(y - t)
-        # a step of a few ulps that fails to halve is rounding: it is doubled
-        slow = (side == 0.0) & (length > last) & (length <= 4.0 * np.spacing(t))
-        y = np.where(slow, 2.0 * y - t, y)
-        probe = (side != 0.0) | slow
-        good = (lo < y) & (y < hi) & (probe | (length <= last)) & newton
-        sweep = np.where(good & (z == t), side, 0.0)
-        grow = np.where(probe, np.where(good, 4.0 * grow, grow), 1.0)
-        last = np.where(good & ~probe, 0.5 * length, np.inf)
-        t = np.where(good, y, mid)
+    buffer = np.empty((lo.size, lam.size))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while rank.size:
+            g, slope = _secular(lam, pairs, t, buffer)
+            pole = ~np.isfinite(g)
+            if pole.any():
+                t[pole] = np.nextafter(t[pole], hi[pole])
+                g[pole], slope[pole] = _secular(lam, pairs, t[pole], buffer)
+            lo, hi = np.where(g > 0.0, t, lo), np.where(g < 0.0, t, hi)
+            step = g / (slope - g / (t - p_lo) + g / (p_hi - t))
+            length = np.abs(step)
+            y = t + step
+            newton = (lo < y) & (y < hi) & (length <= 0.5 * last)
+            # a step is NaN where g is not finite
+            done = ~(length > 4.0 * np.spacing(np.abs(t)))
+            best = np.where(newton, y, t)
+            t = np.where(newton, y, 0.5 * (lo + hi))
+            done |= (t == lo) | (t == hi)
+            last = np.where(newton, length, np.inf)
+            if done.any():
+                out[rank[done]] = best[done]
+                live = ~done
+                rank, lo, hi, p_lo, p_hi, t, last = (
+                    a[live] for a in (rank, lo, hi, p_lo, p_hi, t, last))
+    return out
+
+
+def _secular(lam, pairs, t, buffer):
+    """g and -g' at each t, for _bracketed_roots: q and q' are one
+    einsum each of pairs, the rows w_0^2 or w_0^2, w_1^2 and w_0 w_1,
+    against 1/(lam_j - t) and its square."""
+    inverse = np.subtract(lam, t[:, None], out=buffer[:t.size])
+    np.divide(1.0, inverse, out=inverse)
+    q = np.einsum("pj,tj->pt", pairs, inverse)
+    dq = np.einsum("pj,tj->pt", pairs, np.square(inverse, out=inverse))
+    if len(pairs) == 1:
+        return 1.0 - q[0], dq[0]
+    f = 1.0 - q[0]
+    return 1.0 - q[1] - np.square(q[2]) / f, dq[1] + q[2] * (2.0 * dq[2] + q[2] * dq[0] / f) / f
 
 
 @dataclass(frozen=True, eq=False)

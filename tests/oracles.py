@@ -125,8 +125,8 @@ def mehler_bisection(lam, u, index):
     """The eigenvalues of the given ranks of D - U U^T, all at once, by
     bisection on [lambda_(i+3), lambda_i] (0 past the basis) down to
     adjacent floats, each the upper end of its final interval: the
-    Mehler route's solver before the Newton steps of spectral._roots,
-    about 52 steps of the same count per rank.
+    Mehler route's solver before it solved each parity block's secular
+    equations (spectral._mehler_roots), about 52 counts per rank.
 
     By the parity of U, I_3 - U^T (D - t)^-1 U is 1 - q_1 beside the
     2 x 2 block [[1 - q_0, -q_3], [-q_3, 1 - q_2]], where q sums

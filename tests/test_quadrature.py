@@ -215,8 +215,8 @@ class TestConfig:
         with pytest.raises(ValueError):
             QuadratureConfig(max_subdivisions=0)
         # a budget is a whole number of panels: inf raised OverflowError, and
-        # 2.5 was accepted
-        for budget in (math.inf, 2.5):
+        # 2.5 and True were accepted
+        for budget in (math.inf, 2.5, True, np.True_):
             with pytest.raises(ValueError, match="max_subdivisions must be an integer"):
                 QuadratureConfig(max_subdivisions=budget)
         assert QuadratureConfig(max_subdivisions=np.int64(8)).max_subdivisions == 8

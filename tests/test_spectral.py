@@ -431,7 +431,9 @@ class TestOperatorSpectrum:
         grid = grid_spectrum(beta, _grid_panels(beta))[:5]
         assert np.max(np.abs(sp.eigenvalues - grid)) <= 1e-12 * sp.eigenvalues[0]
 
-    @pytest.mark.parametrize("beta", [1.0001, 2.0, 10.0, 50.0])
+    # 2.95 and 5.37 have a root just above an even pole, where the
+    # even block's g is rounding over a band
+    @pytest.mark.parametrize("beta", [1.0001, 2.0, 2.95, 5.37, 10.0, 50.0])
     def test_bisection_matches_dense_solve(self, beta):
         sp = operator_spectrum(TuningParam(beta), top_m=12)
         lam, u = spectral._mehler_basis(beta, sp.basis_size)
@@ -445,7 +447,7 @@ class TestOperatorSpectrum:
         lam_grid, u_grid = mehler_basis(beta, size)
         assert lam.tobytes() == lam_grid.tobytes()
         assert np.max(np.abs(u - u_grid)) <= 1e-14 * np.max(np.abs(u_grid))
-        # exactly 0 off parity, where the inertia count relies on it
+        # exactly 0 off parity, where the split into two blocks relies on it
         even = (np.arange(size)[:, None] + np.arange(3)) % 2 == 0
         assert np.array_equal(u != 0.0, even)
 
@@ -526,12 +528,11 @@ class TestOperatorSpectrum:
         assert operator_spectrum(TuningParam(1.0), top_m=np.int64(2)).eigenvalues.size == 2
 
 
-def _synthetic_basis(lam2: float, u11: float) -> tuple[np.ndarray, np.ndarray]:
-    """A small D and U with the parity of the Mehler basis, whose rank 0
-    starts in [lambda_3, lambda_0] = [1, 4]: its first midpoint is
-    lambda_2 when lam2 = 2.5, and a tiny u11 puts a root an ulp from
-    lambda_1."""
-    lam = np.array([4.0, 3.0, lam2, 1.0, 0.5, 0.25])
+def _synthetic_basis(lam2: float, u11: float, lam1: float = 3.0) -> tuple[np.ndarray, np.ndarray]:
+    """A small D and U with the parity of the Mehler basis: the odd block
+    has poles lam1, 1 and 0.25, the even block 4, lam2 and 0.5, and a
+    tiny u11 puts a root an ulp from lambda_1."""
+    lam = np.array([4.0, lam1, lam2, 1.0, 0.5, 0.25])
     u = np.zeros((6, 3))
     u[0::2, 0] = [0.6, 0.3, 0.2]
     u[1::2, 1] = [u11, 0.4, 0.1]
@@ -544,12 +545,24 @@ class TestMehlerRoots:
     against the bisection they replaced and a dense solve."""
 
     def test_blocks_give_the_unblocked_bits(self, monkeypatch):
+        # M = 1106 puts each stage's ranks in one block of the 8 MiB
+        # buffer; a buffer of 100 rows splits every stage into 6 blocks
         beta = 30.0
         size = truncation(TuningParam(beta)).basis_size
-        assert spectral._BLOCK_ELEMENTS // size < size
+        blocks = []
+        bracketed = spectral._bracketed_roots
+
+        def recording(lam, pairs, lo, p_lo, p_hi):
+            blocks.append(lo.size)
+            return bracketed(lam, pairs, lo, p_lo, p_hi)
+
+        monkeypatch.setattr(spectral, "_bracketed_roots", recording)
+        whole = spectral._mehler_eigenvalues(beta, size, size)
+        assert len(blocks) == 3
+        monkeypatch.setattr(spectral, "_BLOCK_ELEMENTS", 100 * ((size + 1) // 2))
         blocked = spectral._mehler_eigenvalues(beta, size, size)
-        monkeypatch.setattr(spectral, "_BLOCK_ELEMENTS", size * size)
-        assert spectral._mehler_eigenvalues(beta, size, size).tobytes() == blocked.tobytes()
+        assert len(blocks) == 3 + 18 and max(blocks[3:]) == 100
+        assert blocked.tobytes() == whole.tobytes()
 
     def test_memory_bounded_at_any_top_m(self):
         # unblocked, the (ranks x M) temporaries at M = 3685 took 104 MiB each
@@ -594,11 +607,33 @@ class TestMehlerRoots:
 
     @pytest.mark.parametrize("lam2, u11", [(2.5, 0.5), (np.nextafter(2.5, 0.0), 0.5), (2.5, 1e-9)])
     def test_steps_onto_and_beside_a_pole(self, lam2, u11):
-        # a t on a pole moves to the next float, where the count is an ulp
-        # from it; a tiny u11 keeps a root, and the Newton steps for it,
-        # within an ulp of lambda_1; pyproject makes a RuntimeWarning fail
+        # small synthetic blocks against the oracle and a dense solve, one
+        # with a tiny u11 that keeps an odd root, and the Newton steps for
+        # it, within an ulp of the pole lambda_1 (test_moves_off_an_even_pole
+        # puts an iterate on a pole); pyproject makes a RuntimeWarning fail
         lam, u = _synthetic_basis(lam2, u11)
-        got = spectral._roots(lam, u, np.arange(6))
+        got = spectral._mehler_roots(lam, u, 6)
+        dense = np.linalg.eigvalsh(np.diag(lam) - u @ u.T)[::-1]
+        assert np.max(np.abs(got - mehler_bisection(lam, u, np.arange(6)))) <= 1e-15 * got[0]
+        assert np.max(np.abs(got - dense)) <= 1e-15 * got[0]
+
+    def test_moves_off_an_even_pole(self, monkeypatch):
+        # lam2 is the midpoint of the first two roots of D_e - b_0 b_0^T,
+        # so the first iterate of even rank 0 in the second stage is the
+        # pole lam2 itself, where g is NaN; t moves one float and goes on
+        lam2 = 3.5560053618215886
+        lam, u = _synthetic_basis(lam2, 0.5, lam1=3.75)
+        seen = []
+        secular = spectral._secular
+
+        def recording(lam, pairs, t, buffer):
+            seen.append(t.copy())
+            return secular(lam, pairs, t, buffer)
+
+        monkeypatch.setattr(spectral, "_secular", recording)
+        got = spectral._mehler_roots(lam, u, 6)
+        assert any(np.any(t == lam2) for t in seen)
+        assert any(np.any(t == np.nextafter(lam2, 4.0)) for t in seen)
         dense = np.linalg.eigvalsh(np.diag(lam) - u @ u.T)[::-1]
         assert np.max(np.abs(got - mehler_bisection(lam, u, np.arange(6)))) <= 1e-15 * got[0]
         assert np.max(np.abs(got - dense)) <= 1e-15 * got[0]
@@ -647,10 +682,12 @@ class TestOperatorSpectrumMemo:
         operator_spectrum(TuningParam(2.0), top_m=6)
         assert len(calls) == 4
 
-    @pytest.mark.parametrize("beta", [0.5, 2.0, 10.0, 300.0])
+    @pytest.mark.parametrize("beta", [0.5, 1.0001, 2.0, 10.0, 300.0])
     def test_fewer_ranks_are_a_slice_of_a_larger_solve(self, beta):
-        wide = spectral._solved(beta, 20)[0]
-        for top_m in (1, 3, 5):
+        # at beta 1.0001 (M = 39) every top_m up to M, which checks that
+        # the top_m // 2 + 1 roots each Mehler block solves are enough
+        wide = spectral._solved(beta, 39 if beta == 1.0001 else 20)[0]
+        for top_m in range(1, 40) if beta == 1.0001 else (1, 3, 5):
             cold = spectral._solved.__wrapped__(beta, top_m)[0]
             assert cold.tobytes() == wide[:top_m].tobytes(), top_m
 
